@@ -84,9 +84,12 @@ legality:
 
 # The same sweep under the race detector, plus the pipeline's error-path
 # shutdown tests: proves the sharded schedule → replay handoff is
-# properly synchronized, including mid-stream source and sink failures.
+# properly synchronized, including mid-stream source and sink failures,
+# and that the shared double-buffered ring (engine.Pipeline) under both
+# streaming paths shuts down cleanly.
 legality-race:
 	$(GO) test -race ./internal/ctl -run '$(LEGALITY_TESTS)|TestScheduleInto' -count=1
+	$(GO) test -race ./internal/engine -run 'TestPipeline' -count=1
 
 # The full gate: everything CI (and a reviewer) expects to be green.
 # CI runs the race detector as its own job (ci.yml "race"), so check

@@ -369,8 +369,8 @@ func RunTrace(m *Model, cmds []Command) (TraceResult, error) {
 	return trace.Evaluate(m, cmds)
 }
 
-// NewTraceScanner returns a streaming scanner over trace text. Feed it to
-// Simulator.RunStream or Replayer.ReplayScanner to evaluate traces of any
+// NewTraceScanner returns a streaming scanner over trace text. It is a
+// TraceSource: feed it to Replayer.ReplaySource to evaluate traces of any
 // length in constant memory.
 func NewTraceScanner(r io.Reader) *TraceScanner { return trace.NewScanner(r) }
 
@@ -408,8 +408,8 @@ func WriteBinaryTrace(w io.Writer, cmds []Command) error { return trace.WriteBin
 
 // NewTraceSource returns a command stream over either trace encoding,
 // sniffing text vs. dtb binary from the first byte. ReplayTrace does
-// this internally; use NewTraceSource to feed format-agnostic input to a
-// Replayer or Simulator directly.
+// this internally; use NewTraceSource to feed format-agnostic input to
+// Replayer.ReplaySource directly.
 func NewTraceSource(r io.Reader) TraceSource { return trace.NewSource(r) }
 
 // InterleaveChannels merges per-channel traces into one multi-channel
@@ -536,12 +536,6 @@ func ScheduleAndReplay(m *Model, r io.Reader, opts ControllerOptions, ropts Repl
 	return ctl.ScheduleReplay(m, r, opts, ropts)
 }
 
-// ScheduleAndReplayAccesses is ScheduleAndReplay over an in-memory
-// access-request slice.
-func ScheduleAndReplayAccesses(m *Model, reqs []AccessRequest, opts ControllerOptions, ropts ReplayOptions) (ScheduleStats, TraceResult, error) {
-	return ctl.ScheduleReplayRequests(m, reqs, opts, ropts)
-}
-
 // ParseControllerPolicy parses a page-policy flag value: "open",
 // "closed" or "timeout=N" (N the idle window in slots, returned
 // separately).
@@ -578,11 +572,6 @@ func WriteBinaryAccessTrace(w io.Writer, reqs []AccessRequest) error {
 func GenerateAccesses(m *Model, opts AccessGenOptions) ([]AccessRequest, error) {
 	return ctl.GenerateAccesses(m, opts)
 }
-
-// NewCommandSliceSource adapts an in-memory command slice to the
-// replayer's TraceSource interface, so a scheduled trace replays without
-// a serialize/re-parse round trip.
-func NewCommandSliceSource(cmds []Command) TraceSource { return trace.NewSliceSource(cmds) }
 
 // Re-exported serving types: the HTTP model-evaluation service behind the
 // dramserved binary (see internal/server).

@@ -30,6 +30,8 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+
+	"drampower/internal/codec"
 )
 
 // Request is one access-trace entry: a read or write of one burst at a
@@ -141,156 +143,61 @@ func (sc *Scanner) Line() int { return sc.line }
 // parseAccessLine decodes one access-trace line. ok is false for blank
 // and comment-only lines.
 func parseAccessLine(b []byte, line int) (req Request, ok bool, err error) {
-	i := skipSpace(b, 0)
+	i := codec.SkipSpace(b, 0)
 	if i >= len(b) || b[i] == '#' {
 		return Request{}, false, nil
 	}
-	slot, j, numOK := parseUint(b, i)
+	slot, j, numOK := codec.ParseUint(b, i)
 	if !numOK {
-		return Request{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("bad slot %q (want non-negative integer)", field(b, i))}
+		return Request{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("bad slot %q (want non-negative integer)", codec.Field(b, i))}
 	}
 	req.Slot = slot
 
-	i = skipSpace(b, j)
+	i = codec.SkipSpace(b, j)
 	if i >= len(b) || b[i] == '#' {
 		return Request{}, false, &ParseError{Line: line, Col: 0, Msg: "missing operation"}
 	}
-	j = endOfField(b, i)
+	j = codec.EndOfField(b, i)
 	w, opOK := parseAccessOp(b[i:j])
 	if !opOK {
-		return Request{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("unknown operation %q (want r or w)", field(b, i))}
+		return Request{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("unknown operation %q (want r or w)", codec.Field(b, i))}
 	}
 	req.Write = w
 
-	i = skipSpace(b, j)
+	i = codec.SkipSpace(b, j)
 	if i >= len(b) || b[i] == '#' {
 		return Request{}, false, &ParseError{Line: line, Col: 0, Msg: "missing address"}
 	}
 	addr, j, addrOK := parseAddr(b, i)
 	if !addrOK {
-		return Request{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("bad address %q (want non-negative integer, decimal or 0x hex)", field(b, i))}
+		return Request{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("bad address %q (want non-negative integer, decimal or 0x hex)", codec.Field(b, i))}
 	}
 	req.Addr = addr
 
-	i = skipSpace(b, j)
+	i = codec.SkipSpace(b, j)
 	if i < len(b) && b[i] != '#' {
-		return Request{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("trailing field %q (want <slot> <r|w> <addr>)", field(b, i))}
+		return Request{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("trailing field %q (want <slot> <r|w> <addr>)", codec.Field(b, i))}
 	}
 	return req, true, nil
-}
-
-func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' }
-
-// skipSpace returns the index of the first non-space byte at or after i.
-func skipSpace(b []byte, i int) int {
-	for i < len(b) && isSpace(b[i]) {
-		i++
-	}
-	return i
-}
-
-// endOfField returns the index just past the field starting at i.
-func endOfField(b []byte, i int) int {
-	for i < len(b) && !isSpace(b[i]) && b[i] != '#' {
-		i++
-	}
-	return i
-}
-
-// field extracts the field starting at i for error messages (this path
-// may allocate; the accept path never calls it).
-func field(b []byte, i int) string { return string(b[i:endOfField(b, i)]) }
-
-// parseUint decodes a non-negative decimal integer field starting at i
-// without allocating. It returns the value, the index just past the
-// field, and whether the field was well formed and ended at a field
-// boundary.
-func parseUint(b []byte, i int) (int64, int, bool) {
-	j := i
-	start := j
-	var v int64
-	for j < len(b) && b[j] >= '0' && b[j] <= '9' {
-		// Bound before the multiply: v*10 can wrap past negative back
-		// into the positive range, so a post-hoc v < 0 check is not
-		// enough.
-		if v > ((1<<63-1)-9)/10 {
-			return 0, j, false // overflow
-		}
-		v = v*10 + int64(b[j]-'0')
-		j++
-	}
-	if j == start {
-		return 0, j, false
-	}
-	if j < len(b) && !isSpace(b[j]) && b[j] != '#' {
-		return 0, j, false
-	}
-	return v, j, true
 }
 
 // parseAddr decodes an address field: decimal, or hex behind 0x/0X.
 func parseAddr(b []byte, i int) (int64, int, bool) {
 	if i+1 < len(b) && b[i] == '0' && (b[i+1] == 'x' || b[i+1] == 'X') {
-		j := i + 2
-		start := j
-		var v int64
-		for j < len(b) {
-			c := b[j]
-			var d int64
-			switch {
-			case c >= '0' && c <= '9':
-				d = int64(c - '0')
-			case c >= 'a' && c <= 'f':
-				d = int64(c-'a') + 10
-			case c >= 'A' && c <= 'F':
-				d = int64(c-'A') + 10
-			default:
-				if j == start || (!isSpace(c) && c != '#') {
-					return 0, j, false
-				}
-				return v, j, true
-			}
-			if v >= 1<<59 {
-				return 0, j, false // v<<4 would overflow int64
-			}
-			v = v<<4 | d
-			j++
-		}
-		if j == start {
-			return 0, j, false
-		}
-		return v, j, true
+		return codec.ParseHex(b, i+2)
 	}
-	return parseUint(b, i)
+	return codec.ParseUint(b, i)
 }
 
 // parseAccessOp matches a read/write mnemonic ASCII-case-insensitively.
 func parseAccessOp(b []byte) (write, ok bool) {
 	switch {
-	case eqFold(b, "r"), eqFold(b, "rd"), eqFold(b, "read"):
+	case codec.EqFold(b, "r"), codec.EqFold(b, "rd"), codec.EqFold(b, "read"):
 		return false, true
-	case eqFold(b, "w"), eqFold(b, "wr"), eqFold(b, "write"):
+	case codec.EqFold(b, "w"), codec.EqFold(b, "wr"), codec.EqFold(b, "write"):
 		return true, true
 	}
 	return false, false
-}
-
-// eqFold reports whether b equals the lower-case string s under ASCII
-// case folding, without allocating.
-func eqFold(b []byte, s string) bool {
-	if len(b) != len(s) {
-		return false
-	}
-	for i := 0; i < len(b); i++ {
-		c := b[i]
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		if c != s[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // AppendRequest appends the access-trace text line for r, including the

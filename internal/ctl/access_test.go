@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -51,7 +52,8 @@ func TestScannerSample(t *testing.T) {
 // TestTextRoundTrip pins the canonical rendering: AppendRequest output
 // reparses to the same requests, and a second render is byte-identical.
 func TestTextRoundTrip(t *testing.T) {
-	reqs := []Request{{0, false, 0}, {7, true, 0x1fffe}, {7, false, 12345}, {1 << 40, true, 1 << 50}}
+	reqs := []Request{{0, false, 0}, {7, true, 0x1fffe}, {7, false, 12345}, {1 << 40, true, 1 << 50},
+		{math.MaxInt64, true, math.MaxInt64}}
 	var a bytes.Buffer
 	if err := WriteAccessTrace(&a, reqs); err != nil {
 		t.Fatal(err)
@@ -71,6 +73,12 @@ func TestTextRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("canonical rendering is not a fixed point")
+	}
+	// The canonical form spells addresses in hex; the largest one must
+	// scan in decimal too.
+	dec := scanAll(t, NewScanner(strings.NewReader("9223372036854775807 w 9223372036854775807\n")))
+	if want := reqs[len(reqs)-1]; len(dec) != 1 || dec[0] != want {
+		t.Fatalf("decimal max address scanned as %+v, want [%+v]", dec, want)
 	}
 }
 
@@ -155,6 +163,9 @@ func TestScannerErrors(t *testing.T) {
 		{"later-line", "0 r 0\n1 r 1\nbad\n", 3, "bad slot"},
 		{"slot-overflow", "99999999999999999999 r 0\n", 1, "bad slot"},
 		{"addr-overflow", "0 r 0xffffffffffffffffff\n", 1, "bad address"},
+		{"slot-max-plus-one", "9223372036854775808 r 0\n", 1, "bad slot"},
+		{"addr-max-plus-one", "0 r 9223372036854775808\n", 1, "bad address"},
+		{"hex-max-plus-one", "0 r 0x8000000000000000\n", 1, "bad address"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := NewScanner(strings.NewReader(tc.in))

@@ -20,6 +20,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"drampower/internal/codec"
 )
 
 // accessMagic is the .dab header: sentinel byte, format name, version.
@@ -34,22 +36,6 @@ const accessFlagWrite = 0x01
 
 // accessFlagReserved masks the bits that must be zero in this version.
 const accessFlagReserved = ^byte(accessFlagWrite)
-
-// zigzag folds signed deltas into unsigned varint space: 0, -1, 1, -2 ->
-// 0, 1, 2, 3.
-func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
-
-// unzigzag inverts zigzag.
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// appendUvarint is binary.AppendUvarint without the import.
-func appendUvarint(dst []byte, v uint64) []byte {
-	for v >= 0x80 {
-		dst = append(dst, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(dst, byte(v))
-}
 
 // BinaryWriter encodes requests into the .dab format. The header is
 // written lazily on the first request (or by Flush for an empty trace).
@@ -96,8 +82,8 @@ func (bw *BinaryWriter) Write(r Request) error {
 		flags = accessFlagWrite
 	}
 	b := append(bw.buf[:0], flags)
-	b = appendUvarint(b, zigzag(r.Slot-bw.lastSlot))
-	b = appendUvarint(b, zigzag(r.Addr-bw.lastAddr))
+	b = codec.AppendVarint(b, r.Slot-bw.lastSlot)
+	b = codec.AppendVarint(b, r.Addr-bw.lastAddr)
 	bw.buf = b
 	bw.lastSlot, bw.lastAddr = r.Slot, r.Addr
 	if _, err := bw.w.Write(b); err != nil {
@@ -233,7 +219,7 @@ func (bs *BinaryScanner) varint() (int64, bool) {
 		}
 		u |= uint64(c&0x7f) << shift
 		if c&0x80 == 0 {
-			return unzigzag(u), true
+			return codec.Unzigzag(u), true
 		}
 		shift += 7
 		if shift > 63 {
@@ -250,51 +236,13 @@ func (bs *BinaryScanner) Request() Request { return bs.req }
 // a clean end of stream.
 func (bs *BinaryScanner) Err() error { return bs.err }
 
-// oneByteReader replays a sniffed first byte ahead of the rest of the
-// stream.
-type oneByteReader struct {
-	b    byte
-	done bool
-	r    io.Reader
-}
-
-func (o *oneByteReader) Read(p []byte) (int, error) {
-	if !o.done {
-		if len(p) == 0 {
-			return 0, nil
-		}
-		o.done = true
-		p[0] = o.b
-		return 1, nil
-	}
-	return o.r.Read(p)
-}
-
-// errSource is a Source that failed before producing any request.
-type errSource struct{ err error }
-
-func (e *errSource) Scan() bool       { return false }
-func (e *errSource) Request() Request { return Request{} }
-func (e *errSource) Err() error       { return e.err }
-
 // NewAccessSource sniffs the access-trace format from the first byte of
 // r and returns the matching scanner: 0xDA selects the .dab binary
 // decoder, anything else the text scanner. An empty stream is a valid
 // empty text trace.
 func NewAccessSource(r io.Reader) Source {
-	var first [1]byte
-	n, err := r.Read(first[:])
-	for n == 0 && err == nil {
-		n, err = r.Read(first[:])
-	}
-	if n == 0 {
-		if err == nil || errors.Is(err, io.EOF) {
-			return NewScanner(r)
-		}
-		return &errSource{err: &ParseError{Line: 1, Msg: err.Error(), err: err}}
-	}
-	rest := &oneByteReader{b: first[0], r: r}
-	if first[0] == AccessBinaryMagicByte {
+	first, rest := codec.Sniff(r)
+	if first == AccessBinaryMagicByte {
 		return NewBinaryScanner(rest)
 	}
 	return NewScanner(rest)

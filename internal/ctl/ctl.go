@@ -27,13 +27,12 @@ package ctl
 // refresh scheduler's determinism and retention argument.
 //
 // All of that state is channel-local, which is what the sharded
-// execution in this file exploits: requests demultiplex by the mapper's
-// channel bits into per-channel queues, each channel schedules as an
-// independent job on the batch engine, and only the end-of-trace
-// refresh-debt fixpoint (which needs the global trace end) runs after
-// the barrier. DESIGN §14 has the full argument; pipeline.go has the
-// streaming variant that feeds per-channel sinks without materializing
-// the merged trace.
+// execution exploits: requests demultiplex by the mapper's channel bits
+// into per-channel batches, each channel schedules as an independent job
+// on the batch engine, and only the end-of-trace refresh-debt fixpoint
+// (which needs the global trace end) runs after the barrier. DESIGN §14
+// has the full argument; pipeline.go has the streaming scheduler, which
+// Schedule drives with a collecting sink.
 
 import (
 	"fmt"
@@ -698,9 +697,8 @@ type mappedReq struct {
 }
 
 // checkAndMap validates FIFO arrival order and maps one request to
-// device coordinates — the demultiplex step shared by the materializing
-// (Schedule) and streaming (ScheduleInto) front-ends, so both report
-// identical errors at identical request ordinals.
+// device coordinates — the demultiplex step, which positions its errors
+// by request ordinal.
 func (c *Controller) checkAndMap(req Request, idx int, last *int64) (Coord, error) {
 	if req.Slot < *last {
 		return Coord{}, &ScheduleError{Index: idx, Req: req,
@@ -715,33 +713,13 @@ func (c *Controller) checkAndMap(req Request, idx int, last *int64) (Coord, erro
 }
 
 // sourceLen reports how many requests remain in src when the source
-// knows (in-memory slices), so the demux queues and command buffers can
-// be sized up front instead of growing by append doubling.
+// knows (in-memory slices), so Schedule can size its per-channel command
+// slices up front instead of growing them by append doubling.
 func sourceLen(src Source) (int, bool) {
 	if s, ok := src.(interface{ Len() int }); ok {
 		return s.Len(), true
 	}
 	return 0, false
-}
-
-// demux drains the source into per-channel request queues. On error the
-// queues hold the valid prefix (everything before the failing request),
-// which the caller still schedules so partial stats match the old
-// serial accumulation exactly.
-func (c *Controller) demux(src Source, queues [][]mappedReq) error {
-	var last int64 = -1
-	idx := 0
-	for src.Scan() {
-		req := src.Request()
-		co, err := c.checkAndMap(req, idx, &last)
-		if err != nil {
-			return err
-		}
-		queues[co.Channel] = append(queues[co.Channel],
-			mappedReq{slot: req.Slot, row: int32(co.Row), bank: int32(co.Bank), write: req.Write})
-		idx++
-	}
-	return src.Err()
 }
 
 // runChannel schedules one channel's demultiplexed requests in arrival
@@ -758,55 +736,6 @@ func (c *Controller) runChannel(ch *chanState, reqs []mappedReq) {
 // engineOpts is the batch-engine configuration for the channel jobs.
 func (c *Controller) engineOpts() engine.Options {
 	return engine.Options{Workers: c.opts.Workers, Pool: c.opts.Pool}
-}
-
-// runChannels fans the per-channel queues out as one scheduling job per
-// channel. The jobs cannot fail and share no mutable state; the engine's
-// deterministic job order plus the channel-order stats merge make the
-// outcome independent of the worker count.
-func (c *Controller) runChannels(queues [][]mappedReq) {
-	if len(c.chans) == 1 {
-		c.runChannel(&c.chans[0], queues[0])
-		return
-	}
-	_, _ = engine.Map(queues, func(i int, reqs []mappedReq) (struct{}, error) {
-		c.runChannel(&c.chans[i], reqs)
-		return struct{}{}, nil
-	}, c.engineOpts())
-}
-
-// presizeCmds sizes each channel's command buffer from its queued
-// request count (the BenchmarkSchedule* B/op noise was repeated append
-// doubling on these buffers). Three commands bound any request (worst
-// case PRE+ACT+RD/WR, or ACT+RD/WR+PRE under the closed policy);
-// refreshes add the channel-span steady-state floor, low-power windows
-// an entry/exit pair around gaps. The estimate is clamped — a silly
-// far-future arrival slot must not translate into a huge up-front
-// allocation; undersized buffers merely fall back to append growth.
-func (c *Controller) presizeCmds(queues [][]mappedReq) {
-	for i := range c.chans {
-		ch := &c.chans[i]
-		nq := len(queues[i])
-		if nq == 0 || cap(ch.cmds) > 0 {
-			continue
-		}
-		lowPower := c.opts.PowerDownAfter > 0 || c.opts.SelfRefreshAfter > 0
-		est := int64(3*nq + 8)
-		if c.tREFI > 0 {
-			refs := queues[i][nq-1].slot/c.tREFI + c.maxPost + 2
-			if lowPower {
-				refs *= 3 // the pde/pdx or sre/srx pair segmenting each refresh
-			}
-			if bound := int64(4*nq + 1024); refs > bound {
-				refs = bound
-			}
-			est += refs
-		}
-		if lowPower {
-			est += int64(nq)
-		}
-		ch.cmds = make([]trace.Command, 0, est)
-	}
 }
 
 // flushRefreshDebt retires the end-of-trace refresh debt: every channel
@@ -875,35 +804,35 @@ func (c *Controller) sumStats() Stats {
 // trace (global bank indices, non-decreasing slots) plus scheduling
 // stats. Requests must arrive in non-decreasing slot order.
 //
-// Execution is sharded: the stream demultiplexes into per-channel
-// queues, the channels schedule concurrently (Options.Workers/Pool),
-// the refresh debt flushes serially after the barrier, and the merge is
-// trace.Interleave's fixed channel-order merge — so the trace and stats
-// are byte-identical to a serial run regardless of worker count.
+// It is ScheduleInto with a sink that collects each channel's commands,
+// followed by trace.Interleave's fixed channel-order merge — so the trace
+// and stats are byte-identical at any worker count, and bit-identical to
+// what ScheduleInto streams into any other sink. On an error the valid
+// prefix is still scheduled (the stats count every request before the
+// failing one), but there is no refresh flush and no merged trace.
 func (c *Controller) Schedule(src Source) ([]trace.Command, Stats, error) {
-	queues := make([][]mappedReq, len(c.chans))
+	col := make(collector, len(c.chans))
 	if n, ok := sourceLen(src); ok && n > 0 {
-		per := n/len(c.chans) + n/16 + 8
-		for i := range queues {
-			queues[i] = make([]mappedReq, 0, per)
+		// Three commands bound a request (PRE+ACT+RD/WR, or ACT+RD/WR+PRE
+		// under the closed policy); low-power entry/exit pairs add about
+		// one more per request, and the constant leaves room for
+		// refreshes. Sizing tighter than that matters: zeroing the slices
+		// is a large share of Schedule's cost. An undersized slice merely
+		// falls back to append growth.
+		cmdsPerReq := 3
+		if c.opts.PowerDownAfter > 0 || c.opts.SelfRefreshAfter > 0 {
+			cmdsPerReq = 4
+		}
+		per := cmdsPerReq*n/len(c.chans) + 1024
+		for i := range col {
+			col[i] = make([]trace.Command, 0, per)
 		}
 	}
-	demuxErr := c.demux(src, queues)
-	c.presizeCmds(queues)
-	c.runChannels(queues)
-	if demuxErr != nil {
-		// The valid prefix is scheduled (partial stats count everything
-		// before the failing request, as the serial loop's did), but no
-		// refresh flush and no merged trace.
-		return nil, c.sumStats(), demuxErr
+	stats, err := c.ScheduleInto(src, col)
+	if err != nil {
+		return nil, stats, err
 	}
-	c.flushRefreshDebt()
-	perChan := make([][]trace.Command, len(c.chans))
-	for i := range c.chans {
-		perChan[i] = c.chans[i].cmds
-	}
-	merged := trace.Interleave(perChan, c.BanksPerChannel())
-	return merged, c.sumStats(), nil
+	return trace.Interleave(col, c.BanksPerChannel()), stats, nil
 }
 
 // Schedule builds a controller and schedules an access trace read from

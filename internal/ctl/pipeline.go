@@ -1,24 +1,22 @@
 package ctl
 
-// The fused schedule→replay pipeline: ScheduleInto streams bounded
-// per-channel command batches into a Sink instead of materializing the
-// merged trace, mirroring the replay engine's decode/simulate pipeline
-// (trace.ReplaySource) — a demultiplexer goroutine fills round N+1 with
-// per-channel request batches while the batch engine schedules round N's
-// channels and hands each channel's commands to the sink, the two rounds
-// double-buffered through a 2-slot free/full ring. Peak memory is
-// O(round), not O(trace); with a trace.Replayer as the sink, scheduling
-// and energy accounting overlap and the merged command slice never
-// exists.
+// The streaming scheduler: ScheduleInto streams bounded per-channel
+// command batches into a Sink instead of materializing the merged trace.
+// A demultiplexer fills round N+1 with per-channel request batches while
+// the batch engine schedules round N's channels and hands each channel's
+// commands to the sink, the two rounds double-buffered through
+// engine.Pipeline, the ring trace.ReplaySource runs on too. Peak memory
+// is O(round), not O(trace); with a trace.Replayer as the sink,
+// scheduling and energy accounting overlap and the merged command slice
+// never exists. Schedule is this same path into a collecting sink.
 //
-// Determinism carries over from the sharded Schedule path: each
-// channel's command sequence is independent of round boundaries (the
-// scheduler is a stateful per-channel loop, and splitting its input
-// into batches changes nothing), the refresh-debt fixpoint runs after
-// the last round exactly as Schedule's does, and the per-channel
-// simulators accumulate in the same order as a two-phase
-// schedule-then-replay run — so fused stats and energy are bit-identical
-// to the materializing path. DESIGN §14 has the argument.
+// Determinism: each channel's command sequence is independent of round
+// boundaries (the scheduler is a stateful per-channel loop, and splitting
+// its input into batches changes nothing), the refresh-debt fixpoint runs
+// once after the last round, and the per-channel simulators accumulate in
+// the same order as a two-phase schedule-then-replay run — so fused stats
+// and energy are bit-identical to replaying Schedule's trace. DESIGN §14
+// has the argument.
 
 import (
 	"io"
@@ -47,6 +45,18 @@ var Discard Sink = discardSink{}
 type discardSink struct{}
 
 func (discardSink) Consume(int, []trace.Command) error { return nil }
+
+// collector is the Sink behind Schedule: it keeps every command, on its
+// channel's slice. ScheduleInto schedules a collector's rounds straight
+// onto those slices; Consume copies any other batch (the end-of-stream
+// refresh flush). Each channel appends only to its own slice, so
+// concurrent calls for distinct channels need no lock.
+type collector [][]trace.Command
+
+func (c collector) Consume(ch int, batch []trace.Command) error {
+	c[ch] = append(c[ch], batch...)
+	return nil
+}
 
 // replaySink feeds each channel's batches to the matching per-channel
 // simulator of a trace.Replayer.
@@ -86,7 +96,6 @@ func getSchedRound(channels int) *schedRound {
 		r.reqs = append(r.reqs, nil)
 	}
 	r.reqs = r.reqs[:channels]
-	r.reset()
 	return r
 }
 
@@ -103,11 +112,13 @@ func (r *schedRound) reset() {
 // fused path's per-call allocations to the controller itself.
 var cmdBufsPool = sync.Pool{New: func() any { return new([][]trace.Command) }}
 
-// fillSchedRound demultiplexes up to schedBatch requests into rnd,
+// fillSchedRound refills rnd with up to schedBatch demultiplexed requests,
 // reporting whether the stream is exhausted (end of input or error —
 // the round still carries the valid prefix demultiplexed before the
-// error, which is scheduled for stats parity with the serial path).
+// error, which is scheduled, so partial stats count every request before
+// the failing one).
 func (c *Controller) fillSchedRound(src Source, rnd *schedRound, last *int64, idx *int) (terminal bool) {
+	rnd.reset()
 	for rnd.n < schedBatch {
 		if !src.Scan() {
 			rnd.err = src.Err()
@@ -137,8 +148,8 @@ func (c *Controller) fillSchedRound(src Source, rnd *schedRound, last *int64, id
 // The first error wins deterministically: a sink error from the
 // lowest-numbered failing channel of the earliest failing round, or the
 // source/demux error that truncated the stream (the scheduled prefix's
-// batches reach the sink first in both cases, exactly the requests the
-// serial path would have counted). On a clean end of stream the refresh
+// batches reach the sink first in both cases, and the stats count every
+// request before the failing one). On a clean end of stream the refresh
 // debt is retired (flushRefreshDebt) and each channel's final batch is
 // delivered in channel order.
 func (c *Controller) ScheduleInto(src Source, sink Sink) (Stats, error) {
@@ -156,44 +167,7 @@ func (c *Controller) ScheduleInto(src Source, sink Sink) (Stats, error) {
 	}()
 
 	rndA, rndB := getSchedRound(channels), getSchedRound(channels)
-	free := make(chan *schedRound, 2)
-	full := make(chan *schedRound, 2)
-	quit := make(chan struct{})
-	done := make(chan struct{})
-	free <- rndA
-	free <- rndB
-
-	// Demultiplexer: pull an empty round from the ring, fill it from the
-	// source, hand it over. Only this goroutine touches src.
-	go func() {
-		defer close(done)
-		defer close(full)
-		var last int64 = -1
-		idx := 0
-		for {
-			var rnd *schedRound
-			select {
-			case rnd = <-free:
-			case <-quit:
-				return
-			}
-			rnd.reset()
-			terminal := c.fillSchedRound(src, rnd, &last, &idx)
-			select {
-			case full <- rnd:
-			case <-quit:
-				return
-			}
-			if terminal {
-				return
-			}
-		}
-	}()
 	defer func() {
-		// On every exit: stop the demultiplexer, then reclaim both rounds
-		// (the channel handoffs order its writes before this point).
-		close(quit)
-		<-done
 		schedRoundPool.Put(rndA)
 		schedRoundPool.Put(rndB)
 	}()
@@ -201,32 +175,45 @@ func (c *Controller) ScheduleInto(src Source, sink Sink) (Stats, error) {
 	// One job per channel per round: schedule the channel's batch into
 	// its (reused) command buffer and hand it to the sink. Sink errors
 	// return as values so the lowest failing channel wins, mirroring the
-	// replay pipeline's violation selection.
+	// replay pipeline's violation selection. A collector keeps every
+	// command anyway, so its channels schedule straight onto its slices
+	// rather than into a buffer it would copy from.
 	eo := c.engineOpts()
+	col, collecting := sink.(collector)
 	issue := func(i int, reqs []mappedReq) (error, error) {
 		if len(reqs) == 0 {
 			return nil, nil
 		}
 		ch := &c.chans[i]
+		if collecting {
+			ch.cmds = col[i]
+			c.runChannel(ch, reqs)
+			col[i] = ch.cmds
+			return nil, nil
+		}
 		ch.cmds = bufs[i][:0]
 		c.runChannel(ch, reqs)
 		bufs[i] = ch.cmds
 		return sink.Consume(i, ch.cmds), nil
 	}
 
-	for rnd := range full {
+	// The demultiplexer (fill) is the only goroutine touching src.
+	var last int64 = -1
+	idx := 0
+	fill := func(rnd *schedRound) bool { return c.fillSchedRound(src, rnd, &last, &idx) }
+	err := engine.Pipeline(rndA, rndB, fill, func(rnd *schedRound) error {
 		if rnd.n > 0 {
 			sinkErrs, _ := engine.Map(rnd.reqs, issue, eo)
 			for _, err := range sinkErrs {
 				if err != nil {
-					return c.sumStats(), err
+					return err
 				}
 			}
 		}
-		if rnd.err != nil {
-			return c.sumStats(), rnd.err
-		}
-		free <- rnd
+		return rnd.err
+	})
+	if err != nil {
+		return c.sumStats(), err
 	}
 
 	// Clean end of stream: retire the refresh debt (the one cross-channel

@@ -22,6 +22,9 @@
 //     completion order), wrapped untouched so errors.As/Is keep working.
 //   - Workers <= 0 selects runtime.NumCPU(); the pool never exceeds the
 //     job count and never goes below one worker.
+//
+// The package also holds Pipeline (pipeline.go), the double-buffered
+// producer/consumer ring both streaming paths run on.
 package engine
 
 import (

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 
+	"drampower/internal/codec"
 	"drampower/internal/desc"
 )
 
@@ -62,13 +63,6 @@ const (
 	flagReserved = 0xC0
 	opMask       = 0x0F
 )
-
-// zigzag folds a signed value into an unsigned varint payload so small
-// negative deltas stay short.
-func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
-
-// unzigzag is the inverse of zigzag.
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // BinaryScanner streams commands from a dtb-encoded trace. It mirrors the
 // text Scanner's interface (Scan/Command/Err) and allocation discipline:
@@ -157,7 +151,7 @@ func binVarint(b []byte, i, end int) (v int64, next int, ok bool) {
 		}
 		u |= uint64(c&0x7F) << shift
 		if c < 0x80 {
-			return unzigzag(u), i, true
+			return codec.Unzigzag(u), i, true
 		}
 		shift += 7
 		if shift > 63 {
@@ -288,7 +282,7 @@ func (sc *BinaryScanner) ScanBatch(dst []Command) int {
 				break
 			}
 			i += sz
-			delta := unzigzag(u)
+			delta := codec.Unzigzag(u)
 			slot := prev + delta
 			if slot < 0 || (delta > 0 && slot < prev) || (delta < 0 && slot > prev) {
 				i = start
@@ -301,7 +295,7 @@ func (sc *BinaryScanner) ScanBatch(dst []Command) int {
 					break
 				}
 				i += sz
-				bank = unzigzag(u)
+				bank = codec.Unzigzag(u)
 			}
 			if h&flagRow != 0 {
 				if u, sz = fastVarint(b[i:]); sz == 0 {
@@ -309,7 +303,7 @@ func (sc *BinaryScanner) ScanBatch(dst []Command) int {
 					break
 				}
 				i += sz
-				row = unzigzag(u)
+				row = codec.Unzigzag(u)
 			}
 			dst[n] = Command{Slot: slot, Op: op, Bank: int(bank), Row: int(row)}
 			n++
@@ -359,16 +353,6 @@ func NewBinaryWriter(w io.Writer) *BinaryWriter {
 	return bw
 }
 
-// appendVarint appends the zigzag varint encoding of v to dst.
-func appendVarint(dst []byte, v int64) []byte {
-	u := zigzag(v)
-	for u >= 0x80 {
-		dst = append(dst, byte(u)|0x80)
-		u >>= 7
-	}
-	return append(dst, byte(u))
-}
-
 // WriteCommand appends one command to the stream. Commands with negative
 // slots are rejected (they could not round-trip: the scanner refuses
 // them, mirroring the text parser).
@@ -392,12 +376,12 @@ func (bw *BinaryWriter) WriteCommand(c Command) error {
 		h |= flagRow
 	}
 	buf := append(bw.buf[:0], h)
-	buf = appendVarint(buf, c.Slot-bw.prev)
+	buf = codec.AppendVarint(buf, c.Slot-bw.prev)
 	if c.Bank != 0 {
-		buf = appendVarint(buf, int64(c.Bank))
+		buf = codec.AppendVarint(buf, int64(c.Bank))
 	}
 	if c.Row != 0 {
-		buf = appendVarint(buf, int64(c.Row))
+		buf = codec.AppendVarint(buf, int64(c.Row))
 	}
 	if _, err := bw.w.Write(buf); err != nil {
 		bw.err = err
@@ -463,38 +447,9 @@ func (sc *Scanner) ScanBatch(dst []Command) int {
 // cannot start a well-formed text line) selects the binary scanner,
 // anything else the text one. An empty input yields an empty text trace.
 func NewSource(r io.Reader) Source {
-	var first [1]byte
-	n, err := io.ReadFull(r, first[:])
-	if n == 0 {
-		if err == io.EOF {
-			return NewScanner(io.MultiReader()) // empty input: empty text trace
-		}
-		return NewScanner(&errReader{err: err})
-	}
-	rest := io.MultiReader(&oneByteReader{b: first[0]}, r)
-	if first[0] == dtbMagic[0] {
+	first, rest := codec.Sniff(r)
+	if first == dtbMagic[0] {
 		return NewBinaryScanner(rest)
 	}
 	return NewScanner(rest)
 }
-
-// oneByteReader replays the sniffed byte ahead of the rest of the stream.
-type oneByteReader struct {
-	b    byte
-	done bool
-}
-
-func (o *oneByteReader) Read(p []byte) (int, error) {
-	if o.done || len(p) == 0 {
-		return 0, io.EOF
-	}
-	o.done = true
-	p[0] = o.b
-	return 1, nil
-}
-
-// errReader surfaces a sniff-time read error through the scanner's
-// error path.
-type errReader struct{ err error }
-
-func (e *errReader) Read([]byte) (int, error) { return 0, e.err }

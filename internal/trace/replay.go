@@ -106,7 +106,6 @@ func getRound(channels int) *roundBuf {
 		b.shards = append(b.shards, nil)
 	}
 	b.shards = b.shards[:channels]
-	b.reset()
 	return b
 }
 
@@ -118,11 +117,12 @@ func (b *roundBuf) reset() {
 	b.n, b.err, b.abort = 0, nil, false
 }
 
-// fillRound decodes the next round from src into buf and shards it by
+// fillRound refills buf with the next round decoded from src, sharded by
 // global bank index. It reports whether the stream is exhausted (end of
 // input, parse error, or shard-range error) — the caller stops asking for
 // rounds once true.
 func (r *Replayer) fillRound(src Source, buf *roundBuf) (terminal bool) {
+	buf.reset()
 	n := 0
 	if bs, ok := src.(batchSource); ok {
 		n = bs.ScanBatch(buf.slab)
@@ -163,7 +163,7 @@ func (r *Replayer) fillRound(src Source, buf *roundBuf) (terminal bool) {
 // decode and simulation pipelined: a decoder goroutine fills round N+1
 // (bulk-decoding and sharding up to replayBatch commands by global bank
 // index) while the engine issues round N's per-channel batches, the two
-// rounds double-buffered through a 2-slot ring. Results are identical to
+// rounds double-buffered through engine.Pipeline. Results are identical to
 // the serial loop — rounds are issued in stream order, the per-channel
 // command sequences don't depend on pipelining, and the merge stays in
 // channel order (see DESIGN §11 for the determinism argument).
@@ -190,47 +190,13 @@ func (r *Replayer) ReplaySource(src Source) error {
 	}
 
 	bufA, bufB := getRound(len(r.sims)), getRound(len(r.sims))
-	free := make(chan *roundBuf, 2)
-	full := make(chan *roundBuf, 2)
-	quit := make(chan struct{})
-	done := make(chan struct{})
-	free <- bufA
-	free <- bufB
-
-	// Decoder: pull an empty round from the ring, fill it from the
-	// source, hand it to the consumer. Only this goroutine touches src.
-	go func() {
-		defer close(done)
-		defer close(full)
-		for {
-			var buf *roundBuf
-			select {
-			case buf = <-free:
-			case <-quit:
-				return
-			}
-			buf.reset()
-			terminal := r.fillRound(src, buf)
-			select {
-			case full <- buf:
-			case <-quit:
-				return
-			}
-			if terminal {
-				return
-			}
-		}
-	}()
 	defer func() {
-		// On every exit: stop the decoder, then reclaim both rounds (the
-		// channel handoffs order all decoder writes before this point).
-		close(quit)
-		<-done
 		roundPool.Put(bufA)
 		roundPool.Put(bufB)
 	}()
-
-	for buf := range full {
+	// The decoder (fill) is the only goroutine touching src.
+	fill := func(buf *roundBuf) bool { return r.fillRound(src, buf) }
+	return engine.Pipeline(bufA, bufB, fill, func(buf *roundBuf) error {
 		if buf.abort {
 			return buf.err
 		}
@@ -251,18 +217,8 @@ func (r *Replayer) ReplaySource(src Source) error {
 				return first
 			}
 		}
-		if buf.err != nil {
-			return buf.err
-		}
-		free <- buf
-	}
-	return nil
-}
-
-// ReplayScanner streams the text scanner's commands through the
-// per-channel simulators on the decode/simulate pipeline.
-func (r *Replayer) ReplayScanner(sc *Scanner) error {
-	return r.ReplaySource(sc)
+		return buf.err
+	})
 }
 
 // Replay streams a trace from rd through the channels, sniffing the

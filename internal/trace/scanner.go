@@ -32,6 +32,7 @@ import (
 	"io"
 	"strconv"
 
+	"drampower/internal/codec"
 	"drampower/internal/desc"
 )
 
@@ -68,8 +69,8 @@ const maxLineBytes = 1 << 16
 // After construction it performs no per-line heap allocations: lines are
 // tokenized in place on the underlying bufio buffer and integers and
 // mnemonics are decoded without forming strings (no strings.Split, no
-// strconv on the hot path). Use it directly with Simulator.RunStream or
-// Replayer.ReplayScanner:
+// strconv on the hot path). It is a Source, so Replayer.ReplaySource
+// replays it directly; or drain it by hand:
 //
 //	sc := trace.NewScanner(f)
 //	for sc.Scan() {
@@ -129,153 +130,79 @@ func (sc *Scanner) Line() int { return sc.line }
 // parseLine decodes one trace line. ok is false for blank and
 // comment-only lines.
 func parseLine(b []byte, line int) (cmd Command, ok bool, err error) {
-	i := skipSpace(b, 0)
+	i := codec.SkipSpace(b, 0)
 	if i >= len(b) || b[i] == '#' {
 		return Command{}, false, nil
 	}
-	slot, j, numOK := parseInt(b, i)
+	slot, j, numOK := codec.ParseInt(b, i)
 	if !numOK {
-		return Command{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("bad slot %q (want integer)", field(b, i))}
+		return Command{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("bad slot %q (want integer)", codec.Field(b, i))}
 	}
 	if slot < 0 {
 		return Command{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("negative slot %d", slot)}
 	}
 	cmd.Slot = slot
 
-	i = skipSpace(b, j)
+	i = codec.SkipSpace(b, j)
 	if i >= len(b) || b[i] == '#' {
 		return Command{}, false, &ParseError{Line: line, Col: 0, Msg: "missing operation"}
 	}
-	j = endOfField(b, i)
+	j = codec.EndOfField(b, i)
 	op, opOK := parseOpBytes(b[i:j])
 	if !opOK {
-		return Command{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("unknown operation %q (want nop, act, pre, rd, wrt, ref, pde, pdx, sre or srx)", field(b, i))}
+		return Command{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("unknown operation %q (want nop, act, pre, rd, wrt, ref, pde, pdx, sre or srx)", codec.Field(b, i))}
 	}
 	cmd.Op = op
 
-	i = skipSpace(b, j)
+	i = codec.SkipSpace(b, j)
 	if i < len(b) && b[i] != '#' {
-		bank, k, bankOK := parseInt(b, i)
+		bank, k, bankOK := codec.ParseInt(b, i)
 		if !bankOK {
-			return Command{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("bad bank %q (want integer)", field(b, i))}
+			return Command{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("bad bank %q (want integer)", codec.Field(b, i))}
 		}
 		cmd.Bank = int(bank)
-		i = skipSpace(b, k)
+		i = codec.SkipSpace(b, k)
 	}
 	if i < len(b) && b[i] != '#' {
-		row, k, rowOK := parseInt(b, i)
+		row, k, rowOK := codec.ParseInt(b, i)
 		if !rowOK {
-			return Command{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("bad row %q (want integer)", field(b, i))}
+			return Command{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("bad row %q (want integer)", codec.Field(b, i))}
 		}
 		cmd.Row = int(row)
-		i = skipSpace(b, k)
+		i = codec.SkipSpace(b, k)
 	}
 	if i < len(b) && b[i] != '#' {
-		return Command{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("trailing field %q (want <slot> <op> [<bank> [<row>]])", field(b, i))}
+		return Command{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("trailing field %q (want <slot> <op> [<bank> [<row>]])", codec.Field(b, i))}
 	}
 	return cmd, true, nil
-}
-
-func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' }
-
-// skipSpace returns the index of the first non-space byte at or after i.
-func skipSpace(b []byte, i int) int {
-	for i < len(b) && isSpace(b[i]) {
-		i++
-	}
-	return i
-}
-
-// endOfField returns the index just past the field starting at i.
-func endOfField(b []byte, i int) int {
-	for i < len(b) && !isSpace(b[i]) && b[i] != '#' {
-		i++
-	}
-	return i
-}
-
-// field extracts the field starting at i for error messages (this path
-// may allocate; the accept path never calls it).
-func field(b []byte, i int) string { return string(b[i:endOfField(b, i)]) }
-
-// parseInt decodes a decimal integer field starting at i without
-// allocating. It returns the value, the index just past the field, and
-// whether the field was a well-formed integer ending at a field boundary.
-func parseInt(b []byte, i int) (int64, int, bool) {
-	j := i
-	neg := false
-	if j < len(b) && (b[j] == '-' || b[j] == '+') {
-		neg = b[j] == '-'
-		j++
-	}
-	start := j
-	var v int64
-	for j < len(b) && b[j] >= '0' && b[j] <= '9' {
-		// Bound before the multiply: v*10 can wrap past negative back
-		// into the positive range, so a post-hoc v < 0 check is not
-		// enough.
-		if v > ((1<<63-1)-9)/10 {
-			return 0, j, false // overflow
-		}
-		v = v*10 + int64(b[j]-'0')
-		j++
-	}
-	if j == start {
-		return 0, j, false
-	}
-	if j < len(b) && !isSpace(b[j]) && b[j] != '#' {
-		return 0, j, false
-	}
-	if neg {
-		v = -v
-	}
-	return v, j, true
 }
 
 // parseOpBytes matches an operation mnemonic ASCII-case-insensitively
 // without allocating. The accepted set matches desc.ParseOp.
 func parseOpBytes(b []byte) (desc.Op, bool) {
 	switch {
-	case eqFold(b, "nop"):
+	case codec.EqFold(b, "nop"):
 		return desc.OpNop, true
-	case eqFold(b, "act"), eqFold(b, "activate"):
+	case codec.EqFold(b, "act"), codec.EqFold(b, "activate"):
 		return desc.OpActivate, true
-	case eqFold(b, "pre"), eqFold(b, "precharge"):
+	case codec.EqFold(b, "pre"), codec.EqFold(b, "precharge"):
 		return desc.OpPrecharge, true
-	case eqFold(b, "rd"), eqFold(b, "read"):
+	case codec.EqFold(b, "rd"), codec.EqFold(b, "read"):
 		return desc.OpRead, true
-	case eqFold(b, "wrt"), eqFold(b, "wr"), eqFold(b, "write"):
+	case codec.EqFold(b, "wrt"), codec.EqFold(b, "wr"), codec.EqFold(b, "write"):
 		return desc.OpWrite, true
-	case eqFold(b, "ref"), eqFold(b, "refresh"):
+	case codec.EqFold(b, "ref"), codec.EqFold(b, "refresh"):
 		return desc.OpRefresh, true
-	case eqFold(b, "pde"):
+	case codec.EqFold(b, "pde"):
 		return OpPowerDownEnter, true
-	case eqFold(b, "pdx"):
+	case codec.EqFold(b, "pdx"):
 		return OpPowerDownExit, true
-	case eqFold(b, "sre"):
+	case codec.EqFold(b, "sre"):
 		return OpSelfRefreshEnter, true
-	case eqFold(b, "srx"):
+	case codec.EqFold(b, "srx"):
 		return OpSelfRefreshExit, true
 	}
 	return 0, false
-}
-
-// eqFold reports whether b equals the lower-case string s under ASCII
-// case folding, without allocating.
-func eqFold(b []byte, s string) bool {
-	if len(b) != len(s) {
-		return false
-	}
-	for i := 0; i < len(b); i++ {
-		c := b[i]
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		if c != s[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // WriteTrace renders commands in the trace text format, one line per

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -11,7 +12,11 @@ import (
 
 func TestScannerRoundTrip(t *testing.T) {
 	m := model(t)
-	cmds := RandomClosedPage(m, 50, 0.5, 3)
+	// The largest slots in range must scan back too, not trip the
+	// overflow guard.
+	cmds := append(RandomClosedPage(m, 50, 0.5, 3),
+		Command{Slot: math.MaxInt64 - 7, Op: desc.OpNop},
+		Command{Slot: math.MaxInt64, Op: desc.OpRefresh})
 	var buf bytes.Buffer
 	if err := WriteTrace(&buf, cmds); err != nil {
 		t.Fatal(err)
@@ -84,6 +89,7 @@ func TestScannerErrors(t *testing.T) {
 		{"bad bank", "0 act banana\n", 1, 7, "bad bank"},
 		{"bad row", "0 act 0 1.5\n", 1, 9, "bad row"},
 		{"trailing field", "0 act 0 0 extra\n", 1, 11, "trailing field"},
+		{"slot overflow", "9223372036854775808 nop\n", 1, 1, "bad slot"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -201,8 +207,8 @@ func TestRunStreamMatchesRun(t *testing.T) {
 	if err := ref.Run(cmds); err != nil {
 		t.Fatal(err)
 	}
-	st := New(m)
-	if err := st.RunStream(NewScanner(&buf)); err != nil {
+	st := NewReplayer(m, ReplayOptions{Channels: 1})
+	if err := st.ReplaySource(NewScanner(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	end := ref.Now() + int64(m.BurstSlots())
@@ -214,8 +220,8 @@ func TestRunStreamMatchesRun(t *testing.T) {
 
 func TestRunStreamSurfacesTimingError(t *testing.T) {
 	m := model(t)
-	s := New(m)
-	err := s.RunStream(NewScanner(strings.NewReader("0 rd 0 1\n")))
+	r := NewReplayer(m, ReplayOptions{Channels: 1})
+	err := r.ReplaySource(NewScanner(strings.NewReader("0 rd 0 1\n")))
 	var te *TimingError
 	if !errors.As(err, &te) {
 		t.Fatalf("error is %T (%v), want *TimingError", err, err)

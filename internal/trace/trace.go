@@ -444,20 +444,6 @@ func (s *Simulator) Run(cmds []Command) error {
 	return nil
 }
 
-// RunStream issues every command the scanner produces, stopping at the
-// first timing violation (*TimingError) or malformed line (*ParseError).
-// The trace streams through the scanner's fixed buffer, so arbitrarily
-// long trace files never need to fit in memory; the energy totals are
-// identical to Run on the equivalent materialized slice.
-func (s *Simulator) RunStream(sc *Scanner) error {
-	for sc.Scan() {
-		if err := s.Issue(sc.Command()); err != nil {
-			return err
-		}
-	}
-	return sc.Err()
-}
-
 // Result summarizes the energy accounting of a finished trace.
 type Result struct {
 	// Slots is the trace duration in control-clock slots; Duration the
