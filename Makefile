@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race bench bench-all bench-gate check serve-smoke fuzz-short legality legality-race lint
+.PHONY: all build vet test race bench bench-all bench-gate check serve-smoke fuzz-short legality legality-race lint perfbench-test
 
 all: check
 
@@ -55,6 +55,13 @@ bench-gate:
 bench-all:
 	$(GO) test -bench=. -benchmem .
 
+# The end-to-end benchmark is its own module (perfbench/go.mod), so
+# ./... at the root neither builds nor tests it; it imports the internal
+# packages, so an API change there must keep it compiling and its
+# determinism tests passing.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Black-box smoke of the HTTP service: builds dramserved, starts it on a
 # random port, exercises every endpoint (including a 429 overload case),
 # then SIGTERMs it and checks the graceful drain.
@@ -85,13 +92,15 @@ legality:
 # The same sweep under the race detector, plus the pipeline's error-path
 # shutdown tests: proves the sharded schedule → replay handoff is
 # properly synchronized, including mid-stream source and sink failures,
-# and that the shared double-buffered ring (engine.Pipeline) under both
-# streaming paths shuts down cleanly.
+# that the shared double-buffered ring (engine.Pipeline) under both
+# streaming paths shuts down cleanly, and that trace replay's decoder
+# hands each round's slab to the consumer that shards it.
 legality-race:
 	$(GO) test -race ./internal/ctl -run '$(LEGALITY_TESTS)|TestScheduleInto' -count=1
 	$(GO) test -race ./internal/engine -run 'TestPipeline' -count=1
+	$(GO) test -race ./internal/trace -run 'TestReplay|TestMillionCommand' -count=1
 
 # The full gate: everything CI (and a reviewer) expects to be green.
 # CI runs the race detector as its own job (ci.yml "race"), so check
 # keeps the fast non-instrumented test pass.
-check: build vet test legality serve-smoke fuzz-short
+check: build vet test legality perfbench-test serve-smoke fuzz-short

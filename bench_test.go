@@ -455,11 +455,63 @@ func BenchmarkTraceScanBinary(b *testing.B) {
 	b.ReportMetric(float64(len(cmds))*float64(b.N)/b.Elapsed().Seconds(), "cmds/s")
 }
 
+// BenchmarkTraceScanBatchBinary measures the dtb decoder that replay runs
+// on its producer goroutine, BinaryScanner.ScanBatch, over the
+// BenchmarkTraceScanBinary trace. On the sample device every slot delta,
+// bank and row fits the batch decoder's two-byte fast path.
+func BenchmarkTraceScanBatchBinary(b *testing.B) { benchScanBatch(b, 13) }
+
+// BenchmarkTraceScanBatchBinaryWideRows is BenchmarkTraceScanBatchBinary
+// on the sample device widened to 16 row address bits, as on larger
+// parts: seven rows in eight need three bytes and leave the fast path.
+func BenchmarkTraceScanBatchBinaryWideRows(b *testing.B) { benchScanBatch(b, 16) }
+
+func benchScanBatch(b *testing.B, rowBits int) {
+	b.Helper()
+	d := Sample1GbDDR3()
+	d.Spec.RowAddrBits = rowBits
+	m, err := Build(d)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cmds := trace.RandomClosedPage(m, 1<<13, 0.5, 1)
+	var buf bytes.Buffer
+	if err := trace.WriteBinaryTrace(&buf, cmds); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	slab := make([]trace.Command, 1<<12)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc := trace.NewBinaryScanner(bytes.NewReader(data))
+		n := 0
+		for {
+			k := sc.ScanBatch(slab)
+			n += k
+			if k < len(slab) {
+				break
+			}
+		}
+		if err := sc.Err(); err != nil || n != len(cmds) {
+			b.Fatalf("scanned %d/%d commands: %v", n, len(cmds), err)
+		}
+	}
+	b.ReportMetric(float64(len(cmds))*float64(b.N)/b.Elapsed().Seconds(), "cmds/s")
+}
+
+// replayBenchAccesses sizes the replay benchmarks' traces: three
+// commands per access, so ~60k commands, about two 32k-command replay
+// rounds.
+const replayBenchAccesses = 20000
+
 // benchTraceReplay measures the full streaming replay pipeline — scan,
 // shard, simulate, merge — over a generated multi-channel closed-page
-// trace, rendered as text or dtb binary. cmds/s counts commands through
-// the whole pipeline; MB/s is the trace ingestion rate.
-func benchTraceReplay(b *testing.B, channels, workers int, binary bool) {
+// trace of the given number of accesses, rendered as text or dtb binary.
+// cmds/s counts commands through the whole pipeline; MB/s is the trace
+// ingestion rate.
+func benchTraceReplay(b *testing.B, channels, workers int, binary bool, accesses int) {
 	b.Helper()
 	m, err := Build(Sample1GbDDR3())
 	if err != nil {
@@ -467,7 +519,7 @@ func benchTraceReplay(b *testing.B, channels, workers int, binary bool) {
 	}
 	per := make([][]trace.Command, channels)
 	for ch := range per {
-		per[ch] = trace.RandomClosedPage(m, 20000/channels, 0.5, int64(ch+1))
+		per[ch] = trace.RandomClosedPage(m, accesses/channels, 0.5, int64(ch+1))
 	}
 	var buf bytes.Buffer
 	cmds := trace.Interleave(per, m.D.Spec.Banks())
@@ -496,26 +548,40 @@ func benchTraceReplay(b *testing.B, channels, workers int, binary bool) {
 
 // BenchmarkTraceReplay1Ch is the single-channel, single-worker baseline —
 // the serial streaming path over trace text.
-func BenchmarkTraceReplay1Ch(b *testing.B) { benchTraceReplay(b, 1, 1, false) }
+func BenchmarkTraceReplay1Ch(b *testing.B) { benchTraceReplay(b, 1, 1, false, replayBenchAccesses) }
 
 // BenchmarkTraceReplay8Ch1Worker replays an 8-channel text trace
 // serially: the fair denominator for the parallel speedup.
-func BenchmarkTraceReplay8Ch1Worker(b *testing.B) { benchTraceReplay(b, 8, 1, false) }
+func BenchmarkTraceReplay8Ch1Worker(b *testing.B) {
+	benchTraceReplay(b, 8, 1, false, replayBenchAccesses)
+}
 
 // BenchmarkTraceReplay8Ch replays an 8-channel text trace with one worker
 // per CPU; on a 4+ core machine this shows the multi-channel speedup over
 // BenchmarkTraceReplay8Ch1Worker.
-func BenchmarkTraceReplay8Ch(b *testing.B) { benchTraceReplay(b, 8, 0, false) }
+func BenchmarkTraceReplay8Ch(b *testing.B) { benchTraceReplay(b, 8, 0, false, replayBenchAccesses) }
 
 // BenchmarkTraceReplay1ChBinary replays the single-channel workload from
 // the dtb binary encoding: the decode cost drops out of the text
 // tokenizer's ~65ns/cmd into the varint decoder's ~10ns/cmd.
-func BenchmarkTraceReplay1ChBinary(b *testing.B) { benchTraceReplay(b, 1, 1, true) }
+func BenchmarkTraceReplay1ChBinary(b *testing.B) {
+	benchTraceReplay(b, 1, 1, true, replayBenchAccesses)
+}
 
 // BenchmarkTraceReplay8ChBinary is the headline ingest benchmark: an
 // 8-channel replay fed from dtb binary input through the pipelined
 // decoder (ISSUE 7 target: ≥3x the committed text-input cmds/s).
-func BenchmarkTraceReplay8ChBinary(b *testing.B) { benchTraceReplay(b, 8, 0, true) }
+func BenchmarkTraceReplay8ChBinary(b *testing.B) {
+	benchTraceReplay(b, 8, 0, true, replayBenchAccesses)
+}
+
+// BenchmarkTraceReplay8ChBinaryLong is BenchmarkTraceReplay8ChBinary at
+// ten times the length, ~600k commands or 18 rounds: long enough for the
+// decoder goroutine and the issuing side to overlap for most of the run,
+// which two rounds are not.
+func BenchmarkTraceReplay8ChBinaryLong(b *testing.B) {
+	benchTraceReplay(b, 8, 0, true, 10*replayBenchAccesses)
+}
 
 // benchSchedule measures the memory-controller front-end: scheduling a
 // pre-generated in-memory access stream into a legal command trace under

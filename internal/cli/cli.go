@@ -12,6 +12,7 @@ import (
 	"os"
 	"strings"
 
+	"drampower/internal/ctl"
 	"drampower/internal/desc"
 	"drampower/internal/trace"
 )
@@ -23,9 +24,10 @@ var exit = os.Exit
 var stderr io.Writer = os.Stderr
 
 // Fatal prints "tool: error" to stderr and exits 1. Positioned errors
-// (desc.ParseError, trace.ParseError) already carry their line/column in
-// Error(); Fatal additionally prefixes the offending input name when one
-// is known, producing editor-friendly "tool: file: line N, col M: msg".
+// (desc.ParseError, trace.ParseError, ctl.ParseError) already carry
+// their line/column in Error(); Fatal additionally prefixes the
+// offending input name when one is known, producing editor-friendly
+// "tool: file: line N, col M: msg".
 func Fatal(tool string, err error) {
 	FatalInput(tool, "", err)
 }
@@ -35,7 +37,8 @@ func Fatal(tool string, err error) {
 func FatalInput(tool, input string, err error) {
 	var dpe *desc.ParseError
 	var tpe *trace.ParseError
-	positioned := errors.As(err, &dpe) || errors.As(err, &tpe)
+	var cpe *ctl.ParseError
+	positioned := errors.As(err, &dpe) || errors.As(err, &tpe) || errors.As(err, &cpe)
 	// Some entry points (desc.ParseFile) already wrap the path into the
 	// error text; don't prefix it twice.
 	if strings.Contains(err.Error(), input) {

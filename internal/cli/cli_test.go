@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"drampower/internal/ctl"
 	"drampower/internal/desc"
 	"drampower/internal/trace"
 )
@@ -46,6 +47,12 @@ func TestFatalInputPrefixesPositionedErrors(t *testing.T) {
 	out, _ = capture(func() { FatalInput("tool", "t.txt", terr) })
 	if !strings.HasPrefix(out, "tool: t.txt: ") || !strings.Contains(out, "line 9") {
 		t.Fatalf("stderr = %q", out)
+	}
+
+	cerr := &ctl.ParseError{Line: 1, Col: 3, Msg: "bad op"}
+	out, _ = capture(func() { FatalInput("tool", "bad.txt", cerr) })
+	if out != "tool: bad.txt: access: line 1, col 3: bad op\n" {
+		t.Fatalf("stderr = %q, want the access error prefixed with its input", out)
 	}
 }
 

@@ -164,10 +164,12 @@ func NewRegistry() *Registry {
 	}
 }
 
-// lookup finds or creates the series name{labels}. It panics if the name
-// was previously registered with a different instrument kind — that is a
+// lookup finds or creates the series name{labels}, with its instrument
+// (a histogram gets bounds), under the registry lock: handlers register
+// series on first use, concurrently. It panics if the name was
+// previously registered with a different instrument kind — that is a
 // programming error, not an operational condition.
-func (r *Registry) lookup(name, labels, help string, k kind) *instrument {
+func (r *Registry) lookup(name, labels, help string, k kind, bounds []float64) *instrument {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	key := name + "{" + labels + "}"
@@ -184,6 +186,16 @@ func (r *Registry) lookup(name, labels, help string, k kind) *instrument {
 		r.names = append(r.names, name)
 	}
 	in := &instrument{name: name, labels: labels}
+	switch k {
+	case counterKind:
+		in.c = &Counter{}
+	case gaugeKind:
+		in.g = &Gauge{}
+	default:
+		h := &Histogram{bounds: append([]float64(nil), bounds...)}
+		h.counts = make([]atomic.Int64, len(h.bounds)+1)
+		in.h = h
+	}
 	f.ins = append(f.ins, in)
 	r.byKey[key] = in
 	return in
@@ -192,33 +204,19 @@ func (r *Registry) lookup(name, labels, help string, k kind) *instrument {
 // Counter finds or creates a counter. labels is a pre-rendered label set
 // like `path="/v1/evaluate",code="200"`, or "" for none.
 func (r *Registry) Counter(name, labels, help string) *Counter {
-	in := r.lookup(name, labels, help, counterKind)
-	if in.c == nil {
-		in.c = &Counter{}
-	}
-	return in.c
+	return r.lookup(name, labels, help, counterKind, nil).c
 }
 
 // Gauge finds or creates a gauge.
 func (r *Registry) Gauge(name, labels, help string) *Gauge {
-	in := r.lookup(name, labels, help, gaugeKind)
-	if in.g == nil {
-		in.g = &Gauge{}
-	}
-	return in.g
+	return r.lookup(name, labels, help, gaugeKind, nil).g
 }
 
 // Histogram finds or creates a histogram with the given upper bounds
 // (ascending; +Inf is implicit). Re-registrations ignore the bounds and
 // return the existing histogram.
 func (r *Registry) Histogram(name, labels, help string, bounds []float64) *Histogram {
-	in := r.lookup(name, labels, help, histogramKind)
-	if in.h == nil {
-		h := &Histogram{bounds: append([]float64(nil), bounds...)}
-		h.counts = make([]atomic.Int64, len(h.bounds)+1)
-		in.h = h
-	}
-	return in.h
+	return r.lookup(name, labels, help, histogramKind, bounds).h
 }
 
 // Labels renders pairs (key, value, key, value, ...) into the label

@@ -143,3 +143,26 @@ func TestConcurrentUpdates(t *testing.T) {
 		t.Fatalf("histogram count = %d, want %d", got, workers*perWorker)
 	}
 }
+
+// TestConcurrentFirstRegistration registers one histogram from several
+// goroutines at once, as the server's handlers do on a path's first
+// requests; the race detector checks that the series is published whole.
+func TestConcurrentFirstRegistration(t *testing.T) {
+	r := NewRegistry()
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	const workers = 8
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			r.Histogram("h", "", "", LatencyBuckets).Observe(0.001)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if got := r.Histogram("h", "", "", nil).Count(); got != workers {
+		t.Fatalf("histogram count = %d, want %d", got, workers)
+	}
+}

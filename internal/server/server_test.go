@@ -399,7 +399,14 @@ func TestBackpressureReturns429(t *testing.T) {
 		w.WriteHeader(http.StatusOK)
 	}))
 
-	go http.Post(hs.URL+"/v1/block", "text/plain", nil)
+	blocked := make(chan struct{})
+	go func() {
+		defer close(blocked)
+		if resp, err := http.Post(hs.URL+"/v1/block", "text/plain", nil); err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}()
 	inHandler.Wait()
 
 	var rejected atomic.Int64
@@ -431,7 +438,11 @@ func TestBackpressureReturns429(t *testing.T) {
 	if s.rejected.Value() != 8 {
 		t.Fatalf("rejected counter = %d, want 8", s.rejected.Value())
 	}
-	// The slot frees up and the server serves again.
+	// The slot frees up and the server serves again. The parked
+	// request's response comes after its slot is released, so wait for
+	// it: posting straight after close(release) could still find the
+	// slot taken.
+	<-blocked
 	resp, body := post(t, hs.URL+"/v1/evaluate", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-overload status %d: %s", resp.StatusCode, body)

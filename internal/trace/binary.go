@@ -225,21 +225,37 @@ func (sc *BinaryScanner) decode() bool {
 	return true
 }
 
-// fastVarint decodes one varint from b (caller guarantees at least 10
-// readable bytes). size is 0 on an overlong or overflowing encoding.
-func fastVarint(b []byte) (u uint64, size int) {
-	if b[0] < 0x80 {
-		return uint64(b[0]), 1
+// fastVarint decodes a one- or two-byte varint from b at i (the caller
+// guarantees at least 10 readable bytes from i); size is 0 for a longer
+// encoding, which slowVarint decodes. It inlines into ScanBatch, where
+// such values are nearly every field: slot deltas, banks, and rows
+// below 8192.
+func fastVarint(b []byte, i int) (u uint64, size int) {
+	c := b[i]
+	if c < 0x80 {
+		return uint64(c), 1
 	}
+	if d := b[i+1]; d < 0x80 {
+		return uint64(c&0x7F) | uint64(d)<<7, 2
+	}
+	return 0, 0
+}
+
+// slowVarint decodes any varint from b at i (the caller guarantees at
+// least 10 readable bytes from i); size is 0 on an overlong or
+// overflowing encoding. It stays out of line so that ScanBatch's loop
+// carries only fastVarint's two inlined cases.
+//
+//go:noinline
+func slowVarint(b []byte, i int) (u uint64, size int) {
 	var shift uint
-	for i := 0; i < 10; i++ {
-		c := b[i]
-		if i == 9 && c > 1 {
+	for k, c := range b[i : i+10] {
+		if k == 9 && c > 1 {
 			return 0, 0 // would overflow uint64
 		}
 		u |= uint64(c&0x7F) << shift
 		if c < 0x80 {
-			return u, i + 1
+			return u, k + 1
 		}
 		shift += 7
 	}
@@ -266,51 +282,51 @@ func (sc *BinaryScanner) ScanBatch(dst []Command) int {
 		}
 		b := sc.buf
 		i, end, prev := sc.pos, sc.end, sc.prev
-		count := sc.n
+		first := n
 		for n < len(dst) && end-i >= maxBinCmdBytes {
-			start := i
 			h := b[i]
-			i++
 			op := desc.Op(h & opMask)
 			if h&flagReserved != 0 || int(op) >= numTraceOps {
-				i = start
 				break // Scan reports the error
 			}
-			u, sz := fastVarint(b[i:])
+			u, sz := fastVarint(b, i+1)
 			if sz == 0 {
-				i = start
-				break
+				if u, sz = slowVarint(b, i+1); sz == 0 {
+					break
+				}
 			}
-			i += sz
-			delta := codec.Unzigzag(u)
-			slot := prev + delta
-			if slot < 0 || (delta > 0 && slot < prev) || (delta < 0 && slot > prev) {
-				i = start
+			j := i + 1 + sz
+			// prev >= 0, so the sum can only wrap on a positive delta,
+			// and wrapping lands below zero: this one test catches both
+			// an overflow and a negative slot, which Scan tells apart.
+			slot := prev + codec.Unzigzag(u)
+			if slot < 0 {
 				break
 			}
 			var bank, row int64
 			if h&flagBank != 0 {
-				if u, sz = fastVarint(b[i:]); sz == 0 {
-					i = start
-					break
+				if u, sz = fastVarint(b, j); sz == 0 {
+					if u, sz = slowVarint(b, j); sz == 0 {
+						break
+					}
 				}
-				i += sz
+				j += sz
 				bank = codec.Unzigzag(u)
 			}
 			if h&flagRow != 0 {
-				if u, sz = fastVarint(b[i:]); sz == 0 {
-					i = start
-					break
+				if u, sz = fastVarint(b, j); sz == 0 {
+					if u, sz = slowVarint(b, j); sz == 0 {
+						break
+					}
 				}
-				i += sz
+				j += sz
 				row = codec.Unzigzag(u)
 			}
 			dst[n] = Command{Slot: slot, Op: op, Bank: int(bank), Row: int(row)}
 			n++
-			prev = slot
-			count++
+			i, prev = j, slot
 		}
-		sc.pos, sc.prev, sc.n = i, prev, count
+		sc.pos, sc.prev, sc.n = i, prev, sc.n+int64(n-first)
 		if n == len(dst) {
 			return n
 		}

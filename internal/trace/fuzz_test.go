@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"testing"
 
@@ -10,11 +11,63 @@ import (
 	"drampower/internal/desc"
 )
 
+// fuzzCap bounds the commands one fuzz input decodes.
+const fuzzCap = 4096
+
+// scanCapped decodes src through Scan, stopping after fuzzCap commands.
+func scanCapped(src Source) []Command {
+	var cmds []Command
+	for len(cmds) < fuzzCap && src.Scan() {
+		cmds = append(cmds, src.Command())
+	}
+	return cmds
+}
+
+// checkScanBatch decodes the same input a second time through ScanBatch,
+// at a batch size of 1-64 taken from the input's last byte, and requires
+// the commands and the error text that Scan produced. A Scan pass cut
+// short at fuzzCap is compared on that prefix only.
+func checkScanBatch(t *testing.T, src Source, data []byte, want []Command, wantErr error) {
+	t.Helper()
+	batch := 1
+	if len(data) > 0 {
+		batch += int(data[len(data)-1]) % 64
+	}
+	capped := len(want) == fuzzCap
+	dst := make([]Command, batch)
+	var got []Command
+	for !capped || len(got) < len(want) {
+		n := src.(batchSource).ScanBatch(dst)
+		got = append(got, dst[:n]...)
+		if n < batch {
+			break
+		}
+	}
+	if capped && len(got) > len(want) {
+		got = got[:len(want)]
+	}
+	if len(got) != len(want) {
+		t.Fatalf("batch %d: ScanBatch decoded %d commands, Scan %d", batch, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("batch %d: ScanBatch command %d = %+v, Scan %+v", batch, i, got[i], want[i])
+		}
+	}
+	if capped {
+		return
+	}
+	if fmt.Sprint(src.Err()) != fmt.Sprint(wantErr) {
+		t.Fatalf("batch %d: ScanBatch error %v, Scan %v", batch, src.Err(), wantErr)
+	}
+}
+
 // FuzzTraceScanner drives the streaming trace scanner with mutated
 // inputs, seeded from generated workloads and edge-case lines. The
 // scanner must never panic, must only fail with positioned *ParseError,
-// and every accepted command must survive the AppendCommand round-trip
-// (the canonical rendering reparses to the same command).
+// ScanBatch must decode the same commands and error as Scan, and every
+// accepted command must survive the AppendCommand round-trip (the
+// canonical rendering reparses to the same command).
 func FuzzTraceScanner(f *testing.F) {
 	if m, err := core.Build(desc.Sample1GbDDR3()); err == nil {
 		var b bytes.Buffer
@@ -34,13 +87,8 @@ func FuzzTraceScanner(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc := NewScanner(bytes.NewReader(data))
-		var cmds []Command
-		for sc.Scan() {
-			cmds = append(cmds, sc.Command())
-			if len(cmds) >= 4096 {
-				break
-			}
-		}
+		cmds := scanCapped(sc)
+		checkScanBatch(t, NewScanner(bytes.NewReader(data)), data, cmds, sc.Err())
 		if err := sc.Err(); err != nil {
 			var pe *ParseError
 			if !errors.As(err, &pe) {
@@ -93,6 +141,7 @@ func convertTextTrace(f *testing.F, text []byte) []byte {
 // seeded from converted testdata traces, generated workloads (including
 // the power-state commands) and handcrafted edge cases. The scanner must
 // never panic, must only fail with positioned *ParseError (ordinal >= 1),
+// ScanBatch's fast path must decode the same commands and error as Scan,
 // and every accepted command stream must survive the BinaryWriter
 // round-trip bit-identically — the binary counterpart of the text
 // scanner's canonical-rendering property.
@@ -122,13 +171,8 @@ func FuzzBinaryScanner(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc := NewBinaryScanner(bytes.NewReader(data))
-		var cmds []Command
-		for sc.Scan() {
-			cmds = append(cmds, sc.Command())
-			if len(cmds) >= 4096 {
-				break
-			}
-		}
+		cmds := scanCapped(sc)
+		checkScanBatch(t, NewBinaryScanner(bytes.NewReader(data)), data, cmds, sc.Err())
 		if err := sc.Err(); err != nil {
 			var pe *ParseError
 			if !errors.As(err, &pe) {

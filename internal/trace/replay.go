@@ -82,11 +82,10 @@ func (r *Replayer) Channels() int { return len(r.sims) }
 // replay performs no per-call slab or shard allocations — the dominant
 // term of the old 4.9MB/op on BenchmarkTraceReplay1Ch.
 type roundBuf struct {
-	slab   []Command   // decoded commands, in stream order
-	shards [][]Command // per-channel commands, bank rebased to the channel
+	slab   []Command   // decoded commands, in stream order (the decoder's)
+	shards [][]Command // per-channel commands, bank rebased (the consumer's)
 	n      int         // commands decoded into this round
-	err    error       // parse error (issue the round first) or shard error
-	abort  bool        // err is a shard-range error: do NOT issue the round
+	err    error       // terminal parse error: issue the round first
 }
 
 // roundPool recycles round buffers across replays. The slabs are ~1MB
@@ -109,20 +108,11 @@ func getRound(channels int) *roundBuf {
 	return b
 }
 
-// reset clears a round for refilling, keeping the allocated capacity.
-func (b *roundBuf) reset() {
-	for i := range b.shards {
-		b.shards[i] = b.shards[i][:0]
-	}
-	b.n, b.err, b.abort = 0, nil, false
-}
-
-// fillRound refills buf with the next round decoded from src, sharded by
-// global bank index. It reports whether the stream is exhausted (end of
-// input, parse error, or shard-range error) — the caller stops asking for
-// rounds once true.
-func (r *Replayer) fillRound(src Source, buf *roundBuf) (terminal bool) {
-	buf.reset()
+// fillRound refills buf's slab with the next round decoded from src and
+// records the stream's terminal error. It is the decoder goroutine's
+// whole job; sharding runs on the consumer's side (shard). It reports
+// whether the stream is exhausted (end of input or parse error).
+func fillRound(src Source, buf *roundBuf) (terminal bool) {
 	n := 0
 	if bs, ok := src.(batchSource); ok {
 		n = bs.ScanBatch(buf.slab)
@@ -132,26 +122,7 @@ func (r *Replayer) fillRound(src Source, buf *roundBuf) (terminal bool) {
 			n++
 		}
 	}
-	for i := 0; i < n; i++ {
-		c := buf.slab[i]
-		ch := 0
-		if r.banks > 0 {
-			ch = c.Bank / r.banks
-		}
-		if c.Bank < 0 || ch >= len(r.sims) {
-			// A shard-range error aborts the round: the commands before it
-			// are not issued (matching the pre-pipeline behavior, which
-			// returned before running the round).
-			buf.n = i
-			buf.err = &TimingError{c, fmt.Sprintf("bank %d outside the %d-channel x %d-bank system",
-				c.Bank, len(r.sims), r.banks)}
-			buf.abort = true
-			return true
-		}
-		c.Bank -= ch * r.banks
-		buf.shards[ch] = append(buf.shards[ch], c)
-	}
-	buf.n = n
+	buf.n, buf.err = n, nil
 	if n < replayBatch {
 		buf.err = src.Err()
 		return true
@@ -159,14 +130,39 @@ func (r *Replayer) fillRound(src Source, buf *roundBuf) (terminal bool) {
 	return false
 }
 
+// shard splits the round's decoded commands into the per-channel shards
+// by global bank index, rebasing each bank to its channel. A bank
+// outside the system rejects the whole round: no command of it is
+// issued (commands of earlier rounds already were).
+func (r *Replayer) shard(buf *roundBuf) error {
+	shards, banks, channels := buf.shards, r.banks, len(r.sims)
+	for ch := range shards {
+		shards[ch] = shards[ch][:0]
+	}
+	for _, c := range buf.slab[:buf.n] {
+		ch := 0
+		if banks > 0 {
+			ch = c.Bank / banks
+		}
+		if c.Bank < 0 || ch >= channels {
+			return &TimingError{c, fmt.Sprintf("bank %d outside the %d-channel x %d-bank system",
+				c.Bank, channels, banks)}
+		}
+		c.Bank -= ch * banks
+		shards[ch] = append(shards[ch], c)
+	}
+	return nil
+}
+
 // ReplaySource streams commands through the per-channel simulators with
-// decode and simulation pipelined: a decoder goroutine fills round N+1
-// (bulk-decoding and sharding up to replayBatch commands by global bank
-// index) while the engine issues round N's per-channel batches, the two
-// rounds double-buffered through engine.Pipeline. Results are identical to
-// the serial loop — rounds are issued in stream order, the per-channel
-// command sequences don't depend on pipelining, and the merge stays in
-// channel order (see DESIGN §11 for the determinism argument).
+// decode and simulation pipelined: a decoder goroutine bulk-decodes round
+// N+1 (up to replayBatch commands) while the caller's goroutine shards
+// round N by global bank index and the engine issues its per-channel
+// batches, the two rounds double-buffered through engine.Pipeline.
+// Results are identical to the serial loop — rounds are sharded and
+// issued in stream order, the per-channel command sequences don't depend
+// on pipelining, and the merge stays in channel order (see DESIGN §11 for
+// the determinism argument).
 //
 // It stops at the first parse error or timing violation; when several
 // channels of one round violate, the reported violation is the one at the
@@ -195,10 +191,12 @@ func (r *Replayer) ReplaySource(src Source) error {
 		roundPool.Put(bufB)
 	}()
 	// The decoder (fill) is the only goroutine touching src.
-	fill := func(buf *roundBuf) bool { return r.fillRound(src, buf) }
+	fill := func(buf *roundBuf) bool { return fillRound(src, buf) }
 	return engine.Pipeline(bufA, bufB, fill, func(buf *roundBuf) error {
-		if buf.abort {
-			return buf.err
+		// A bank-range error outranks the round's parse error: the bad
+		// bank was decoded before the stream broke.
+		if err := r.shard(buf); err != nil {
+			return err
 		}
 		if buf.n > 0 {
 			violations, err := engine.Map(buf.shards, issue, r.opts)

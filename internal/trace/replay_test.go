@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -135,6 +137,46 @@ func TestReplayBankOutOfRange(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "2-channel") {
 		t.Errorf("error %q does not mention the channel system", err)
+	}
+}
+
+// The bank-range rule rejects a whole round from the consumer's side: a
+// bad bank partway through round two leaves every round-one command
+// issued and none of round two, from either encoding.
+func TestReplayBankOutOfRangeSecondRound(t *testing.T) {
+	m := model(t)
+	banks := m.D.Spec.Banks()
+	per := make([][]Command, 2)
+	for ch := range per {
+		per[ch] = RandomClosedPage(m, replayBatch/4, 0.5, int64(ch+1))
+	}
+	cmds := Interleave(per, banks) // 1.5 rounds
+	bad := replayBatch + 1000
+	if cmds[bad-1].Slot <= cmds[replayBatch-1].Slot {
+		t.Fatalf("round two does not advance past slot %d before the bad bank", cmds[replayBatch-1].Slot)
+	}
+	cmds[bad].Bank = 2 * banks
+	wantErr := fmt.Sprintf("bank %d outside the 2-channel x %d-bank system", 2*banks, banks)
+
+	ref := NewReplayer(m, ReplayOptions{Channels: 2, Workers: 1})
+	if err := ref.ReplaySource(NewSliceSource(cmds[:replayBatch])); err != nil {
+		t.Fatal(err)
+	}
+	end := cmds[len(cmds)-1].Slot
+	want := ref.Result(end)
+	for name, data := range map[string][]byte{"text": traceText(t, cmds), "binary": binData(t, cmds)} {
+		r := NewReplayer(m, ReplayOptions{Channels: 2, Workers: 2})
+		err := r.Replay(bytes.NewReader(data))
+		var te *TimingError
+		if !errors.As(err, &te) || !strings.Contains(err.Error(), wantErr) {
+			t.Fatalf("%s: error %v, want the %q *TimingError", name, err, wantErr)
+		}
+		if r.Now() != ref.Now() {
+			t.Errorf("%s: replay reached slot %d, want round one's last slot %d", name, r.Now(), ref.Now())
+		}
+		if got := r.Result(end); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: state after the rejected round differs from round one alone:\n got  %+v\n want %+v", name, got, want)
+		}
 	}
 }
 
