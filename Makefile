@@ -27,12 +27,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Trace + engine + server benchmarks, snapshotted into BENCH_trace.json
-# (ns/op, allocs/op, cmds/s, MB/s, req/s) so future PRs have a perf
-# trajectory to compare against. The human-readable output still lands
-# on stderr.
+# Trace + engine + server + model-build benchmarks, snapshotted into
+# BENCH_trace.json (ns/op, allocs/op, cmds/s, MB/s, req/s) so future PRs
+# have a perf trajectory to compare against. The human-readable output
+# still lands on stderr.
+BENCH_PATTERN = Trace|Sweep|Server|Schedule|Build$$|EvaluatePattern|SchemeComparison
 bench:
-	$(GO) test -run '^$$' -bench 'Trace|Sweep|Server|Schedule' -benchmem . \
+	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem . \
 		| $(GO) run ./tools/benchjson -echo > BENCH_trace.json
 
 # Regression gate: rerun the bench snapshot into a scratch file and
@@ -45,7 +46,7 @@ bench:
 # any sharding overhead regression fails the gate.
 BENCH_THRESHOLD ?= 10
 bench-gate:
-	$(GO) test -run '^$$' -bench 'Trace|Sweep|Server|Schedule' -benchmem . \
+	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem . \
 		| $(GO) run ./tools/benchjson > BENCH_new.json
 	$(GO) run ./tools/benchjson -compare BENCH_trace.json -threshold $(BENCH_THRESHOLD) \
 		-floor 'BenchmarkSchedule4ChParallel:req/s>=0.9*BenchmarkSchedule4Ch:req/s' \
@@ -68,11 +69,13 @@ perfbench-test:
 serve-smoke:
 	$(GO) run ./tools/servesmoke
 
-# Short fuzz passes over the hand-written parsers; go's fuzzer runs one
-# target per invocation, hence one line each. Override FUZZTIME for a
-# longer hunt.
+# Short fuzz passes over the hand-written parsers and the pattern
+# evaluator's totals/breakdown split; go's fuzzer runs one target per
+# invocation, hence one line each. Override FUZZTIME for a longer hunt.
 fuzz-short:
 	$(GO) test -fuzz 'FuzzParse$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/desc/
+	$(GO) test -fuzz 'FuzzParse$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/codec/
+	$(GO) test -fuzz FuzzEvaluatePattern -fuzztime $(FUZZTIME) -run '^$$' ./internal/core/
 	$(GO) test -fuzz FuzzOverlay -fuzztime $(FUZZTIME) -run '^$$' ./internal/desc/
 	$(GO) test -fuzz FuzzTraceScanner -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace/
 	$(GO) test -fuzz FuzzBinaryScanner -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace/

@@ -35,6 +35,10 @@ const (
 	GroupStatic                // constant current sinks
 )
 
+// NumGroups is the number of reporting groups; Group values are
+// contiguous in [0, NumGroups), so [NumGroups]T arrays index by Group.
+const NumGroups = int(GroupStatic) + 1
+
 var groupNames = map[Group]string{
 	GroupArray: "array", GroupRow: "row", GroupColumn: "column",
 	GroupDataPath: "datapath", GroupClock: "clock", GroupLogic: "logic",

@@ -65,7 +65,8 @@ func atFieldEnd(b []byte, j int) bool {
 // ending at a field boundary.
 func ParseUint(b []byte, i int) (int64, int, bool) { return parseDecimal(b, i, false) }
 
-// ParseInt is ParseUint behind an optional '-' or '+' sign.
+// ParseInt is ParseUint behind an optional '-' or '+' sign; behind '-'
+// the range extends to math.MinInt64.
 func ParseInt(b []byte, i int) (int64, int, bool) { return parseDecimal(b, i, true) }
 
 func parseDecimal(b []byte, i int, signed bool) (int64, int, bool) {
@@ -74,28 +75,34 @@ func parseDecimal(b []byte, i int, signed bool) (int64, int, bool) {
 		neg = b[i] == '-'
 		i++
 	}
+	// The magnitude accumulates unsigned against the bound of its sign:
+	// MaxInt64, or MaxInt64+1 behind a '-'.
+	limit := uint64(math.MaxInt64)
+	if neg {
+		limit++
+	}
 	j := i
-	var v int64
+	var u uint64
 	for j < len(b) && b[j] >= '0' && b[j] <= '9' {
-		d := int64(b[j] - '0')
-		// v*10+d fits exactly when v <= (MaxInt64-d)/10. Test before the
-		// multiply: v*10 can wrap past negative back into the positive
-		// range, so a post-hoc v < 0 check is not enough. The constant
-		// first test, implied by the exact one, keeps the per-digit
-		// division off the common path.
-		if v > (math.MaxInt64-9)/10 && v > (math.MaxInt64-d)/10 {
+		d := uint64(b[j] - '0')
+		// u*10+d fits exactly when u <= (limit-d)/10. Test before the
+		// multiply: u*10 can wrap past the limit back into range, so a
+		// post-hoc check is not enough. The constant first test, implied
+		// by the exact one, keeps the per-digit division off the common
+		// path.
+		if u > (math.MaxInt64-9)/10 && u > (limit-d)/10 {
 			return 0, j, false
 		}
-		v = v*10 + d
+		u = u*10 + d
 		j++
 	}
 	if j == i || !atFieldEnd(b, j) {
 		return 0, j, false
 	}
 	if neg {
-		v = -v
+		return -int64(u), j, true // a magnitude of 1<<63 wraps to MinInt64
 	}
-	return v, j, true
+	return int64(u), j, true
 }
 
 // ParseHex decodes the hex digits of a field starting at i (the caller

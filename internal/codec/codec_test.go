@@ -1,0 +1,121 @@
+package codec
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"strconv"
+	"testing"
+	"testing/quick"
+)
+
+// refField is the field starting at i as the text formats delimit it: up
+// to the next space, tab, CR or '#'.
+func refField(b []byte, i int) []byte {
+	f := b[i:]
+	if k := bytes.IndexAny(f, " \t\r#"); k >= 0 {
+		f = f[:k]
+	}
+	return f
+}
+
+// refParse is strconv's answer for a field, with codec's documented
+// differences: unsigned fields take no sign, and hex fields have no 0x
+// prefix (base 16 never accepts one).
+func refParse(f []byte, base int, signed bool) (int64, bool) {
+	if !signed && len(f) > 0 && (f[0] == '+' || f[0] == '-') {
+		return 0, false
+	}
+	v, err := strconv.ParseInt(string(f), base, 64)
+	return v, err == nil
+}
+
+func checkParse(t *testing.T, b []byte, i int) {
+	t.Helper()
+	f := refField(b, i)
+	end := i + len(f)
+	for _, c := range []struct {
+		name   string
+		parse  func([]byte, int) (int64, int, bool)
+		base   int
+		signed bool
+	}{
+		{"ParseInt", ParseInt, 10, true},
+		{"ParseUint", ParseUint, 10, false},
+		{"ParseHex", ParseHex, 16, false},
+	} {
+		v, j, ok := c.parse(b, i)
+		want, wantOK := refParse(f, c.base, c.signed)
+		if ok != wantOK || (ok && (v != want || j != end)) {
+			t.Errorf("%s(%q, %d) = %d, %d, %v; strconv says %d, ok %v (field ends at %d)",
+				c.name, b, i, v, j, ok, want, wantOK, end)
+		}
+	}
+}
+
+func TestParseEdges(t *testing.T) {
+	for _, s := range []string{
+		"0", "-0", "+0", "7", "-7", "+7", "", "-", "+", "--1", "+-1",
+		"9223372036854775807", "9223372036854775808", "-9223372036854775808",
+		"-9223372036854775809", "99999999999999999999", "18446744073709551616",
+		"7fffffffffffffff", "8000000000000000", "ffffffffffffffff", "0x10",
+		"12 34", "12\t", "12\r", "12#c", "12\n", "1a", "ABCdef", "00000000000000000000001",
+	} {
+		checkParse(t, []byte(s), 0)
+	}
+	if v, _, ok := ParseInt([]byte("-9223372036854775808"), 0); !ok || v != math.MinInt64 {
+		t.Errorf("ParseInt(MinInt64) = %d, %v", v, ok)
+	}
+}
+
+// FuzzParse checks the three integer parsers against strconv on value,
+// acceptance and the end index, from an arbitrary start offset:
+//
+//	go test ./internal/codec -run '^$' -fuzz FuzzParse
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{"0", "-9223372036854775808", "9223372036854775807 x", "ff#", "+12\t3", "abc"} {
+		f.Add(s, uint8(0))
+	}
+	f.Fuzz(func(t *testing.T, s string, start uint8) {
+		b := []byte(s)
+		checkParse(t, b, int(start)%(len(b)+1))
+	})
+}
+
+func TestZigzag(t *testing.T) {
+	for i, v := range []int64{0, -1, 1, -2, 2} {
+		if got := Zigzag(v); got != uint64(i) {
+			t.Errorf("Zigzag(%d) = %d, want %d", v, got, i)
+		}
+	}
+	roundTrip := func(v int64) bool { return Unzigzag(Zigzag(v)) == v }
+	for _, v := range []int64{math.MinInt64, math.MaxInt64, math.MinInt64 + 1, math.MaxInt64 - 1} {
+		if !roundTrip(v) {
+			t.Errorf("Unzigzag(Zigzag(%d)) = %d", v, Unzigzag(Zigzag(v)))
+		}
+	}
+	if err := quick.Check(roundTrip, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestAppendVarint round-trips the varint encoding through
+// encoding/binary, whose signed varint is the same zigzag form.
+func TestAppendVarint(t *testing.T) {
+	roundTrip := func(prefix []byte, v int64) bool {
+		got := AppendVarint(append([]byte(nil), prefix...), v)
+		if !bytes.Equal(got, binary.AppendVarint(append([]byte(nil), prefix...), v)) {
+			return false
+		}
+		u, n := binary.Uvarint(got[len(prefix):])
+		return n == len(got)-len(prefix) && Unzigzag(u) == v
+	}
+	for _, v := range []int64{0, -1, 1, 63, -64, 64, -65, math.MinInt64, math.MaxInt64} {
+		if !roundTrip([]byte{0xD7}, v) {
+			t.Errorf("AppendVarint(%d) = % x, does not round-trip", v, AppendVarint(nil, v))
+		}
+	}
+	if err := quick.Check(roundTrip, nil); err != nil {
+		t.Error(err)
+	}
+}

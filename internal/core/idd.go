@@ -140,10 +140,10 @@ func (m *Model) PatternIDD7(writeShare float64) desc.Pattern {
 	if banks < 1 {
 		banks = 1
 	}
-	loop := make([]desc.Op, 0, banks*group)
+	loop := make([]desc.Op, banks*group)
 	writesOwed := 0.0
 	for b := 0; b < banks; b++ {
-		g := make([]desc.Op, group)
+		g := loop[b*group : (b+1)*group]
 		for i := range g {
 			g[i] = desc.OpNop
 		}
@@ -158,7 +158,6 @@ func (m *Model) PatternIDD7(writeShare float64) desc.Pattern {
 			g[1+c*m.BurstSlots()] = col
 		}
 		g[group-1] = desc.OpPrecharge
-		loop = append(loop, g...)
 	}
 	return desc.Pattern{Loop: loop}
 }
@@ -186,8 +185,8 @@ func (m *Model) IDD() IDD {
 // read/write mix (the paper's Idd4-style energy metric: the row is open,
 // only column and data-path energy counts).
 func (m *Model) EnergyPerBitIDD4() units.Energy {
-	rd := m.EvaluatePattern(m.PatternIDD4(false))
-	wr := m.EvaluatePattern(m.PatternIDD4(true))
+	rd := m.totals(m.PatternIDD4(false))
+	wr := m.totals(m.PatternIDD4(true))
 	return units.Energy(0.5 * (float64(rd.EnergyPerBit) + float64(wr.EnergyPerBit)))
 }
 
@@ -195,8 +194,7 @@ func (m *Model) EnergyPerBitIDD4() units.Energy {
 // interleaved activate/read/write pattern of Figure 10/13 (half reads,
 // half writes), the metric the paper reports in mW/Gbps = pJ/bit.
 func (m *Model) EnergyPerBitIDD7() units.Energy {
-	res := m.EvaluatePattern(m.PatternIDD7(0.5))
-	return res.EnergyPerBit
+	return m.totals(m.PatternIDD7(0.5)).EnergyPerBit
 }
 
 // PowerDownFactors describe how much of the background survives in the

@@ -76,6 +76,8 @@ type ResolvedSegment struct {
 	Wires int
 	// Toggle is the resolved charging-event rate.
 	Toggle float64
+	// itemName is the charge and background item name, "wire <name>".
+	itemName string
 }
 
 // TotalCapPerWire returns wire plus buffer capacitance of one wire.
@@ -173,6 +175,8 @@ func (m *Model) resolveSegments() error {
 			Length:  l,
 			WireCap: tech.WireCap(l, d.Technology.WireCapSignal).Times(frac),
 			Toggle:  s.Toggle,
+
+			itemName: "wire " + s.Name,
 		}
 		if rs.Toggle < 0 {
 			rs.Toggle = desc.DefaultToggle(s.Kind)

@@ -71,10 +71,10 @@ func (m *Model) BackgroundPower() units.Power { return m.params.StandbyPower }
 
 // derive fills the resolved parameter set from the charge ledgers and
 // measurement-pattern evaluations (the first pipeline stage). It runs
-// once per Build, after buildLedger; the IDD loop currents are evaluated
-// with the derived set already installed, so their pattern evaluations
-// see scale ratios of exactly 1 and reproduce the uncalibrated numbers
-// bit for bit.
+// once per Build, after buildLedger; the IDD loop currents are the
+// pattern totals (the Current EvaluatePattern reports) of the
+// measurement loops under the derived set, computed without the
+// breakdown nothing here reads.
 func (m *Model) derive() {
 	m.params.OpEnergy = m.opEnergy
 	m.params.StandbyPower = m.background.Power
@@ -82,11 +82,11 @@ func (m *Model) derive() {
 	m.params.SelfRefreshPower = m.deriveSelfRefreshPower()
 	m.derived = m.params
 
-	m.params.IDD0 = m.EvaluatePattern(m.PatternIDD0()).Current
-	m.params.IDD4R = m.EvaluatePattern(m.PatternIDD4(false)).Current
-	m.params.IDD4W = m.EvaluatePattern(m.PatternIDD4(true)).Current
-	m.params.IDD5 = m.EvaluatePattern(m.PatternIDD5()).Current
-	m.params.IDD7 = m.EvaluatePattern(m.PatternIDD7(0)).Current
+	m.params.IDD0 = m.totals(m.PatternIDD0()).Current
+	m.params.IDD4R = m.totals(m.PatternIDD4(false)).Current
+	m.params.IDD4W = m.totals(m.PatternIDD4(true)).Current
+	m.params.IDD5 = m.totals(m.PatternIDD5()).Current
+	m.params.IDD7 = m.totals(m.PatternIDD7(0)).Current
 	m.derived = m.params
 }
 

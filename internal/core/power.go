@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"drampower/internal/circuits"
 	"drampower/internal/desc"
 	"drampower/internal/units"
@@ -41,9 +43,9 @@ func (oc *OpCharges) ChargeFromVdd(el desc.Electrical) units.Charge {
 }
 
 // EnergyByGroup splits the Vdd-referred energy per occurrence by reporting
-// group.
-func (oc *OpCharges) EnergyByGroup(el desc.Electrical) map[circuits.Group]units.Energy {
-	out := map[circuits.Group]units.Energy{}
+// group, indexed by circuits.Group.
+func (oc *OpCharges) EnergyByGroup(el desc.Electrical) [circuits.NumGroups]units.Energy {
+	var out [circuits.NumGroups]units.Energy
 	for _, it := range oc.Items {
 		v, eff := el.DomainVoltageAndSafeEff(it.Domain)
 		out[it.Group] += units.Energy(float64(it.Charge(v)) * float64(el.Vdd) / eff)
@@ -52,9 +54,9 @@ func (oc *OpCharges) EnergyByGroup(el desc.Electrical) map[circuits.Group]units.
 }
 
 // EnergyByDomain splits the Vdd-referred energy per occurrence by voltage
-// domain.
-func (oc *OpCharges) EnergyByDomain(el desc.Electrical) map[desc.Domain]units.Energy {
-	out := map[desc.Domain]units.Energy{}
+// domain, indexed by desc.Domain.
+func (oc *OpCharges) EnergyByDomain(el desc.Electrical) [desc.NumDomains]units.Energy {
+	var out [desc.NumDomains]units.Energy
 	for _, it := range oc.Items {
 		v, eff := el.DomainVoltageAndSafeEff(it.Domain)
 		out[it.Domain] += units.Energy(float64(it.Charge(v)) * float64(el.Vdd) / eff)
@@ -90,59 +92,60 @@ func (m *Model) RecomputeCharges(op desc.Op) *OpCharges {
 }
 
 // computeCharges derives the charge-event list of one occurrence of op
-// from scratch (steps 2–3 of the Figure 4 program flow).
+// from scratch (steps 2–3 of the Figure 4 program flow). The circuit
+// items come first; the list is then grown once to hold every wire and
+// logic item the operation can add.
 func (m *Model) computeCharges(op desc.Op) *OpCharges {
-	oc := &OpCharges{Op: op}
 	d := m.D
 	bits := m.BitsPerBurst()
+	extra := len(m.Segments) + len(d.LogicBlocks)
+	var items []circuits.ChargeItem
 	switch op {
 	case desc.OpActivate:
-		oc.Items = append(oc.Items, circuits.ActivateItems(m.P, d, m.Array)...)
-		oc.Items = append(oc.Items, m.segmentItems(desc.SigAddrRow, 1)...)
-		oc.Items = append(oc.Items, m.segmentItems(desc.SigAddrBank, 1)...)
+		items = slices.Grow(circuits.ActivateItems(m.P, d, m.Array), extra)
+		items = m.appendSegmentItems(items, desc.SigAddrRow, 1)
+		items = m.appendSegmentItems(items, desc.SigAddrBank, 1)
 	case desc.OpPrecharge:
-		oc.Items = append(oc.Items, circuits.PrechargeItems(m.P, d, m.Array)...)
-		oc.Items = append(oc.Items, m.segmentItems(desc.SigAddrBank, 1)...)
-	case desc.OpRead:
-		oc.Items = append(oc.Items, circuits.ColumnItems(m.P, d, m.Array, bits, false)...)
-		oc.Items = append(oc.Items, m.segmentItems(desc.SigAddrCol, 1)...)
-		oc.Items = append(oc.Items, m.segmentItems(desc.SigAddrBank, 1)...)
-		oc.Items = append(oc.Items, m.dataPathItems(desc.SigDataRead, bits)...)
-	case desc.OpWrite:
-		oc.Items = append(oc.Items, circuits.ColumnItems(m.P, d, m.Array, bits, true)...)
-		oc.Items = append(oc.Items, m.segmentItems(desc.SigAddrCol, 1)...)
-		oc.Items = append(oc.Items, m.segmentItems(desc.SigAddrBank, 1)...)
-		oc.Items = append(oc.Items, m.dataPathItems(desc.SigDataWrite, bits)...)
+		items = slices.Grow(circuits.PrechargeItems(m.P, d, m.Array), extra)
+		items = m.appendSegmentItems(items, desc.SigAddrBank, 1)
+	case desc.OpRead, desc.OpWrite:
+		write := op == desc.OpWrite
+		items = slices.Grow(circuits.ColumnItems(m.P, d, m.Array, bits, write), extra)
+		items = m.appendSegmentItems(items, desc.SigAddrCol, 1)
+		items = m.appendSegmentItems(items, desc.SigAddrBank, 1)
+		data := desc.SigDataRead
+		if write {
+			data = desc.SigDataWrite
+		}
+		items = m.appendDataPathItems(items, data, bits)
 	case desc.OpRefresh:
 		// A refresh command activates and precharges one row in every
 		// bank (all-bank auto-refresh).
+		act := circuits.ActivateItems(m.P, d, m.Array)
+		pre := circuits.PrechargeItems(m.P, d, m.Array)
+		items = make([]circuits.ChargeItem, 0, len(act)+len(pre)+extra)
+		items = append(append(items, act...), pre...)
 		banks := float64(d.Spec.Banks())
-		for _, it := range circuits.ActivateItems(m.P, d, m.Array) {
-			it.Events *= banks
-			oc.Items = append(oc.Items, it)
+		for i := range items {
+			items[i].Events *= banks
 		}
-		for _, it := range circuits.PrechargeItems(m.P, d, m.Array) {
-			it.Events *= banks
-			oc.Items = append(oc.Items, it)
-		}
-		oc.Items = append(oc.Items, m.segmentItems(desc.SigAddrRow, banks)...)
+		items = m.appendSegmentItems(items, desc.SigAddrRow, banks)
 	case desc.OpNop:
 		// Only background power; no command charge.
 	}
-	oc.Items = append(oc.Items, m.logicItems(op)...)
-	return oc
+	return &OpCharges{Op: op, Items: m.appendLogicItems(items, op)}
 }
 
-// segmentItems returns charge items for all segments of the given kind:
-// events = toggle × wires × scale (one bus transition per command).
-func (m *Model) segmentItems(kind desc.SignalKind, scale float64) []circuits.ChargeItem {
-	var items []circuits.ChargeItem
-	for _, rs := range m.Segments {
+// appendSegmentItems appends charge items for all segments of the given
+// kind: events = toggle × wires × scale (one bus transition per command).
+func (m *Model) appendSegmentItems(items []circuits.ChargeItem, kind desc.SignalKind, scale float64) []circuits.ChargeItem {
+	for i := range m.Segments {
+		rs := &m.Segments[i]
 		if rs.Seg.Kind != kind {
 			continue
 		}
 		items = append(items, circuits.ChargeItem{
-			Name:   "wire " + rs.Seg.Name,
+			Name:   rs.itemName,
 			Group:  circuits.GroupDataPath,
 			Domain: desc.DomainVint,
 			Cap:    rs.TotalCapPerWire(),
@@ -152,19 +155,18 @@ func (m *Model) segmentItems(kind desc.SignalKind, scale float64) []circuits.Cha
 	return items
 }
 
-// dataPathItems returns charge items for a data transfer of the given
-// direction: each segment of the matching bus (including shared-data
-// segments) sees every transferred bit once, charging toggle × bits events
-// regardless of the bus width at that point.
-func (m *Model) dataPathItems(kind desc.SignalKind, bits int) []circuits.ChargeItem {
-	var items []circuits.ChargeItem
-	for _, rs := range m.Segments {
-		k := rs.Seg.Kind
-		if k != kind && k != desc.SigDataShared {
+// appendDataPathItems appends charge items for a data transfer of the
+// given direction: each segment of the matching bus (including
+// shared-data segments) sees every transferred bit once, charging
+// toggle × bits events regardless of the bus width at that point.
+func (m *Model) appendDataPathItems(items []circuits.ChargeItem, kind desc.SignalKind, bits int) []circuits.ChargeItem {
+	for i := range m.Segments {
+		rs := &m.Segments[i]
+		if k := rs.Seg.Kind; k != kind && k != desc.SigDataShared {
 			continue
 		}
 		items = append(items, circuits.ChargeItem{
-			Name:   "wire " + rs.Seg.Name,
+			Name:   rs.itemName,
 			Group:  circuits.GroupDataPath,
 			Domain: desc.DomainVint,
 			Cap:    rs.TotalCapPerWire(),
@@ -174,15 +176,15 @@ func (m *Model) dataPathItems(kind desc.SignalKind, bits int) []circuits.ChargeI
 	return items
 }
 
-// logicItems returns the charge of the miscellaneous logic blocks that are
-// active only during specific operations. A block toggles at its rate for
-// every control-clock cycle the operation occupies: column commands keep
-// the column and interface logic busy for the whole burst (BurstSlots
-// cycles — eight internal column cycles on a BL8 SDR, half a data-clock
-// burst on DDR3). Always-on blocks are background (see Background) and
-// excluded here.
-func (m *Model) logicItems(op desc.Op) []circuits.ChargeItem {
-	var items []circuits.ChargeItem
+// appendLogicItems appends the charge of the miscellaneous logic blocks
+// that are active only during specific operations. A block toggles at its
+// rate for every control-clock cycle the operation occupies: column
+// commands keep the column and interface logic busy for the whole burst
+// (BurstSlots cycles — eight internal column cycles on a BL8 SDR, half a
+// data-clock burst on DDR3). Always-on blocks are background (see
+// Background) and excluded here. Names come from the live description,
+// so RecomputeCharges sees blocks renamed or added after Build.
+func (m *Model) appendLogicItems(items []circuits.ChargeItem, op desc.Op) []circuits.ChargeItem {
 	slots := 1.0
 	if op == desc.OpRead || op == desc.OpWrite {
 		slots = float64(m.BurstSlots())
@@ -244,7 +246,8 @@ func (m *Model) RecomputeBackground() Background {
 		bg.Power += p
 	}
 
-	for _, rs := range m.Segments {
+	for i := range m.Segments {
+		rs := &m.Segments[i]
 		var f units.Frequency
 		switch rs.Seg.Kind {
 		case desc.SigClock:
@@ -261,7 +264,7 @@ func (m *Model) RecomputeBackground() Background {
 		if rs.Seg.Kind == desc.SigControl {
 			group = circuits.GroupDataPath
 		}
-		add("wire "+rs.Seg.Name, group, units.Energy(e).PowerAt(f))
+		add(rs.itemName, group, units.Energy(e).PowerAt(f))
 	}
 
 	for i := range m.D.LogicBlocks {
@@ -318,62 +321,46 @@ type PatternResult struct {
 }
 
 // EvaluatePattern computes the average power of the given pattern, one
-// control-clock slot per loop entry.
+// control-clock slot per loop entry, with its per-op, per-group and
+// per-domain breakdown. Callers that need only the totals use
+// PatternPower, which skips the breakdown.
 func (m *Model) EvaluatePattern(p desc.Pattern) *PatternResult {
+	res := &PatternResult{Pattern: p}
+	mix := p.Mix()
+	m.patternTotals(res, mix)
+	m.patternBreakdown(res, mix)
+	return res
+}
+
+// PatternPower returns the average power of the pattern: the Power field
+// of EvaluatePattern, bit for bit, without building the breakdown.
+func (m *Model) PatternPower(p desc.Pattern) units.Power {
+	return m.totals(p).Power
+}
+
+// totals evaluates the pattern's scalar results, leaving the breakdown
+// maps nil.
+func (m *Model) totals(p desc.Pattern) PatternResult {
+	res := PatternResult{Pattern: p}
+	mix := p.Mix()
+	m.patternTotals(&res, mix)
+	return res
+}
+
+// patternTotals fills the scalar fields of res (Background, Command,
+// Power, Current, BitsPerLoop, EnergyPerBit) for res.Pattern, whose slot
+// shares are mix. The totals come from the resolved parameter set
+// (possibly calibrated).
+func (m *Model) patternTotals(res *PatternResult, mix [desc.NumOps]float64) {
 	el := m.D.Electrical
 	fctl := m.D.Spec.ControlClock
-	res := &PatternResult{
-		Pattern:  p,
-		ByOp:     map[desc.Op]units.Power{},
-		ByGroup:  map[circuits.Group]units.Power{},
-		ByDomain: map[desc.Domain]units.Power{},
-	}
-
-	// The totals come from the resolved parameter set (possibly
-	// calibrated); the by-group/by-domain breakdowns come from the derived
-	// charge ledgers, scaled by the calibration ratio so they track the
-	// resolved totals. Uncalibrated models have a ratio of exactly 1.0,
-	// and multiplying a float64 by 1.0 is exact in IEEE-754, so the
-	// uncalibrated path stays bit-identical to the pre-pipeline code.
-	bg := m.Background()
 	res.Background = m.params.StandbyPower
-	bgScale := 1.0
-	if m.params.StandbyPower != m.derived.StandbyPower && m.derived.StandbyPower != 0 {
-		bgScale = float64(m.params.StandbyPower) / float64(m.derived.StandbyPower)
-	}
-	for _, it := range bg.Items {
-		p := units.Power(float64(it.Power) * bgScale)
-		res.ByGroup[it.Group] += p
-		if it.Group == circuits.GroupStatic {
-			res.ByDomain[desc.DomainVdd] += p
-		} else {
-			res.ByDomain[desc.DomainVint] += p
-		}
-	}
-
-	// Iterate in canonical op order, not map order: float accumulation must
-	// be deterministic so repeated (and parallel) evaluations are
+	// Iterate in canonical op order: float accumulation must be
+	// deterministic so repeated (and parallel) evaluations are
 	// bit-identical.
-	mix := p.Mix()
 	for _, op := range desc.AllOps {
-		share := mix[op]
-		if op == desc.OpNop || share == 0 {
-			continue
-		}
-		oc := m.Charges(op)
-		opE := m.params.OpEnergy[op]
-		opScale := 1.0
-		if opE != m.derived.OpEnergy[op] && m.derived.OpEnergy[op] != 0 {
-			opScale = float64(opE) / float64(m.derived.OpEnergy[op])
-		}
-		opPower := units.Power(share) * units.Power(float64(opE)*float64(fctl))
-		res.ByOp[op] += opPower
-		res.Command += opPower
-		for g, e := range oc.EnergyByGroup(el) {
-			res.ByGroup[g] += units.Power(share * float64(e) * opScale * float64(fctl))
-		}
-		for dom, e := range oc.EnergyByDomain(el) {
-			res.ByDomain[dom] += units.Power(share * float64(e) * opScale * float64(fctl))
+		if share := mix[op]; op != desc.OpNop && share != 0 {
+			res.Command += m.sharePower(op, share)
 		}
 	}
 	res.Power = res.Background + res.Command
@@ -383,17 +370,100 @@ func (m *Model) EvaluatePattern(p desc.Pattern) *PatternResult {
 
 	bits := 0
 	perBurst := m.BitsPerBurst()
-	for _, op := range p.Loop {
+	for _, op := range res.Pattern.Loop {
 		if op == desc.OpRead || op == desc.OpWrite {
 			bits += perBurst
 		}
 	}
 	res.BitsPerLoop = bits
 	if bits > 0 && fctl > 0 {
-		loopTime := float64(len(p.Loop)) / float64(fctl)
+		loopTime := float64(len(res.Pattern.Loop)) / float64(fctl)
 		res.EnergyPerBit = units.Energy(float64(res.Power) * loopTime / float64(bits))
 	}
-	return res
+}
+
+// sharePower is op's average power contribution at the given slot share.
+func (m *Model) sharePower(op desc.Op, share float64) units.Power {
+	return units.Power(share) * units.Power(float64(m.params.OpEnergy[op])*float64(m.D.Spec.ControlClock))
+}
+
+// patternBreakdown fills res.ByOp, res.ByGroup and res.ByDomain. The
+// breakdowns come from the derived charge ledgers, scaled by the
+// calibration ratio so they track the resolved totals. Uncalibrated
+// models have a ratio of exactly 1.0, and multiplying a float64 by 1.0
+// is exact in IEEE-754, so the uncalibrated path stays bit-identical to
+// the pre-pipeline code. A group or domain appears in its map when some
+// background or command item touched it, even if its items sum to 0.
+func (m *Model) patternBreakdown(res *PatternResult, mix [desc.NumOps]float64) {
+	el := m.D.Electrical
+	fctl := float64(m.D.Spec.ControlClock)
+	var byGroup [circuits.NumGroups]units.Power
+	var byDomain [desc.NumDomains]units.Power
+	var groups [circuits.NumGroups]bool
+	var domains [desc.NumDomains]bool
+
+	bgScale := 1.0
+	if m.params.StandbyPower != m.derived.StandbyPower && m.derived.StandbyPower != 0 {
+		bgScale = float64(m.params.StandbyPower) / float64(m.derived.StandbyPower)
+	}
+	for _, it := range m.Background().Items {
+		p := units.Power(float64(it.Power) * bgScale)
+		dom := desc.DomainVint
+		if it.Group == circuits.GroupStatic {
+			dom = desc.DomainVdd
+		}
+		byGroup[it.Group] += p
+		byDomain[dom] += p
+		groups[it.Group], domains[dom] = true, true
+	}
+
+	res.ByOp = make(map[desc.Op]units.Power, desc.NumOps)
+	for _, op := range desc.AllOps {
+		share := mix[op]
+		if op == desc.OpNop || share == 0 {
+			continue
+		}
+		res.ByOp[op] += m.sharePower(op, share)
+		oc := m.Charges(op)
+		opE := m.params.OpEnergy[op]
+		opScale := 1.0
+		if opE != m.derived.OpEnergy[op] && m.derived.OpEnergy[op] != 0 {
+			opScale = float64(opE) / float64(m.derived.OpEnergy[op])
+		}
+		// Only the groups and domains the op's items touch take a term:
+		// an overlay can make opScale infinite, and 0 × Inf would turn a
+		// group the op leaves alone into NaN.
+		var opGroups [circuits.NumGroups]bool
+		var opDomains [desc.NumDomains]bool
+		for _, it := range oc.Items {
+			opGroups[it.Group], opDomains[it.Domain] = true, true
+		}
+		for g, e := range oc.EnergyByGroup(el) {
+			if opGroups[g] {
+				byGroup[g] += units.Power(share * float64(e) * opScale * fctl)
+				groups[g] = true
+			}
+		}
+		for dom, e := range oc.EnergyByDomain(el) {
+			if opDomains[dom] {
+				byDomain[dom] += units.Power(share * float64(e) * opScale * fctl)
+				domains[dom] = true
+			}
+		}
+	}
+
+	res.ByGroup = make(map[circuits.Group]units.Power, circuits.NumGroups)
+	for g, touched := range groups {
+		if touched {
+			res.ByGroup[circuits.Group(g)] = byGroup[g]
+		}
+	}
+	res.ByDomain = make(map[desc.Domain]units.Power, desc.NumDomains)
+	for dom, touched := range domains {
+		if touched {
+			res.ByDomain[desc.Domain(dom)] = byDomain[dom]
+		}
+	}
 }
 
 // Evaluate evaluates the description's own pattern.

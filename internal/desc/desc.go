@@ -502,6 +502,10 @@ const (
 // AllDomains lists the domains in display order.
 var AllDomains = []Domain{DomainVdd, DomainVint, DomainVbl, DomainVpp}
 
+// NumDomains is the number of voltage domains; Domain values are
+// contiguous in [0, NumDomains), so [NumDomains]T arrays index by Domain.
+const NumDomains = int(DomainVpp) + 1
+
 var domainNames = map[Domain]string{
 	DomainVdd: "Vdd", DomainVint: "Vint", DomainVbl: "Vbl", DomainVpp: "Vpp",
 }
@@ -554,15 +558,19 @@ type Pattern struct {
 	Loop []Op
 }
 
-// Mix returns the fraction of pattern slots occupied by each operation.
-func (p Pattern) Mix() map[Op]float64 {
-	m := make(map[Op]float64, len(AllOps))
+// Mix returns the fraction of pattern slots occupied by each operation,
+// indexed by Op. A slot holding an invalid op still counts toward the
+// loop length but is not attributed to any operation.
+func (p Pattern) Mix() [NumOps]float64 {
+	var m [NumOps]float64
 	if len(p.Loop) == 0 {
 		return m
 	}
 	inc := 1 / float64(len(p.Loop))
 	for _, op := range p.Loop {
-		m[op] += inc
+		if op.Valid() {
+			m[op] += inc
+		}
 	}
 	return m
 }

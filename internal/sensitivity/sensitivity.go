@@ -265,7 +265,7 @@ func SweepCalibratedOpts(d *desc.Description, ov *desc.Overlay, opts engine.Opti
 	// derived once from the base and shared (the ledger each variant builds
 	// is what differs; see TestSweepPatternInvariantAcrossKnobs).
 	pattern := base.PatternIDD7(0.5)
-	basePower := float64(base.EvaluatePattern(pattern).Power)
+	basePower := float64(base.PatternPower(pattern))
 	if basePower <= 0 {
 		return nil, fmt.Errorf("sensitivity: base power is %g", basePower)
 	}
@@ -277,7 +277,7 @@ func SweepCalibratedOpts(d *desc.Description, ov *desc.Overlay, opts engine.Opti
 		if err != nil {
 			return 0, fmt.Errorf("sensitivity: %s x%g: %w", p.Name, factor, err)
 		}
-		return float64(m.EvaluatePattern(pattern).Power), nil
+		return float64(m.PatternPower(pattern)), nil
 	}
 
 	results, err := engine.Map(Registry(), func(_ int, p Parameter) (Result, error) {

@@ -90,6 +90,8 @@ func TestScannerErrors(t *testing.T) {
 		{"bad row", "0 act 0 1.5\n", 1, 9, "bad row"},
 		{"trailing field", "0 act 0 0 extra\n", 1, 11, "trailing field"},
 		{"slot overflow", "9223372036854775808 nop\n", 1, 1, "bad slot"},
+		{"slot underflow", "-9223372036854775809 nop\n", 1, 1, "bad slot"},
+		{"slot MinInt64", "-9223372036854775808 nop\n", 1, 1, "negative slot -9223372036854775808"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
