@@ -69,9 +69,13 @@ perfbench-test:
 serve-smoke:
 	$(GO) run ./tools/servesmoke
 
-# Short fuzz passes over the hand-written parsers and the pattern
-# evaluator's totals/breakdown split; go's fuzzer runs one target per
-# invocation, hence one line each. Override FUZZTIME for a longer hunt.
+# Short fuzz passes over the hand-written parsers, the pattern
+# evaluator's totals/breakdown split and the scheduler (arbitrary access
+# streams and options must schedule into legal traces); go's fuzzer runs
+# one target per invocation, hence one line each. Override FUZZTIME for
+# a longer hunt. Each FuzzScheduleReplay input runs four schedules and
+# three replays, so minimizing a new input for the default 60 s would
+# stall a short pass; its minimization is capped at 100 runs.
 fuzz-short:
 	$(GO) test -fuzz 'FuzzParse$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/desc/
 	$(GO) test -fuzz 'FuzzParse$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/codec/
@@ -80,15 +84,17 @@ fuzz-short:
 	$(GO) test -fuzz FuzzTraceScanner -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace/
 	$(GO) test -fuzz FuzzBinaryScanner -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace/
 	$(GO) test -fuzz FuzzAccessScanner -fuzztime $(FUZZTIME) -run '^$$' ./internal/ctl/
+	$(GO) test -fuzz FuzzScheduleReplay -fuzztime $(FUZZTIME) -fuzzminimizetime 100x -run '^$$' ./internal/ctl/
 
 # Retention legality sweep: every page policy × address map × channel
 # count × low-power combination is scheduled and replayed — both
 # two-phase and through the fused streaming pipeline — asserting zero
 # timing violations, zero missed tREFI deadlines, and fused/two-phase
-# bit-identity. Part of the regular test pass too; this target runs it
+# bit-identity, plus the scheduler golden (864 configurations pinned
+# byte for byte). Part of the regular test pass too; this target runs it
 # uncached and on its own so the refresh-scheduler contract has a named
 # gate.
-LEGALITY_TESTS = TestScheduledTraceLegalitySweep|TestRefreshSurvivesPowerDown|TestFusedMatchesTwoPhase|TestScheduleParallelMatchesSerial
+LEGALITY_TESTS = TestScheduledTraceLegalitySweep|TestRefreshSurvivesPowerDown|TestFusedMatchesTwoPhase|TestScheduleParallelMatchesSerial|TestScheduleGolden
 legality:
 	$(GO) test ./internal/ctl -run '$(LEGALITY_TESTS)' -count=1
 

@@ -630,11 +630,22 @@ func BenchmarkScheduleClosed(b *testing.B) {
 	benchSchedule(b, ctl.Options{Policy: ctl.PolicyClosed})
 }
 
-// BenchmarkScheduleTimeout exercises the timeout policy's expiry sweep
-// plus the power-down inserter — the scheduler's bookkeeping-heavy
-// configuration.
+// BenchmarkScheduleTimeout schedules the stream under the timeout
+// policy plus the power-down inserter. On one channel at gap 4 every
+// bank is used again within 64 slots, so the expiry sweep runs on every
+// request but never closes a bank; BenchmarkScheduleTimeout4Ch is the
+// shape where it does.
 func BenchmarkScheduleTimeout(b *testing.B) {
 	benchSchedule(b, ctl.Options{Policy: ctl.PolicyTimeout, PageTimeout: 64, PowerDownAfter: 32})
+}
+
+// BenchmarkScheduleTimeout4Ch spreads the timeout-policy stream over four
+// channels, serially: each channel sees a request every 16 slots, so
+// about half the requests find a bank past its 64-slot window and the
+// sweep closes it (0.49 timeout precharges per request, the shape of
+// perfbench's schedule-replay workload).
+func BenchmarkScheduleTimeout4Ch(b *testing.B) {
+	benchSchedule(b, ctl.Options{Policy: ctl.PolicyTimeout, PageTimeout: 64, PowerDownAfter: 16, Channels: 4, Workers: 1})
 }
 
 // BenchmarkSchedule4Ch spreads the stream over four channels (open

@@ -220,14 +220,26 @@ func (e *ScheduleError) Unwrap() error { return e.err }
 // farPast mirrors the simulator's "never happened" timestamp sentinel.
 const farPast = math.MinInt64 / 2
 
+// slotHorizon bounds the slots the controller reasons about: request
+// slots, the slot-valued options and the refresh window
+// (MaxPostponed+1)*tREFI are each at most 2^61 slots (about 91 years at
+// 800 MHz), so no sum of a slot, an option and a timing constant can
+// reach 2^63 and wrap. NewController and checkAndMap reject anything
+// past it.
+const slotHorizon = 1 << 61
+
 // bankMirror tracks one bank's scheduler-visible state.
 type bankMirror struct {
 	open     bool
 	row      int
 	actSlot  int64 // last activate
 	preSlot  int64 // last precharge
-	lastUse  int64 // last column access (timeout policy clock)
+	lastUse  int64 // last activate or column access (PolicyTimeout only)
 	burstEnd int64 // this bank's burst drains at this slot (gates PRE)
+
+	// prev and next link the open banks under PolicyTimeout (-1 ends
+	// the list); see chanState.oldest.
+	prev, next int
 }
 
 // chanState mirrors the per-channel timing state the Simulator enforces,
@@ -242,6 +254,13 @@ type chanState struct {
 	actRing   [4]int64 // last four activates, for tFAW
 	actCount  int64
 	openBanks int
+
+	// Under PolicyTimeout the open banks also sit on a doubly-linked list
+	// through bankMirror.prev/next, oldest lastUse first (-1 when empty).
+	// Every use moves its bank to the tail, and a channel emits one
+	// command per slot, so lastUse strictly increases along the list: it
+	// is expiry order, and sweepTimeouts only ever looks at the head.
+	oldest, newest int
 
 	// Refresh scheduler state. Obligation k of the current epoch is due
 	// at refBase + k*tREFI and must complete by refBase + (k+maxPost)*
@@ -293,6 +312,10 @@ func NewController(m *core.Model, opts Options) (*Controller, error) {
 	if opts.Policy == PolicyTimeout && opts.PageTimeout < 1 {
 		return nil, fmt.Errorf("ctl: timeout policy needs PageTimeout >= 1 (got %d)", opts.PageTimeout)
 	}
+	pageTimeout := int64(0) // the policy's window; ignored by the others
+	if opts.Policy == PolicyTimeout {
+		pageTimeout = opts.PageTimeout
+	}
 	if opts.PowerDownAfter < 0 || opts.SelfRefreshAfter < 0 {
 		return nil, fmt.Errorf("ctl: negative power-down/self-refresh threshold")
 	}
@@ -301,6 +324,19 @@ func NewController(m *core.Model, opts Options) (*Controller, error) {
 	}
 	if opts.MaxPostponed < 0 {
 		return nil, fmt.Errorf("ctl: negative MaxPostponed")
+	}
+	for _, o := range [...]struct {
+		name  string
+		slots int64
+	}{
+		{"PageTimeout", pageTimeout},
+		{"PowerDownAfter", opts.PowerDownAfter},
+		{"SelfRefreshAfter", opts.SelfRefreshAfter},
+		{"RefreshEvery", opts.RefreshEvery},
+	} {
+		if o.slots > slotHorizon {
+			return nil, fmt.Errorf("ctl: %s %d slots exceeds the %d-slot horizon", o.name, o.slots, int64(slotHorizon))
+		}
 	}
 	c := &Controller{opts: opts, mapper: mapper}
 	sim := trace.New(m)
@@ -320,6 +356,10 @@ func NewController(m *core.Model, opts Options) (*Controller, error) {
 	if c.maxPost == 0 {
 		c.maxPost = trace.MaxPostponedRefreshes
 	}
+	if c.tREFI > 0 && c.maxPost > slotHorizon/c.tREFI-1 {
+		return nil, fmt.Errorf("ctl: MaxPostponed %d: refresh window (MaxPostponed+1)*tREFI with tREFI %d slots exceeds the %d-slot horizon",
+			c.maxPost, c.tREFI, int64(slotHorizon))
+	}
 	banks := m.D.Spec.Banks()
 	c.chans = make([]chanState, opts.Channels)
 	for i := range c.chans {
@@ -328,10 +368,10 @@ func NewController(m *core.Model, opts Options) (*Controller, error) {
 		for b := range ch.banks {
 			ch.banks[b].actSlot = farPast
 			ch.banks[b].preSlot = farPast
-			ch.banks[b].lastUse = farPast
 			ch.banks[b].burstEnd = farPast
 		}
 		ch.now = -1
+		ch.oldest, ch.newest = -1, -1
 		ch.busUntil = farPast
 		ch.exitValid = farPast
 		ch.refUntil = farPast
@@ -398,6 +438,34 @@ func (c *Controller) earliestAct(ch *chanState, b *bankMirror, t int64) int64 {
 	return at
 }
 
+// pushOpen stamps bank bi's use at slot and appends it to the tail of
+// the channel's open list.
+func (ch *chanState) pushOpen(bi int, slot int64) {
+	b := &ch.banks[bi]
+	b.lastUse, b.prev, b.next = slot, ch.newest, -1
+	if ch.newest >= 0 {
+		ch.banks[ch.newest].next = bi
+	} else {
+		ch.oldest = bi
+	}
+	ch.newest = bi
+}
+
+// unlinkOpen removes bank bi from the channel's open list.
+func (ch *chanState) unlinkOpen(bi int) {
+	b := &ch.banks[bi]
+	if b.prev >= 0 {
+		ch.banks[b.prev].next = b.next
+	} else {
+		ch.oldest = b.next
+	}
+	if b.next >= 0 {
+		ch.banks[b.next].prev = b.prev
+	} else {
+		ch.newest = b.prev
+	}
+}
+
 // activate emits ACT on bank b at its earliest legal slot at or after t
 // and updates the mirror.
 func (c *Controller) activate(ch *chanState, bi int, row int, t int64) int64 {
@@ -407,6 +475,9 @@ func (c *Controller) activate(ch *chanState, bi int, row int, t int64) int64 {
 	ch.actRing[ch.actCount&3] = slot
 	ch.actCount++
 	ch.openBanks++
+	if c.opts.Policy == PolicyTimeout {
+		ch.pushOpen(bi, slot)
+	}
 	return slot
 }
 
@@ -421,6 +492,9 @@ func (c *Controller) precharge(ch *chanState, bi int, want int64) int64 {
 	b.open = false
 	b.preSlot = slot
 	ch.openBanks--
+	if c.opts.Policy == PolicyTimeout {
+		ch.unlinkOpen(bi)
+	}
 	return slot
 }
 
@@ -438,35 +512,27 @@ func (c *Controller) column(ch *chanState, bi int, write bool, want int64) int64
 	slot := c.emit(ch, want, op, bi, b.row)
 	ch.busUntil = slot + c.burst
 	b.burstEnd = slot + c.burst
-	b.lastUse = slot
+	if c.opts.Policy == PolicyTimeout {
+		ch.unlinkOpen(bi)
+		ch.pushOpen(bi, slot)
+	}
 	return slot
 }
 
 // sweepTimeouts closes banks whose rows have idled past the page
-// timeout, in (expiry, bank) order so placement is independent of bank
-// numbering accidents.
+// timeout, earliest expiry first: the head of the open list, until the
+// head's expiry is later than t.
 func (c *Controller) sweepTimeouts(ch *chanState, t int64) {
 	if c.opts.Policy != PolicyTimeout {
 		return
 	}
-	for {
-		// Smallest unexpired-first: pick the open bank with the earliest
-		// expiry at or before t, lowest bank index on ties.
-		best, bestExpiry := -1, int64(0)
-		for bi := range ch.banks {
-			b := &ch.banks[bi]
-			if !b.open {
-				continue
-			}
-			exp := maxI64(b.lastUse, b.actSlot) + c.opts.PageTimeout
-			if exp <= t && (best < 0 || exp < bestExpiry) {
-				best, bestExpiry = bi, exp
-			}
-		}
-		if best < 0 {
+	for ch.oldest >= 0 {
+		bi := ch.oldest
+		exp := ch.banks[bi].lastUse + c.opts.PageTimeout
+		if exp > t {
 			return
 		}
-		c.precharge(ch, best, bestExpiry)
+		c.precharge(ch, bi, exp)
 		ch.stats.TimeoutPrecharges++
 	}
 }
@@ -703,6 +769,10 @@ func (c *Controller) checkAndMap(req Request, idx int, last *int64) (Coord, erro
 	if req.Slot < *last {
 		return Coord{}, &ScheduleError{Index: idx, Req: req,
 			Msg: fmt.Sprintf("out of order (previous request at slot %d)", *last)}
+	}
+	if req.Slot > slotHorizon {
+		return Coord{}, &ScheduleError{Index: idx, Req: req,
+			Msg: fmt.Sprintf("slot beyond the %d-slot horizon", int64(slotHorizon))}
 	}
 	*last = req.Slot
 	co, err := c.mapper.Map(req.Addr)

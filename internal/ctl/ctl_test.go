@@ -3,6 +3,8 @@ package ctl
 import (
 	"bytes"
 	"errors"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -289,6 +291,72 @@ func TestScheduleErrors(t *testing.T) {
 	var pe *ParseError
 	if !errors.As(err, &pe) || pe.Line != 1 {
 		t.Fatalf("bad op: got %v", err)
+	}
+}
+
+// TestSlotHorizon pins the controller's slot horizon. Each slot-valued
+// option, the refresh window and each request slot past 2^61 slots is
+// rejected with an error that names it. Unchecked, these values wrapped
+// the controller's slot sums: a page timeout near 2^63 closed every row
+// at once, a power-down threshold emitted an illegal trace, a
+// self-refresh threshold entered self-refresh in every gap, and a huge
+// refresh interval or postponement bound looped forever emitting
+// refreshes.
+func TestSlotHorizon(t *testing.T) {
+	m := model(t)
+	reqs, err := GenerateAccesses(m, genOpts(2000, 0.5, 30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const huge = math.MaxInt64
+	for _, tc := range []struct {
+		name   string
+		opts   Options
+		reqs   []Request
+		substr string
+	}{
+		{"page-timeout", Options{Policy: PolicyTimeout, PageTimeout: huge}, reqs, "PageTimeout"},
+		{"power-down", Options{Policy: PolicyClosed, PowerDownAfter: huge}, reqs, "PowerDownAfter"},
+		{"self-refresh", Options{Policy: PolicyClosed, SelfRefreshAfter: huge}, reqs, "SelfRefreshAfter"},
+		{"refresh-every", Options{RefreshEvery: huge}, reqs, "RefreshEvery"},
+		{"max-postponed", Options{MaxPostponed: huge}, reqs, "MaxPostponed"},
+		{"request-slot", Options{}, []Request{{Slot: 0}, {Slot: slotHorizon + 1}}, "request 1 "},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, err := ScheduleRequests(m, tc.reqs, tc.opts)
+			if err == nil || !strings.Contains(err.Error(), tc.substr) || !strings.Contains(err.Error(), "horizon") {
+				t.Fatalf("got %v, want an error naming %q and the horizon", err, tc.substr)
+			}
+		})
+	}
+
+	// At the horizon every option is accepted. A page timeout that never
+	// expires schedules exactly like the open policy.
+	open := Options{Policy: PolicyOpen, PowerDownAfter: slotHorizon, SelfRefreshAfter: slotHorizon}
+	openCmds, _ := schedule(t, m, reqs, open)
+	timeout := open
+	timeout.Policy, timeout.PageTimeout = PolicyTimeout, slotHorizon
+	cmds, stats := schedule(t, m, reqs, timeout)
+	replayAll(t, m, cmds, 1, m.D.Spec.Banks())
+	if stats.TimeoutPrecharges != 0 || stats.PowerDowns != 0 || stats.SelfRefreshes != 0 {
+		t.Fatalf("horizon-sized windows fired: %+v", stats)
+	}
+	if !reflect.DeepEqual(cmds, openCmds) {
+		t.Fatal("a page timeout at the horizon schedules differently from the open policy")
+	}
+	// Refresh is off here: with it on, the scheduler would emit every
+	// refresh obligation up to the horizon, one command each.
+	if _, _, err := ScheduleRequests(m, []Request{{Slot: slotHorizon}}, Options{DisableRefresh: true}); err != nil {
+		t.Fatalf("request at the horizon: %v", err)
+	}
+	// The refresh window bound is exact: (8+1)*tREFI may reach the
+	// horizon but not pass it.
+	tREFI := int64(slotHorizon / (trace.MaxPostponedRefreshes + 1))
+	if _, err := NewController(m, Options{RefreshEvery: tREFI}); err != nil {
+		t.Fatalf("refresh window at the horizon: %v", err)
+	}
+	if _, err := NewController(m, Options{RefreshEvery: tREFI + 1}); err == nil || !strings.Contains(err.Error(), "MaxPostponed") {
+		t.Fatalf("refresh window past the horizon: got %v", err)
 	}
 }
 

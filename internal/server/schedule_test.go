@@ -280,6 +280,14 @@ func TestScheduleErrors(t *testing.T) {
 		"out-of-order":  {"/v1/schedule", "10 r 0\n5 r 0\n", 400, "order"},
 		"addr-overflow": {"/v1/schedule", "0 r 0x7fffffffffffffff\n", 400, "address"},
 		"unknown-model": {"/v1/schedule?model=deadbeef", "0 r 0\n", 404, "not cached"},
+		// Slot-valued options and request slots past the controller's
+		// 2^61-slot horizon.
+		"horizon-timeout":       {"/v1/schedule?policy=timeout=9223372036854775807", "0 r 0\n", 400, "PageTimeout"},
+		"horizon-pd":            {"/v1/schedule?pd_timeout=9223372036854775807", "0 r 0\n", 400, "PowerDownAfter"},
+		"horizon-sr":            {"/v1/schedule?sr_after=9223372036854775807", "0 r 0\n", 400, "SelfRefreshAfter"},
+		"horizon-refresh-every": {"/v1/schedule?refresh_every=9223372036854775807", "0 r 0\n", 400, "RefreshEvery"},
+		"horizon-max-postponed": {"/v1/schedule?max_postponed=9223372036854775807", "0 r 0\n", 400, "MaxPostponed"},
+		"horizon-slot":          {"/v1/schedule", "0 r 0\n2305843009213693953 r 0\n", 400, "horizon"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			resp, body := post(t, hs.URL+tc.path, tc.body)
