@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race bench bench-all bench-gate check serve-smoke fuzz-short legality legality-race lint perfbench-test
+.PHONY: all build vet test race bench bench-all bench-gate check serve-smoke fuzz-short legality legality-race lint perfbench-test inline-check
 
 all: check
 
@@ -70,12 +70,15 @@ serve-smoke:
 	$(GO) run ./tools/servesmoke
 
 # Short fuzz passes over the hand-written parsers, the pattern
-# evaluator's totals/breakdown split and the scheduler (arbitrary access
-# streams and options must schedule into legal traces); go's fuzzer runs
-# one target per invocation, hence one line each. Override FUZZTIME for
-# a longer hunt. Each FuzzScheduleReplay input runs four schedules and
-# three replays, so minimizing a new input for the default 60 s would
-# stall a short pass; its minimization is capped at 100 runs.
+# evaluator's totals/breakdown split, the timing rulebook (every command
+# placed at its earliest legal slot must issue, and one slot earlier must
+# not) and the scheduler (arbitrary access streams and options must
+# schedule into legal traces); go's fuzzer runs one target per
+# invocation, hence one line each. Override FUZZTIME for a longer hunt.
+# Each FuzzScheduleReplay input runs four schedules and three replays,
+# and a FuzzRulesTight input issues up to thousands of commands, so
+# minimizing a new input for the default 60 s would stall a short pass;
+# their minimization is capped at 100 runs.
 fuzz-short:
 	$(GO) test -fuzz 'FuzzParse$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/desc/
 	$(GO) test -fuzz 'FuzzParse$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/codec/
@@ -83,6 +86,7 @@ fuzz-short:
 	$(GO) test -fuzz FuzzOverlay -fuzztime $(FUZZTIME) -run '^$$' ./internal/desc/
 	$(GO) test -fuzz FuzzTraceScanner -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace/
 	$(GO) test -fuzz FuzzBinaryScanner -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace/
+	$(GO) test -fuzz FuzzRulesTight -fuzztime $(FUZZTIME) -fuzzminimizetime 100x -run '^$$' ./internal/trace/
 	$(GO) test -fuzz FuzzAccessScanner -fuzztime $(FUZZTIME) -run '^$$' ./internal/ctl/
 	$(GO) test -fuzz FuzzScheduleReplay -fuzztime $(FUZZTIME) -fuzzminimizetime 100x -run '^$$' ./internal/ctl/
 
@@ -109,7 +113,15 @@ legality-race:
 	$(GO) test -race ./internal/engine -run 'TestPipeline' -count=1
 	$(GO) test -race ./internal/trace -run 'TestReplay|TestMillionCommand' -count=1
 
+# The compiler must keep inlining the hot-path helpers into their
+# callers: dtb's fastVarint into ScanBatch, the codec lexer and integer
+# parsers into both text scanners, and the timing rulebook's queries
+# (all but ActivateAt) and commits into Simulator.Issue and the
+# controller. The table is in the script.
+inline-check:
+	GO=$(GO) sh tools/inlinecheck.sh
+
 # The full gate: everything CI (and a reviewer) expects to be green.
 # CI runs the race detector as its own job (ci.yml "race"), so check
 # keeps the fast non-instrumented test pass.
-check: build vet test legality perfbench-test serve-smoke fuzz-short
+check: build vet test inline-check legality perfbench-test serve-smoke fuzz-short

@@ -23,8 +23,9 @@ package ctl
 // randomness or wall-clock time is read, and every placement is the
 // arithmetic earliest legal slot given prior placements. Same input,
 // same options -> byte-identical trace. See DESIGN §12 for the legality
-// argument (each emit mirrors one Simulator check) and §13 for the
-// refresh scheduler's determinism and retention argument.
+// argument (every placement asks trace.Rules, the rulebook the Simulator
+// checks with) and §13 for the refresh scheduler's determinism and
+// retention argument.
 //
 // All of that state is channel-local, which is what the sharded
 // execution exploits: requests demultiplex by the mapper's channel bits
@@ -37,7 +38,6 @@ package ctl
 import (
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 
@@ -217,9 +217,6 @@ func (e *ScheduleError) Error() string {
 // Unwrap exposes the underlying cause (e.g. the mapper error).
 func (e *ScheduleError) Unwrap() error { return e.err }
 
-// farPast mirrors the simulator's "never happened" timestamp sentinel.
-const farPast = math.MinInt64 / 2
-
 // slotHorizon bounds the slots the controller reasons about: request
 // slots, the slot-valued options and the refresh window
 // (MaxPostponed+1)*tREFI are each at most 2^61 slots (about 91 years at
@@ -228,48 +225,28 @@ const farPast = math.MinInt64 / 2
 // past it.
 const slotHorizon = 1 << 61
 
-// bankMirror tracks one bank's scheduler-visible state.
-type bankMirror struct {
-	open     bool
-	row      int
-	actSlot  int64 // last activate
-	preSlot  int64 // last precharge
-	lastUse  int64 // last activate or column access (PolicyTimeout only)
-	burstEnd int64 // this bank's burst drains at this slot (gates PRE)
-
-	// prev and next link the open banks under PolicyTimeout (-1 ends
-	// the list); see chanState.oldest.
+// openLink links an open bank into its channel's expiry list under
+// PolicyTimeout (-1 ends the list); see chanState.oldest.
+type openLink struct {
+	lastUse    int64 // last activate or column access
 	prev, next int
 }
 
-// chanState mirrors the per-channel timing state the Simulator enforces,
-// so every placement below is legal by the same arithmetic the replay
-// checks with.
+// chanState is one channel's scheduler state. Its timing state is the
+// embedded trace.Rules, the rulebook the replay Simulator checks with, so
+// every placement below is legal by the same code that checks it.
 type chanState struct {
-	cmds      []trace.Command
-	banks     []bankMirror
-	now       int64    // slot of the last emitted command (-1 when none)
-	busUntil  int64    // data bus free at this slot
-	exitValid int64    // row/column commands legal from this slot (tXP/tXS)
-	actRing   [4]int64 // last four activates, for tFAW
-	actCount  int64
-	openBanks int
+	trace.Rules
+	cmds []trace.Command
+	now  int64 // slot of the last emitted command (-1 when none)
 
 	// Under PolicyTimeout the open banks also sit on a doubly-linked list
-	// through bankMirror.prev/next, oldest lastUse first (-1 when empty).
-	// Every use moves its bank to the tail, and a channel emits one
-	// command per slot, so lastUse strictly increases along the list: it
-	// is expiry order, and sweepTimeouts only ever looks at the head.
+	// through links, oldest lastUse first (-1 when empty). Every use
+	// moves its bank to the tail, and a channel emits one command per
+	// slot, so lastUse strictly increases along the list: it is expiry
+	// order, and sweepTimeouts only ever looks at the head.
+	links          []openLink
 	oldest, newest int
-
-	// Refresh scheduler state. Obligation k of the current epoch is due
-	// at refBase + k*tREFI and must complete by refBase + (k+maxPost)*
-	// tREFI; refCredit counts obligations already served. A self-refresh
-	// exit restarts the epoch (refBase moves, refCredit resets), exactly
-	// mirroring the replay auditor.
-	refUntil  int64 // previous refresh completes (tRFC) at this slot
-	refBase   int64 // epoch origin: 0, or the last srx slot
-	refCredit int64 // refreshes issued since refBase
 
 	// stats accumulates this channel's share of the run: every field is
 	// an additive counter, so summing the channels in index order
@@ -286,13 +263,10 @@ type Controller struct {
 	mapper *Mapper
 	chans  []chanState
 
-	// timing constraints, hoisted from a throwaway Simulator so the
-	// mirror can never drift from what replay enforces
-	tRC, tRCD, tRP, tRAS, tRRD, tFAW, burst int64
-	tCKE, tXP, tXS                          int64
-	tRFC                                    int64
-	tREFI                                   int64 // resolved refresh interval (0 = refresh off)
-	maxPost                                 int64 // postponement bound (obligations)
+	// t is the device timing; its REFI is the resolved refresh interval
+	// the scheduler keeps (0 = refresh off).
+	t       trace.Timing
+	maxPost int64 // postponement bound (obligations)
 }
 
 // NewController builds a controller for the model. The zero Options
@@ -338,55 +312,46 @@ func NewController(m *core.Model, opts Options) (*Controller, error) {
 			return nil, fmt.Errorf("ctl: %s %d slots exceeds the %d-slot horizon", o.name, o.slots, int64(slotHorizon))
 		}
 	}
-	c := &Controller{opts: opts, mapper: mapper}
-	sim := trace.New(m)
-	c.tRC, c.tRCD, c.tRP, c.tRAS, c.tRRD, c.tFAW, c.burst = sim.TimingSlots()
-	c.tCKE, c.tXP, c.tXS = sim.PowerStateSlots()
-	c.tRFC = sim.RefreshCycleSlots()
-	if !opts.DisableRefresh {
-		c.tREFI = opts.RefreshEvery
-		if c.tREFI == 0 {
-			c.tREFI = sim.RefreshIntervalSlots()
-		}
+	c := &Controller{opts: opts, mapper: mapper, t: trace.TimingFor(m)}
+	switch {
+	case opts.DisableRefresh:
+		c.t.REFI = 0
+	case opts.RefreshEvery > 0:
+		c.t.REFI = opts.RefreshEvery
 	}
-	if c.tREFI > 0 && c.tREFI <= c.tRFC {
-		return nil, fmt.Errorf("ctl: refresh interval %d slots must exceed tRFC (%d slots)", c.tREFI, c.tRFC)
+	if c.t.REFI > 0 && c.t.REFI <= c.t.RFC {
+		return nil, fmt.Errorf("ctl: refresh interval %d slots must exceed tRFC (%d slots)", c.t.REFI, c.t.RFC)
 	}
 	c.maxPost = int64(opts.MaxPostponed)
 	if c.maxPost == 0 {
 		c.maxPost = trace.MaxPostponedRefreshes
 	}
-	if c.tREFI > 0 && c.maxPost > slotHorizon/c.tREFI-1 {
+	if c.t.REFI > 0 && c.maxPost > slotHorizon/c.t.REFI-1 {
 		return nil, fmt.Errorf("ctl: MaxPostponed %d: refresh window (MaxPostponed+1)*tREFI with tREFI %d slots exceeds the %d-slot horizon",
-			c.maxPost, c.tREFI, int64(slotHorizon))
+			c.maxPost, c.t.REFI, int64(slotHorizon))
 	}
 	banks := m.D.Spec.Banks()
 	c.chans = make([]chanState, opts.Channels)
 	for i := range c.chans {
 		ch := &c.chans[i]
-		ch.banks = make([]bankMirror, banks)
-		for b := range ch.banks {
-			ch.banks[b].actSlot = farPast
-			ch.banks[b].preSlot = farPast
-			ch.banks[b].burstEnd = farPast
-		}
+		ch.Reset(c.t, banks)
 		ch.now = -1
+		if opts.Policy == PolicyTimeout {
+			ch.links = make([]openLink, banks)
+		}
 		ch.oldest, ch.newest = -1, -1
-		ch.busUntil = farPast
-		ch.exitValid = farPast
-		ch.refUntil = farPast
 	}
 	return c, nil
 }
 
 // RefreshIntervalSlots returns the resolved tREFI in slots (0 when
 // refresh scheduling is off).
-func (c *Controller) RefreshIntervalSlots() int64 { return c.tREFI }
+func (c *Controller) RefreshIntervalSlots() int64 { return c.t.REFI }
 
 // BanksPerChannel returns the per-channel bank count (for
 // trace.ReplayOptions and global-bank interpretation).
 func (c *Controller) BanksPerChannel() int {
-	return len(c.chans[0].banks)
+	return c.chans[0].Banks()
 }
 
 // Channels returns the resolved channel count.
@@ -395,56 +360,25 @@ func (c *Controller) Channels() int { return len(c.chans) }
 // Mapper returns the address mapper in use.
 func (c *Controller) Mapper() *Mapper { return c.mapper }
 
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// emit places one command on the channel at the later of want and the
+// emit places one command on the channel at the later of at and the
 // next free command-bus slot (one command per slot per channel, so
 // per-channel slots are strictly increasing and the merged trace is in
 // non-decreasing slot order). It returns the slot actually used.
-func (c *Controller) emit(ch *chanState, want int64, op desc.Op, bank, row int) int64 {
-	slot := maxI64(want, ch.now+1)
+func (c *Controller) emit(ch *chanState, at int64, op desc.Op, bank, row int) int64 {
+	slot := max(at, ch.now+1)
 	ch.cmds = append(ch.cmds, trace.Command{Slot: slot, Op: op, Bank: bank, Row: row})
 	ch.now = slot
 	ch.stats.Commands++
 	return slot
 }
 
-// earliestAct mirrors the Simulator's activate checks: tRC and tRP on
-// the bank, tRRD against the previous activate, tFAW against the
-// fourth-last, the refresh cycle and the low-power exit window.
-func (c *Controller) earliestAct(ch *chanState, b *bankMirror, t int64) int64 {
-	at := maxI64(t, b.actSlot+c.tRC)
-	at = maxI64(at, b.preSlot+c.tRP)
-	at = maxI64(at, ch.exitValid)
-	at = maxI64(at, ch.refUntil)
-	if ch.actCount > 0 {
-		at = maxI64(at, ch.actRing[(ch.actCount-1)&3]+c.tRRD)
-	}
-	if c.tFAW > 0 && ch.actCount >= 4 {
-		at = maxI64(at, ch.actRing[(ch.actCount-4)&3]+c.tFAW)
-	}
-	return at
-}
-
 // pushOpen stamps bank bi's use at slot and appends it to the tail of
 // the channel's open list.
 func (ch *chanState) pushOpen(bi int, slot int64) {
-	b := &ch.banks[bi]
-	b.lastUse, b.prev, b.next = slot, ch.newest, -1
+	l := &ch.links[bi]
+	l.lastUse, l.prev, l.next = slot, ch.newest, -1
 	if ch.newest >= 0 {
-		ch.banks[ch.newest].next = bi
+		ch.links[ch.newest].next = bi
 	} else {
 		ch.oldest = bi
 	}
@@ -453,65 +387,50 @@ func (ch *chanState) pushOpen(bi int, slot int64) {
 
 // unlinkOpen removes bank bi from the channel's open list.
 func (ch *chanState) unlinkOpen(bi int) {
-	b := &ch.banks[bi]
-	if b.prev >= 0 {
-		ch.banks[b.prev].next = b.next
+	l := &ch.links[bi]
+	if l.prev >= 0 {
+		ch.links[l.prev].next = l.next
 	} else {
-		ch.oldest = b.next
+		ch.oldest = l.next
 	}
-	if b.next >= 0 {
-		ch.banks[b.next].prev = b.prev
+	if l.next >= 0 {
+		ch.links[l.next].prev = l.prev
 	} else {
-		ch.newest = b.prev
+		ch.newest = l.prev
 	}
 }
 
-// activate emits ACT on bank b at its earliest legal slot at or after t
-// and updates the mirror.
+// activate emits ACT of row on bank bi at its earliest legal slot at or
+// after t.
 func (c *Controller) activate(ch *chanState, bi int, row int, t int64) int64 {
-	b := &ch.banks[bi]
-	slot := c.emit(ch, c.earliestAct(ch, b, t), desc.OpActivate, bi, row)
-	b.open, b.row, b.actSlot = true, row, slot
-	ch.actRing[ch.actCount&3] = slot
-	ch.actCount++
-	ch.openBanks++
+	slot := c.emit(ch, max(t, ch.ActivateAt(bi)), desc.OpActivate, bi, row)
+	ch.Activate(bi, row, slot)
 	if c.opts.Policy == PolicyTimeout {
 		ch.pushOpen(bi, slot)
 	}
 	return slot
 }
 
-// precharge emits PRE on bank b no earlier than tRAS allows and never
-// inside the bank's own draining burst.
+// precharge emits PRE on bank bi at its earliest legal slot at or after
+// want.
 func (c *Controller) precharge(ch *chanState, bi int, want int64) int64 {
-	b := &ch.banks[bi]
-	want = maxI64(want, b.actSlot+c.tRAS)
-	want = maxI64(want, b.burstEnd)
-	want = maxI64(want, ch.exitValid)
-	slot := c.emit(ch, want, desc.OpPrecharge, bi, 0)
-	b.open = false
-	b.preSlot = slot
-	ch.openBanks--
+	slot := c.emit(ch, max(want, ch.PrechargeAt(bi)), desc.OpPrecharge, bi, 0)
+	ch.Precharge(bi, slot)
 	if c.opts.Policy == PolicyTimeout {
 		ch.unlinkOpen(bi)
 	}
 	return slot
 }
 
-// column emits RD/WR on the open row of bank b, honoring tRCD and the
-// data bus.
-func (c *Controller) column(ch *chanState, bi int, write bool, want int64) int64 {
-	b := &ch.banks[bi]
-	want = maxI64(want, b.actSlot+c.tRCD)
-	want = maxI64(want, ch.busUntil)
-	want = maxI64(want, ch.exitValid)
+// column emits RD/WR on row, open in bank bi, at its earliest legal slot
+// at or after want.
+func (c *Controller) column(ch *chanState, bi, row int, write bool, want int64) int64 {
 	op := desc.OpRead
 	if write {
 		op = desc.OpWrite
 	}
-	slot := c.emit(ch, want, op, bi, b.row)
-	ch.busUntil = slot + c.burst
-	b.burstEnd = slot + c.burst
+	slot := c.emit(ch, max(want, ch.ColumnAt(bi)), op, bi, row)
+	ch.Column(bi, slot)
 	if c.opts.Policy == PolicyTimeout {
 		ch.unlinkOpen(bi)
 		ch.pushOpen(bi, slot)
@@ -528,7 +447,7 @@ func (c *Controller) sweepTimeouts(ch *chanState, t int64) {
 	}
 	for ch.oldest >= 0 {
 		bi := ch.oldest
-		exp := ch.banks[bi].lastUse + c.opts.PageTimeout
+		exp := ch.links[bi].lastUse + c.opts.PageTimeout
 		if exp > t {
 			return
 		}
@@ -538,54 +457,34 @@ func (c *Controller) sweepTimeouts(ch *chanState, t int64) {
 }
 
 // quietSlot is the first slot the channel is fully quiet: past the last
-// command, the draining burst, any low-power exit window and any
-// refresh still in progress.
+// command and wherever the rulebook first allows a low-power entry.
 func (c *Controller) quietSlot(ch *chanState) int64 {
-	q := maxI64(ch.now, ch.busUntil)
-	q = maxI64(q, ch.exitValid)
-	q = maxI64(q, ch.refUntil)
-	if q < 0 {
-		q = 0
-	}
-	return q
-}
-
-// refDue is the nominal due slot of refresh obligation k (1-based) in
-// the current epoch; refDeadline is the latest slot it may complete
-// after JEDEC postponement.
-func (c *Controller) refDue(ch *chanState, k int64) int64 {
-	return ch.refBase + k*c.tREFI
-}
-
-func (c *Controller) refDeadline(ch *chanState, k int64) int64 {
-	return ch.refBase + (k+c.maxPost)*c.tREFI
+	return max(ch.now, ch.LowPowerAt(), 0)
 }
 
 // issueRef emits one all-bank refresh at the earliest legal slot at or
 // after want: open rows are precharged first (fixed bank-index order, so
 // placement is deterministic), then the refresh waits out tRP on those
-// precharges, the previous refresh's tRFC and any low-power exit window.
-// The tRP wait is stricter than the Simulator (which only demands all
-// banks closed) — the real device cannot refresh a row mid-precharge.
-// Callers pass the obligation's due slot as want, so credit never runs
-// ahead of the epoch clock.
+// precharges and whatever the rulebook's refresh rules demand. The tRP
+// wait is stricter than the Simulator (which only demands all banks
+// closed) — the real device cannot refresh a row mid-precharge. Callers
+// pass the obligation's due slot as want, so credit never runs ahead of
+// the epoch clock.
 func (c *Controller) issueRef(ch *chanState, want int64) int64 {
-	if ch.openBanks > 0 {
-		pre := int64(farPast)
-		for bi := range ch.banks {
-			if ch.banks[bi].open {
-				pre = maxI64(pre, c.precharge(ch, bi, 0))
+	if ch.OpenBanks() > 0 {
+		var pre int64 // the last precharge (slots are never negative)
+		for bi := range ch.Banks() {
+			if _, open := ch.Row(bi); open {
+				pre = max(pre, c.precharge(ch, bi, 0))
 			}
 		}
-		want = maxI64(want, pre+c.tRP)
+		want = max(want, pre+c.t.RP)
 	}
-	want = maxI64(want, ch.refUntil)
-	want = maxI64(want, ch.exitValid)
-	slot := c.emit(ch, want, desc.OpRefresh, 0, 0)
-	ch.refUntil = slot + c.tRFC
-	ch.refCredit++
+	due := ch.Due()
+	slot := c.emit(ch, max(want, ch.RefreshAt()), desc.OpRefresh, 0, 0)
+	ch.Refresh(slot)
 	ch.stats.Refreshes++
-	if slot > c.refDue(ch, ch.refCredit) {
+	if slot > due {
 		ch.stats.PostponedRefreshes++
 	}
 	return slot
@@ -598,8 +497,8 @@ func (c *Controller) issueRef(ch *chanState, want int64) int64 {
 // the arrival slot — a backlogged channel emits commands far past
 // arrival times, and deadlines bind in trace time.
 func (c *Controller) forceRefresh(ch *chanState, t int64) {
-	for c.refDeadline(ch, ch.refCredit+1) <= maxI64(t, ch.now)+c.tREFI {
-		c.issueRef(ch, c.refDue(ch, ch.refCredit+1))
+	for ch.Deadline(c.maxPost) <= max(t, ch.now)+c.t.REFI {
+		c.issueRef(ch, ch.Due())
 		ch.stats.ForcedRefreshes++
 	}
 }
@@ -616,7 +515,7 @@ func (c *Controller) forceRefresh(ch *chanState, t int64) {
 // so gated: under the open policy they force the rows closed, which is
 // the open page's refresh tax.
 func (c *Controller) fillGap(ch *chanState, start int64) {
-	lowPower := ch.openBanks == 0 &&
+	lowPower := ch.OpenBanks() == 0 &&
 		(c.opts.PowerDownAfter > 0 || c.opts.SelfRefreshAfter > 0)
 
 	// Prefer self-refresh for long gaps: deeper state, slower exit, and
@@ -625,24 +524,19 @@ func (c *Controller) fillGap(ch *chanState, start int64) {
 	// issue first.
 	if lowPower && c.opts.SelfRefreshAfter > 0 {
 		for {
-			enter := maxI64(c.quietSlot(ch)+c.opts.SelfRefreshAfter, ch.now+1)
-			exit := start - c.tXS
-			if exit < enter+c.tCKE {
+			enter := max(c.quietSlot(ch)+c.opts.SelfRefreshAfter, ch.now+1)
+			exit := start - c.t.XS
+			if exit < enter+c.t.CKE {
 				break // no room for self-refresh; try power-down below
 			}
-			if c.tREFI > 0 && c.refDeadline(ch, ch.refCredit+1) < enter {
-				c.issueRef(ch, c.refDue(ch, ch.refCredit+1))
+			if c.t.REFI > 0 && ch.Deadline(c.maxPost) < enter {
+				c.issueRef(ch, ch.Due())
 				ch.stats.ForcedRefreshes++
 				continue
 			}
-			c.emit(ch, enter, trace.OpSelfRefreshEnter, 0, 0)
-			c.emit(ch, exit, trace.OpSelfRefreshExit, 0, 0)
-			ch.exitValid = exit + c.tXS
+			ch.EnterLowPower(c.emit(ch, enter, trace.OpSelfRefreshEnter, 0, 0))
+			ch.ExitSelfRefresh(c.emit(ch, exit, trace.OpSelfRefreshExit, 0, 0))
 			ch.stats.SelfRefreshes++
-			if c.tREFI > 0 {
-				ch.refBase = exit
-				ch.refCredit = 0
-			}
 			return
 		}
 	}
@@ -657,25 +551,17 @@ func (c *Controller) fillGap(ch *chanState, start int64) {
 	// deadline falls inside the gap (then it issues even if the request
 	// slips by tRFC). Anything else is postponed to a later gap or to
 	// forceRefresh's catch-up burst.
-	for c.tREFI > 0 {
-		k := ch.refCredit + 1
-		due, deadline := c.refDue(ch, k), c.refDeadline(ch, k)
+	for c.t.REFI > 0 {
+		due, deadline := ch.Due(), ch.Deadline(c.maxPost)
 		quiet := c.quietSlot(ch)
-		refAt := maxI64(due, quiet) // where issueRef would land it
-		fits := refAt+c.tRFC <= start
+		refAt := max(due, quiet) // where issueRef would land it
+		fits := refAt+c.t.RFC <= start
 		must := deadline <= start
 		if !fits && !must {
 			break // next obligation is a later gap's (or catch-up's) problem
 		}
 		if lowPower && c.opts.PowerDownAfter > 0 {
-			enter := maxI64(quiet+c.opts.PowerDownAfter, ch.now+1)
-			exit := refAt - c.tXP
-			if exit >= enter+c.tCKE {
-				c.emit(ch, enter, trace.OpPowerDownEnter, 0, 0)
-				c.emit(ch, exit, trace.OpPowerDownExit, 0, 0)
-				ch.exitValid = exit + c.tXP
-				ch.stats.PowerDowns++
-			}
+			c.powerDown(ch, max(quiet+c.opts.PowerDownAfter, ch.now+1), refAt-c.t.XP)
 		}
 		c.issueRef(ch, due)
 		if must && !fits {
@@ -686,51 +572,49 @@ func (c *Controller) fillGap(ch *chanState, start int64) {
 	// A power-down window over whatever remains of the gap (or all of it
 	// when no refresh came due).
 	if lowPower && c.opts.PowerDownAfter > 0 {
-		enter := maxI64(c.quietSlot(ch)+c.opts.PowerDownAfter, ch.now+1)
-		exit := start - c.tXP
-		if exit >= enter+c.tCKE {
-			c.emit(ch, enter, trace.OpPowerDownEnter, 0, 0)
-			c.emit(ch, exit, trace.OpPowerDownExit, 0, 0)
-			ch.exitValid = exit + c.tXP
-			ch.stats.PowerDowns++
-		}
+		c.powerDown(ch, max(c.quietSlot(ch)+c.opts.PowerDownAfter, ch.now+1), start-c.t.XP)
 	}
+}
+
+// powerDown emits a pde at enter and its pdx at exit when the window
+// leaves tCKEmin of residency.
+func (c *Controller) powerDown(ch *chanState, enter, exit int64) {
+	if exit < enter+c.t.CKE {
+		return
+	}
+	ch.EnterLowPower(c.emit(ch, enter, trace.OpPowerDownEnter, 0, 0))
+	ch.ExitPowerDown(c.emit(ch, exit, trace.OpPowerDownExit, 0, 0))
+	ch.stats.PowerDowns++
 }
 
 // firstCommandSlot computes where the request's first command would land
 // given current channel state, without emitting anything — the
 // power-down inserter needs it to size the idle gap.
 func (c *Controller) firstCommandSlot(ch *chanState, bi int, row int, t int64) int64 {
-	b := &ch.banks[bi]
-	switch {
-	case b.open && b.row == row: // hit: RD/WR directly
-		want := maxI64(t, b.actSlot+c.tRCD)
-		want = maxI64(want, ch.busUntil)
-		want = maxI64(want, ch.exitValid)
-		return maxI64(want, ch.now+1)
-	case b.open: // conflict: PRE first
-		want := maxI64(t, b.actSlot+c.tRAS)
-		want = maxI64(want, b.burstEnd)
-		want = maxI64(want, ch.exitValid)
-		return maxI64(want, ch.now+1)
+	var at int64
+	switch r, open := ch.Row(bi); {
+	case open && r == row: // hit: RD/WR directly
+		at = ch.ColumnAt(bi)
+	case open: // conflict: PRE first
+		at = ch.PrechargeAt(bi)
 	default: // miss: ACT first
-		return maxI64(c.earliestAct(ch, b, t), ch.now+1)
+		at = ch.ActivateAt(bi)
 	}
+	return max(t, at, ch.now+1)
 }
 
 // request schedules one mapped request arriving at slot t.
 func (c *Controller) request(ch *chanState, co Coord, write bool, t int64) {
 	bi := co.Bank
 	c.sweepTimeouts(ch, t)
-	if c.tREFI > 0 {
+	if c.t.REFI > 0 {
 		c.forceRefresh(ch, t)
 	}
 	c.fillGap(ch, c.firstCommandSlot(ch, bi, co.Row, t))
-	b := &ch.banks[bi]
-	switch {
-	case b.open && b.row == co.Row:
+	switch r, open := ch.Row(bi); {
+	case open && r == co.Row:
 		ch.stats.RowHits++
-	case b.open:
+	case open:
 		ch.stats.RowConflicts++
 		c.precharge(ch, bi, t)
 		c.activate(ch, bi, co.Row, t)
@@ -738,7 +622,7 @@ func (c *Controller) request(ch *chanState, co Coord, write bool, t int64) {
 		ch.stats.RowMisses++
 		c.activate(ch, bi, co.Row, t)
 	}
-	c.column(ch, bi, write, t)
+	c.column(ch, bi, co.Row, write, t)
 	if c.opts.Policy == PolicyClosed {
 		c.precharge(ch, bi, t)
 	}
@@ -821,19 +705,19 @@ func (c *Controller) engineOpts() engine.Options {
 // per-channel jobs' barrier, always in channel-index order — the one
 // cross-channel step of a scheduling run.
 func (c *Controller) flushRefreshDebt() {
-	if c.tREFI <= 0 {
+	if c.t.REFI <= 0 {
 		return
 	}
 	for {
 		end := int64(0)
 		for i := range c.chans {
-			end = maxI64(end, c.chans[i].now)
+			end = max(end, c.chans[i].now)
 		}
 		progress := false
 		for i := range c.chans {
 			ch := &c.chans[i]
-			for c.refDue(ch, ch.refCredit+1) <= end {
-				c.issueRef(ch, c.refDue(ch, ch.refCredit+1))
+			for ch.Due() <= end {
+				c.issueRef(ch, ch.Due())
 				ch.stats.ForcedRefreshes++
 				progress = true
 			}
@@ -865,7 +749,7 @@ func (c *Controller) sumStats() Stats {
 		st.Refreshes += s.Refreshes
 		st.PostponedRefreshes += s.PostponedRefreshes
 		st.ForcedRefreshes += s.ForcedRefreshes
-		st.Slots = maxI64(st.Slots, ch.now)
+		st.Slots = max(st.Slots, ch.now)
 	}
 	return st
 }

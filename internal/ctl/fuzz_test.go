@@ -169,7 +169,7 @@ func FuzzScheduleReplay(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	specREFI := trace.New(m).RefreshIntervalSlots()
+	specREFI := trace.TimingFor(m).REFI
 	f.Fuzz(func(t *testing.T, policy uint8, timeout int64, channels uint8, pd, sr, refresh, maxPost int64, data []byte) {
 		opts := Options{
 			Policy: Policy(policy % 3), PageTimeout: timeout, Channels: 1 << (channels % 3),

@@ -549,6 +549,13 @@ func TraceResponseFor(res trace.Result, key string, channels int) TraceResponse 
 // type sniffs the encoding from the first byte.
 const TraceBinaryContentType = "application/x-dram-trace"
 
+// maxChannels bounds the channels query parameter. The replayer and the
+// controller build per-channel state before they read the body, so the
+// count alone sets the memory a request takes: 1,048,576 channels took
+// gigabytes. The bound is 128x the largest count any test, example or
+// benchmark uses.
+const maxChannels = 1024
+
 // parseChannels reads the channels query parameter (default 1). The bool
 // result reports success; on failure the response has been written.
 func parseChannels(w http.ResponseWriter, q string) (int, bool) {
@@ -558,6 +565,10 @@ func parseChannels(w http.ResponseWriter, q string) (int, bool) {
 	c, err := strconv.Atoi(q)
 	if err != nil || c < 1 {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad channels %q (want positive integer)", q))
+		return 0, false
+	}
+	if c > maxChannels {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("channels %d exceeds the limit of %d", c, maxChannels))
 		return 0, false
 	}
 	return c, true

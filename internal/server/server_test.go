@@ -233,6 +233,32 @@ func TestTraceEndpointMatchesLibraryReplay(t *testing.T) {
 	}
 }
 
+// TestChannelsBound pins the channels bound on both endpoints that take
+// it: the largest allowed count still answers, one more is a 400 naming
+// the bound before any per-channel state is built.
+func TestChannelsBound(t *testing.T) {
+	_, hs := newTestServer(t, Options{})
+	for _, tc := range []struct {
+		path, body string
+		status     int
+	}{
+		{"/v1/trace?channels=1024", "0 act 0 1\n", http.StatusOK},
+		{"/v1/trace?channels=1025", "0 act 0 1\n", http.StatusBadRequest},
+		{"/v1/schedule?channels=1024", "0 r 0\n", http.StatusOK},
+		{"/v1/schedule?channels=1025", "0 r 0\n", http.StatusBadRequest},
+		{"/v1/schedule?channels=2048", "0 r 0\n", http.StatusBadRequest},
+	} {
+		resp, body := post(t, hs.URL+tc.path, tc.body)
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: status %d, want %d: %s", tc.path, resp.StatusCode, tc.status, body)
+			continue
+		}
+		if tc.status == http.StatusBadRequest && !strings.Contains(string(body), "limit of 1024") {
+			t.Errorf("%s: error %s does not name the bound", tc.path, body)
+		}
+	}
+}
+
 func TestTraceByModelKey(t *testing.T) {
 	_, hs := newTestServer(t, Options{})
 	// Evaluate caches the model and returns its key.

@@ -99,8 +99,8 @@ func TestGoldenResultUnchanged(t *testing.T) {
 
 func TestPowerStateTimingDerivation(t *testing.T) {
 	m := model(t)
-	s := New(m)
-	tCKE, tXP, tXS := s.PowerStateSlots()
+	tm := TimingFor(m)
+	tCKE, tXP, tXS := tm.CKE, tm.XP, tm.XS
 	// Sample device: tRP 11, tRCD 11, so tCKE = 11/2 = 5, tXP = 12/2 = 6,
 	// tXS = tRFC + 11.
 	if tCKE != 5 {
@@ -109,7 +109,7 @@ func TestPowerStateTimingDerivation(t *testing.T) {
 	if tXP != 6 {
 		t.Errorf("tXP: got %d slots, want 6", tXP)
 	}
-	if want := s.RefreshCycleSlots() + 11; tXS != want {
+	if want := tm.RFC + 11; tXS != want {
 		t.Errorf("tXS: got %d slots, want tRFC+tRP = %d", tXS, want)
 	}
 }
@@ -210,8 +210,7 @@ func TestPowerStateMachine(t *testing.T) {
 		}
 	})
 	t.Run("activate inside tXS window", func(t *testing.T) {
-		s := New(m)
-		_, _, tXS := s.PowerStateSlots()
+		tXS := TimingFor(m).XS
 		expectViolation(t, m, []Command{
 			{Slot: 0, Op: OpSelfRefreshEnter},
 			{Slot: 5, Op: OpSelfRefreshExit},
@@ -220,7 +219,7 @@ func TestPowerStateMachine(t *testing.T) {
 	})
 	t.Run("activate exactly at tXS", func(t *testing.T) {
 		s := New(m)
-		_, _, tXS := s.PowerStateSlots()
+		tXS := TimingFor(m).XS
 		if err := s.Run([]Command{
 			{Slot: 0, Op: OpSelfRefreshEnter},
 			{Slot: 5, Op: OpSelfRefreshExit},
@@ -344,7 +343,7 @@ func TestActiveResidencyTracksOpenBanks(t *testing.T) {
 func TestIssueZeroAllocsPowerStates(t *testing.T) {
 	m := model(t)
 	s := New(m)
-	tCKE, tXP, _ := s.PowerStateSlots()
+	tCKE, tXP := TimingFor(m).CKE, TimingFor(m).XP
 	var cmds []Command
 	slot := int64(0)
 	for len(cmds) < 1200 {

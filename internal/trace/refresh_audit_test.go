@@ -37,7 +37,7 @@ func TestRefreshRejectedWhileCKELow(t *testing.T) {
 // hand-built traces with known obligation arithmetic.
 func TestRetentionAuditCounts(t *testing.T) {
 	m := model(t)
-	refi := New(m).RefreshIntervalSlots()
+	refi := TimingFor(m).REFI
 	if refi <= 0 {
 		t.Fatal("sample spec lost its refresh interval")
 	}
@@ -126,7 +126,7 @@ func TestRandomClosedPageOddTFAW(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(m)
-	_, _, _, _, _, tFAW, _ := s.TimingSlots()
+	tFAW := TimingFor(m).FAW
 	if tFAW%4 == 0 {
 		t.Fatalf("tFAW resolved to %d slots — pick a spec value that exercises the rounding", tFAW)
 	}
@@ -148,9 +148,9 @@ func TestRefreshOnlyTightInterval(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(m)
-	if s.RefreshIntervalSlots() >= s.RefreshCycleSlots() {
+	if tm := TimingFor(m); tm.REFI >= tm.RFC {
 		t.Fatalf("tREFI %d not below tRFC %d — spec no longer exercises the clamp",
-			s.RefreshIntervalSlots(), s.RefreshCycleSlots())
+			tm.REFI, tm.RFC)
 	}
 	cmds := RefreshOnly(m, 20)
 	if err := s.Run(cmds); err != nil {

@@ -11,7 +11,6 @@ package trace
 
 import (
 	"fmt"
-	"math"
 
 	"drampower/internal/core"
 	"drampower/internal/desc"
@@ -43,20 +42,6 @@ func (e *TimingError) Error() string {
 	return fmt.Sprintf("trace: %v: %s", e.Cmd, e.Reason)
 }
 
-// bankState tracks one bank.
-type bankState struct {
-	active     bool
-	row        int
-	actSlot    int64 // slot of the last activate
-	preSlot    int64 // slot of the last precharge
-	everActive bool
-}
-
-// ringSize is the depth of the activate-history ring buffer. A power of
-// two (for cheap index masking) of at least 4: the tRRD check needs the
-// most recent activate, the tFAW check the 4th-most-recent.
-const ringSize = 8
-
 // MaxPostponedRefreshes is the JEDEC all-bank refresh postponement bound:
 // a controller may defer up to 8 refresh commands while traffic is in
 // flight, so the k-th refresh obligation (nominally due at k*tREFI) must
@@ -66,38 +51,22 @@ const ringSize = 8
 const MaxPostponedRefreshes = 8
 
 // Simulator executes a command trace against a model, enforcing timing and
-// accumulating energy. The Issue hot path is allocation-free: per-op
-// counters and energies live in fixed [numTraceOps] arrays, the per-state
-// residency in a fixed [NumStates] array, and the activate history in a
-// fixed ring buffer (see TestIssueZeroAllocs).
+// accumulating energy. The Issue hot path is allocation-free: the timing
+// state is the Rules rulebook's fixed fields and per-bank slice, per-op
+// counters and energies live in fixed [numTraceOps] arrays and the
+// per-state residency in a fixed [NumStates] array (see
+// TestIssueZeroAllocs).
 type Simulator struct {
-	m *core.Model
+	m   *core.Model
+	r   Rules
+	now int64
 
-	// Timing constraints in slots.
-	tRC, tRCD, tRP, tRAS, tRRD, tFAW, tRFC int64
-	burstSlots                             int64
-	// Power-state timing constraints in slots: minimum CKE-low residency,
-	// power-down exit to first valid command, self-refresh exit to first
-	// valid command.
-	tCKE, tXP, tXS int64
-
-	banks     []bankState
-	actRing   [ringSize]int64 // last ringSize activate slots (circular)
-	actPos    int             // next write position in actRing
-	actCount  int64           // total activates issued
-	busUntil  int64           // first slot the data bus is free again
-	burstBank int             // bank whose burst occupies the bus (-1 none)
-	refUntil  int64           // refresh completion
-	now       int64
-
-	// Retention auditor: refresh coverage against the spec's tREFI. The
-	// audit is report-only — it never rejects a command — so traces that
-	// predate refresh scheduling replay with identical energy totals and
-	// merely report their missed deadlines in Result. refi == 0 (no
-	// RefreshInterval in the spec) disables the audit entirely.
-	refi        int64 // tREFI in slots (0 = auditing off)
-	refBaseSlot int64 // epoch origin: 0, or the slot of the last srx
-	refCredit   int64 // refreshes issued since refBaseSlot
+	// Retention auditor: refresh coverage against the spec's tREFI, over
+	// the rulebook's retention epoch. The audit is report-only — it never
+	// rejects a command — so traces that predate refresh scheduling
+	// replay with identical energy totals and merely report their missed
+	// deadlines in Result. A tREFI of 0 (no RefreshInterval in the spec)
+	// disables the audit entirely.
 	refCount    int64 // refreshes issued over the whole trace
 	lastRefSlot int64 // slot of the last refresh (or epoch origin)
 	maxRefGap   int64 // widest observed refresh-to-refresh gap
@@ -108,10 +77,6 @@ type Simulator struct {
 	state      State
 	stateSince int64
 	stateSlots [NumStates]int64
-	openBanks  int    // banks with an open row (drives Active vs Precharged)
-	lpEnter    int64  // slot of the last pde/sre, for the tCKEmin check
-	exitValid  int64  // first slot row/column/refresh commands are legal after pdx/srx
-	exitRule   string // "tXP" or "tXS", for rejection messages
 
 	counts     [numTraceOps]int64
 	opEnergy   [numTraceOps]float64 // per-op energy, hoisted from the model at New
@@ -122,52 +87,8 @@ type Simulator struct {
 
 // New creates a simulator for the model.
 func New(m *core.Model) *Simulator {
-	spec := m.D.Spec
-	toSlots := func(d units.Duration) int64 {
-		// Guard against float noise pushing an exact multiple (7.5 ns at
-		// 800 MHz = 6.0 slots) over the next integer.
-		return int64(math.Ceil(float64(d)*float64(spec.ControlClock) - 1e-9))
-	}
-	tRP := toSlots(spec.PrechargeTime)
-	if tRP < 1 {
-		tRP = 1
-	}
-	tRC := toSlots(spec.RowCycle)
-	if tRC < 2 {
-		tRC = 2
-	}
-	tRAS := tRC - tRP
-	if tRAS < 1 {
-		tRAS = 1
-	}
-	s := &Simulator{
-		m:          m,
-		tRC:        tRC,
-		tRCD:       maxI64(1, toSlots(spec.RowToColumnDelay)),
-		tRP:        tRP,
-		tRAS:       tRAS,
-		tRRD:       maxI64(1, toSlots(spec.RowToRowDelay)),
-		tFAW:       toSlots(spec.FourBankWindow),
-		tRFC:       maxI64(1, toSlots(spec.RefreshCycle)),
-		burstSlots: int64(m.BurstSlots()),
-		banks:      make([]bankState, spec.Banks()),
-		burstBank:  -1,
-	}
-	// tREFI for the retention auditor. A spec without a refresh interval
-	// leaves refi at 0 and the audit off; the epoch starts at slot 0 with
-	// the array assumed freshly refreshed (lastRefSlot 0).
-	s.refi = toSlots(spec.RefreshInterval)
-	if s.refi < 0 {
-		s.refi = 0
-	}
-	// Power-state timings, derived from the row timings the description
-	// already carries (the input language has no tCKE/tXP/tXS fields).
-	// The derivations land on the DDR3-1600 datasheet ballpark: tCKEmin
-	// ~ tRP/2 (4 nCK), tXP ~ tRCD/2 (5 nCK), tXS ~ tRFC + tRP
-	// (tRFC + 10 ns). See DESIGN §9.
-	s.tCKE = maxI64(3, s.tRP/2)
-	s.tXP = maxI64(3, (s.tRCD+1)/2)
-	s.tXS = s.tRFC + maxI64(2, s.tRP)
+	s := &Simulator{m: m, state: StatePrecharged}
+	s.r.Reset(TimingFor(m), m.D.Spec.Banks())
 	for op, e := range m.OpEnergies() {
 		s.opEnergy[op] = float64(e)
 	}
@@ -181,14 +102,6 @@ func New(m *core.Model) *Simulator {
 	s.statePower[StatePrecharged] = float64(m.BackgroundPower())
 	s.statePower[StatePowerDown] = float64(m.PowerDownPower())
 	s.statePower[StateSelfRefresh] = float64(m.SelfRefreshPower())
-	s.state = StatePrecharged
-	for i := range s.banks {
-		s.banks[i].actSlot = math.MinInt64 / 2
-		s.banks[i].preSlot = math.MinInt64 / 2
-	}
-	s.busUntil = math.MinInt64 / 2
-	s.refUntil = math.MinInt64 / 2
-	s.exitValid = math.MinInt64 / 2
 	return s
 }
 
@@ -200,32 +113,14 @@ func (s *Simulator) setState(st State, slot int64) {
 	s.stateSince = slot
 }
 
-// checkPowerState rejects row/column/refresh commands while the device is
-// in a CKE-low state or still inside the tXP/tXS exit-to-valid window.
-// Only the rejection path allocates.
-func (s *Simulator) checkPowerState(c Command) error {
-	if s.state.lowPower() {
-		return &TimingError{c, "device in " + s.state.String() + " state"}
-	}
-	if c.Slot < s.exitValid {
-		return &TimingError{c, fmt.Sprintf("%s: low-power exit not complete until slot %d", s.exitRule, s.exitValid)}
-	}
-	return nil
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Now returns the current slot (the latest issue or advance time).
 func (s *Simulator) Now() int64 { return s.now }
 
 // Issue validates and executes one command. Commands must arrive in
 // non-decreasing slot order. On a timing violation the command is rejected
-// with a *TimingError and the simulator state is unchanged.
+// with a *TimingError and the simulator state is unchanged. Issue checks
+// the state rules (CKE low, bank open or closed, the open row) itself and
+// the timing rules through the Rules rulebook, state rules first.
 //
 // Data-bus contention gates only column commands: at a slot where a
 // previous burst still occupies the data bus (slot < busUntil),
@@ -251,131 +146,82 @@ func (s *Simulator) Issue(c Command) error {
 	if c.Slot < s.now {
 		return &TimingError{c, fmt.Sprintf("out of order (now at slot %d)", s.now)}
 	}
-	if c.Bank < 0 || c.Bank >= len(s.banks) {
-		return &TimingError{c, fmt.Sprintf("bank %d outside 0..%d", c.Bank, len(s.banks)-1)}
+	r := &s.r
+	if c.Bank < 0 || c.Bank >= len(r.banks) {
+		return &TimingError{c, fmt.Sprintf("bank %d outside 0..%d", c.Bank, len(r.banks)-1)}
 	}
-	b := &s.banks[c.Bank]
+	// Row, column and refresh commands need CKE high.
+	if s.state.lowPower() && c.Op != desc.OpNop && c.Op.Valid() {
+		return &TimingError{c, "device in " + s.state.String() + " state"}
+	}
+	b := &r.banks[c.Bank]
 	switch c.Op {
 	case desc.OpActivate:
-		if err := s.checkPowerState(c); err != nil {
-			return err
-		}
-		if b.active {
+		if b.open {
 			return &TimingError{c, "bank already active"}
 		}
-		if c.Slot < b.actSlot+s.tRC {
-			return &TimingError{c, fmt.Sprintf("tRC: last activate at %d", b.actSlot)}
+		if c.Slot < r.ActivateAt(c.Bank) {
+			return &TimingError{c, r.why(c)}
 		}
-		if c.Slot < b.preSlot+s.tRP {
-			return &TimingError{c, fmt.Sprintf("tRP: precharge at %d not complete", b.preSlot)}
-		}
-		if c.Slot < s.refUntil {
-			return &TimingError{c, "tRFC: refresh in progress"}
-		}
-		// tRRD binds against the most recent activate only: activates
-		// arrive in slot order, so an older activate can never be the
-		// tighter constraint.
-		if s.actCount > 0 {
-			if t := s.actRing[(s.actPos+ringSize-1)&(ringSize-1)]; c.Slot < t+s.tRRD {
-				return &TimingError{c, fmt.Sprintf("tRRD: activate at %d", t)}
-			}
-		}
-		if s.tFAW > 0 && s.actCount >= 4 {
-			if w := s.actRing[(s.actPos+ringSize-4)&(ringSize-1)]; c.Slot < w+s.tFAW {
-				return &TimingError{c, fmt.Sprintf("tFAW: fourth activate at %d", w)}
-			}
-		}
-		b.active, b.row, b.actSlot, b.everActive = true, c.Row, c.Slot, true
-		s.actRing[s.actPos] = c.Slot
-		s.actPos = (s.actPos + 1) & (ringSize - 1)
-		s.actCount++
-		s.openBanks++
-		if s.openBanks == 1 {
+		r.Activate(c.Bank, c.Row, c.Slot)
+		if r.open == 1 {
 			s.setState(StateActive, c.Slot)
 		}
 	case desc.OpRead, desc.OpWrite:
-		if err := s.checkPowerState(c); err != nil {
-			return err
-		}
-		if !b.active {
+		if !b.open {
 			return &TimingError{c, "bank not active"}
 		}
 		if b.row != c.Row {
 			return &TimingError{c, fmt.Sprintf("row %d open, access to row %d", b.row, c.Row)}
 		}
-		if c.Slot < b.actSlot+s.tRCD {
-			return &TimingError{c, fmt.Sprintf("tRCD: activate at %d", b.actSlot)}
+		if c.Slot < r.ColumnAt(c.Bank) {
+			return &TimingError{c, r.why(c)}
 		}
-		if c.Slot < s.busUntil {
-			return &TimingError{c, fmt.Sprintf("data bus busy until slot %d", s.busUntil)}
-		}
-		s.busUntil = c.Slot + s.burstSlots
-		s.burstBank = c.Bank
+		r.Column(c.Bank, c.Slot)
 		s.bits += int64(s.m.BitsPerBurst())
 	case desc.OpPrecharge:
-		if err := s.checkPowerState(c); err != nil {
-			return err
-		}
-		if !b.active {
+		if !b.open {
 			return &TimingError{c, "bank not active"}
 		}
-		if c.Slot < b.actSlot+s.tRAS {
-			return &TimingError{c, fmt.Sprintf("tRAS: activate at %d", b.actSlot)}
+		if c.Slot < r.PrechargeAt(c.Bank) {
+			return &TimingError{c, r.why(c)}
 		}
-		// A precharge may not cut off its own bank's burst: the read or
-		// write that owns the data bus must drain first. Other banks'
-		// precharges pass — the bus is not theirs.
-		if c.Slot < s.busUntil && c.Bank == s.burstBank {
-			return &TimingError{c, fmt.Sprintf("burst on bank %d drains until slot %d", c.Bank, s.busUntil)}
-		}
-		b.active = false
-		b.preSlot = c.Slot
-		s.openBanks--
-		if s.openBanks == 0 {
+		r.Precharge(c.Bank, c.Slot)
+		if r.open == 0 {
 			s.setState(StatePrecharged, c.Slot)
 		}
 	case desc.OpRefresh:
-		if err := s.checkPowerState(c); err != nil {
-			return err
-		}
-		for i := range s.banks {
-			if s.banks[i].active {
+		for i := range r.banks {
+			if r.banks[i].open {
 				return &TimingError{c, fmt.Sprintf("bank %d active at refresh", i)}
 			}
 		}
-		if c.Slot < s.refUntil {
-			return &TimingError{c, "tRFC: previous refresh in progress"}
+		if c.Slot < r.RefreshAt() {
+			return &TimingError{c, r.why(c)}
 		}
-		s.refUntil = c.Slot + s.tRFC
-		// Retention audit: this refresh serves obligation refCredit+1 of
-		// the current epoch; landing past that obligation's postponement
+		// Retention audit: this refresh serves the epoch's next
+		// obligation; landing past that obligation's postponement
 		// deadline is a miss. Pure integer bookkeeping — no allocation.
-		if s.refi > 0 {
+		if r.t.REFI > 0 {
 			if g := c.Slot - s.lastRefSlot; g > s.maxRefGap {
 				s.maxRefGap = g
 			}
-			if c.Slot > s.refBaseSlot+(s.refCredit+1+MaxPostponedRefreshes)*s.refi {
+			if c.Slot > r.Deadline(MaxPostponedRefreshes) {
 				s.refMissed++
 			}
-			s.refCredit++
 			s.refCount++
 			s.lastRefSlot = c.Slot
 		}
+		r.Refresh(c.Slot)
 	case OpPowerDownEnter, OpSelfRefreshEnter:
 		if s.state.lowPower() {
 			return &TimingError{c, "already in " + s.state.String() + " state"}
 		}
-		if c.Slot < s.exitValid {
-			return &TimingError{c, fmt.Sprintf("%s: low-power exit not complete until slot %d", s.exitRule, s.exitValid)}
+		if r.open > 0 {
+			return &TimingError{c, fmt.Sprintf("%d bank(s) open (precharge power-down/self-refresh require all banks closed)", r.open)}
 		}
-		if s.openBanks > 0 {
-			return &TimingError{c, fmt.Sprintf("%d bank(s) open (precharge power-down/self-refresh require all banks closed)", s.openBanks)}
-		}
-		if c.Slot < s.refUntil {
-			return &TimingError{c, "tRFC: refresh in progress"}
-		}
-		if c.Slot < s.busUntil {
-			return &TimingError{c, fmt.Sprintf("data bus busy until slot %d", s.busUntil)}
+		if c.Slot < r.LowPowerAt() {
+			return &TimingError{c, r.why(c)}
 		}
 		st := StatePowerDown
 		if c.Op == OpSelfRefreshEnter {
@@ -383,43 +229,39 @@ func (s *Simulator) Issue(c Command) error {
 			// Self-refresh covers retention internally: close the audit
 			// epoch here. Obligations whose deadlines had already passed
 			// unserved are missed; everything not yet due is forgiven.
-			if s.refi > 0 {
+			if r.t.REFI > 0 {
 				if g := c.Slot - s.lastRefSlot; g > s.maxRefGap {
 					s.maxRefGap = g
 				}
-				passed := (c.Slot-1-s.refBaseSlot)/s.refi - MaxPostponedRefreshes
-				if m := passed - s.refCredit; m > 0 {
+				if m := r.overdue(c.Slot-1, MaxPostponedRefreshes); m > 0 {
 					s.refMissed += m
 				}
 			}
 		}
 		s.setState(st, c.Slot)
-		s.lpEnter = c.Slot
+		r.EnterLowPower(c.Slot)
 	case OpPowerDownExit:
 		if s.state != StatePowerDown {
 			return &TimingError{c, "not in power-down"}
 		}
-		if c.Slot < s.lpEnter+s.tCKE {
-			return &TimingError{c, fmt.Sprintf("tCKEmin: power-down entered at %d, earliest exit %d", s.lpEnter, s.lpEnter+s.tCKE)}
+		if c.Slot < r.exitBounds() {
+			return &TimingError{c, r.why(c)}
 		}
 		s.setState(StatePrecharged, c.Slot)
-		s.exitValid, s.exitRule = c.Slot+s.tXP, "tXP"
+		r.ExitPowerDown(c.Slot)
 	case OpSelfRefreshExit:
 		if s.state != StateSelfRefresh {
 			return &TimingError{c, "not in self-refresh"}
 		}
-		if c.Slot < s.lpEnter+s.tCKE {
-			return &TimingError{c, fmt.Sprintf("tCKEmin: self-refresh entered at %d, earliest exit %d", s.lpEnter, s.lpEnter+s.tCKE)}
+		if c.Slot < r.exitBounds() {
+			return &TimingError{c, r.why(c)}
 		}
 		s.setState(StatePrecharged, c.Slot)
-		s.exitValid, s.exitRule = c.Slot+s.tXS, "tXS"
-		// Leaving self-refresh starts a fresh retention epoch: the array
-		// was refreshed throughout, so the clock restarts here.
-		if s.refi > 0 {
-			s.refBaseSlot = c.Slot
-			s.refCredit = 0
-			s.lastRefSlot = c.Slot
-		}
+		// Leaving self-refresh starts a fresh retention epoch (the
+		// rulebook restarts its obligation clock): the array was refreshed
+		// throughout.
+		r.ExitSelfRefresh(c.Slot)
+		s.lastRefSlot = c.Slot
 	case desc.OpNop:
 		// nothing: legal in every state (DESELECT keeps CKE unchanged)
 	default:
@@ -558,14 +400,13 @@ func (s *Simulator) Result(endSlot int64) Result {
 	// but were never served are missed — unless the trace ends parked in
 	// self-refresh, which covers retention on its own.
 	r.Refreshes = s.refCount
-	if s.refi > 0 {
+	if s.r.t.REFI > 0 {
 		gap, missed := s.maxRefGap, s.refMissed
 		if s.state != StateSelfRefresh {
 			if g := endSlot - s.lastRefSlot; g > gap {
 				gap = g
 			}
-			due := (endSlot-s.refBaseSlot)/s.refi - MaxPostponedRefreshes
-			if m := due - s.refCredit; m > 0 {
+			if m := s.r.overdue(endSlot, MaxPostponedRefreshes); m > 0 {
 				missed += m
 			}
 		}
@@ -597,33 +438,13 @@ func (s *Simulator) Result(endSlot int64) Result {
 	}
 	if endSlot > 0 {
 		burstCmds := s.counts[desc.OpRead] + s.counts[desc.OpWrite]
-		u := float64(burstCmds*s.burstSlots) / float64(endSlot)
+		u := float64(burstCmds*s.r.t.Burst) / float64(endSlot)
 		if u > 1 {
 			u = 1
 		}
 		r.BusUtilization = u
 	}
 	return r
-}
-
-// TimingSlots exposes the resolved constraints (in slots) for tests and
-// workload generators.
-func (s *Simulator) TimingSlots() (tRC, tRCD, tRP, tRAS, tRRD, tFAW, burst int64) {
-	return s.tRC, s.tRCD, s.tRP, s.tRAS, s.tRRD, s.tFAW, s.burstSlots
-}
-
-// RefreshCycleSlots exposes the resolved tRFC in slots.
-func (s *Simulator) RefreshCycleSlots() int64 { return s.tRFC }
-
-// RefreshIntervalSlots exposes the resolved tREFI in slots (0 when the
-// spec carries no RefreshInterval; the retention audit is off then).
-func (s *Simulator) RefreshIntervalSlots() int64 { return s.refi }
-
-// PowerStateSlots exposes the resolved power-state constraints (in slots):
-// minimum CKE-low residency (tCKEmin), power-down exit to first valid
-// command (tXP) and self-refresh exit to first valid command (tXS).
-func (s *Simulator) PowerStateSlots() (tCKE, tXP, tXS int64) {
-	return s.tCKE, s.tXP, s.tXS
 }
 
 // PowerState returns the background state the simulator is currently in.

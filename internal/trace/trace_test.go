@@ -22,8 +22,8 @@ func model(t *testing.T) *core.Model {
 
 func TestTimingSlotsResolution(t *testing.T) {
 	m := model(t)
-	s := New(m)
-	tRC, tRCD, tRP, tRAS, tRRD, tFAW, burst := s.TimingSlots()
+	tm := TimingFor(m)
+	tRC, tRCD, tRP, tRAS, tRRD, tFAW, burst := tm.RC, tm.RCD, tm.RP, tm.RAS, tm.RRD, tm.FAW, tm.Burst
 	// 800 MHz control clock: tRC 48.75ns -> 39 slots, tRCD/tRP 13.75ns ->
 	// 11, tRAS = 39-11 = 28, tRRD 7.5ns -> 6, tFAW 40ns -> 32, burst 4.
 	for _, c := range []struct {
@@ -548,7 +548,7 @@ func TestTimingBoundaries(t *testing.T) {
 		if err := s.Issue(Command{Slot: 0, Op: desc.OpRefresh}); err != nil {
 			t.Fatal(err)
 		}
-		tRFC := s.RefreshCycleSlots()
+		tRFC := TimingFor(m).RFC
 		if err := s.Issue(Command{Slot: tRFC - 1, Op: desc.OpActivate, Bank: 0, Row: 1}); err == nil {
 			t.Error("activate one slot inside tRFC accepted")
 		}

@@ -17,9 +17,9 @@ import (
 // read share. It produces roughly `bursts` column commands.
 func Streaming(m *core.Model, bursts int, readShare float64, seed int64) []Command {
 	rng := rand.New(rand.NewSource(seed))
-	s := New(m)
+	t := TimingFor(m)
 	banks := m.D.Spec.Banks()
-	_, tRCD, _, _, tRRD, tFAW, burst := s.TimingSlots()
+	tRCD, tRRD, tFAW, burst := t.RCD, t.RRD, t.FAW, t.Burst
 	var cmds []Command
 
 	// Open one row in every bank, spaced by the stricter of tRRD and
@@ -52,9 +52,9 @@ func Streaming(m *core.Model, bursts int, readShare float64, seed int64) []Comma
 // `accesses` activate/burst/precharge triples.
 func RandomClosedPage(m *core.Model, accesses int, readShare float64, seed int64) []Command {
 	rng := rand.New(rand.NewSource(seed))
-	s := New(m)
+	t := TimingFor(m)
 	banks := m.D.Spec.Banks()
-	tRC, tRCD, tRP, tRAS, tRRD, tFAW, burst := s.TimingSlots()
+	tRC, tRCD, tRP, tRAS, tRRD, tFAW, burst := t.RC, t.RCD, t.RP, t.RAS, t.RRD, t.FAW, t.Burst
 
 	// Activate spacing honoring tRRD, tFAW/4 and same-bank tRC over the
 	// bank rotation. The tFAW term rounds up like Streaming's: floor would
@@ -68,7 +68,7 @@ func RandomClosedPage(m *core.Model, accesses int, readShare float64, seed int64
 		// Same-bank turnaround over the rotation: the next activate on a
 		// bank must clear tRC and — when the burst drains past tRAS — the
 		// delayed precharge plus tRP.
-		cycle := maxI64(tRC, tRCD+burst+tRP)
+		cycle := max(tRC, tRCD+burst+tRP)
 		if per := (cycle + int64(banks) - 1) / int64(banks); per > group {
 			group = per
 		}
@@ -113,7 +113,7 @@ func RefreshOnly(m *core.Model, intervals int) []Command {
 	if perInterval < 1 {
 		perInterval = 1
 	}
-	if tRFC := New(m).RefreshCycleSlots(); perInterval < tRFC {
+	if tRFC := TimingFor(m).RFC; perInterval < tRFC {
 		perInterval = tRFC
 	}
 	var cmds []Command
@@ -135,11 +135,9 @@ func RefreshOnly(m *core.Model, intervals int) []Command {
 // the smallest insertable window.
 func WithPowerDown(m *core.Model, cmds []Command, minIdle int64) []Command {
 	s := New(m)
-	tCKE, tXP, _ := s.PowerStateSlots()
-	tRFC := s.RefreshCycleSlots()
-	_, _, _, _, _, _, burst := s.TimingSlots()
+	t := TimingFor(m)
 	if minIdle < 1 {
-		minIdle = tCKE + tXP + 1
+		minIdle = t.CKE + t.XP + 1
 	}
 	out := make([]Command, 0, len(cmds)+len(cmds)/2)
 	emit := func(c Command) bool {
@@ -157,12 +155,12 @@ func WithPowerDown(m *core.Model, cmds []Command, minIdle int64) []Command {
 			enter := prev.Slot + 1
 			switch prev.Op {
 			case desc.OpRefresh:
-				enter = prev.Slot + tRFC
+				enter = prev.Slot + t.RFC
 			case desc.OpRead, desc.OpWrite:
-				enter = prev.Slot + burst
+				enter = prev.Slot + t.Burst
 			}
-			exit := c.Slot - tXP // pdx here makes c legal again
-			if c.Slot-prev.Slot >= minIdle && exit-enter >= tCKE {
+			exit := c.Slot - t.XP // pdx here makes c legal again
+			if c.Slot-prev.Slot >= minIdle && exit-enter >= t.CKE {
 				if emit(Command{Slot: enter, Op: OpPowerDownEnter}) {
 					emit(Command{Slot: exit, Op: OpPowerDownExit})
 				}
