@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race bench bench-all bench-gate check serve-smoke fuzz-short legality legality-race lint perfbench-test inline-check
+.PHONY: all build vet test race bench bench-all bench-gate check serve-smoke fuzz-short legality legality-race lint perfbench-test inline-check loc
 
 all: check
 
@@ -76,16 +76,18 @@ serve-smoke:
 # schedule into legal traces); go's fuzzer runs one target per
 # invocation, hence one line each. Override FUZZTIME for a longer hunt.
 # Each FuzzScheduleReplay input runs four schedules and three replays,
-# and a FuzzRulesTight input issues up to thousands of commands, so
-# minimizing a new input for the default 60 s would stall a short pass;
-# their minimization is capped at 100 runs.
+# a FuzzRulesTight input issues up to thousands of commands, and the
+# descriptor FuzzParse and FuzzBinaryScanner start from seeds of several
+# kilobytes, so minimizing a new input for the default 60 s would stall a
+# short pass (uncapped, those two ran about 15 inputs in 10 s); their
+# minimization is capped at 100 runs.
 fuzz-short:
-	$(GO) test -fuzz 'FuzzParse$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/desc/
+	$(GO) test -fuzz 'FuzzParse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x -run '^$$' ./internal/desc/
 	$(GO) test -fuzz 'FuzzParse$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/codec/
 	$(GO) test -fuzz FuzzEvaluatePattern -fuzztime $(FUZZTIME) -run '^$$' ./internal/core/
 	$(GO) test -fuzz FuzzOverlay -fuzztime $(FUZZTIME) -run '^$$' ./internal/desc/
 	$(GO) test -fuzz FuzzTraceScanner -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace/
-	$(GO) test -fuzz FuzzBinaryScanner -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace/
+	$(GO) test -fuzz FuzzBinaryScanner -fuzztime $(FUZZTIME) -fuzzminimizetime 100x -run '^$$' ./internal/trace/
 	$(GO) test -fuzz FuzzRulesTight -fuzztime $(FUZZTIME) -fuzzminimizetime 100x -run '^$$' ./internal/trace/
 	$(GO) test -fuzz FuzzAccessScanner -fuzztime $(FUZZTIME) -run '^$$' ./internal/ctl/
 	$(GO) test -fuzz FuzzScheduleReplay -fuzztime $(FUZZTIME) -fuzzminimizetime 100x -run '^$$' ./internal/ctl/
@@ -120,6 +122,17 @@ legality-race:
 # controller. The table is in the script.
 inline-check:
 	GO=$(GO) sh tools/inlinecheck.sh
+
+# Line counts of the module's Go sources, the yardstick of a change that
+# claims less code: non-test lines raw, non-test lines of code only (blank
+# and // comment lines dropped) and test lines. Tracked and new
+# (unignored) files count; perfbench/ (its own module) and .bench_build/
+# do not.
+loc:
+	@git ls-files --cached --others --exclude-standard -- '*.go' ':!perfbench/' ':!.bench_build/' \
+		| sort -u | while read -r f; do [ -f "$$f" ] && echo "$$f"; done \
+		| xargs awk 'FILENAME ~ /_test\.go$$/ { test++; next } { raw++ } !/^[ \t]*(\/\/|$$)/ { code++ } \
+			END { printf "non-test lines: %d raw, %d code\ntest lines:     %d\n", raw, code, test }'
 
 # The full gate: everything CI (and a reviewer) expects to be green.
 # CI runs the race detector as its own job (ci.yml "race"), so check

@@ -88,7 +88,7 @@ func BenchmarkFig9_DDR3Verification(b *testing.B) {
 
 func benchVerify(b *testing.B, std datasheet.Standard) {
 	b.Helper()
-	rows, err := datasheet.Compare(std)
+	rows, err := datasheet.CompareOpts(std, BatchOptions{Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func benchVerify(b *testing.B, std datasheet.Standard) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := datasheet.Compare(std); err != nil {
+		if _, err := datasheet.CompareOpts(std, BatchOptions{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -116,13 +116,13 @@ func BenchmarkFig10_SensitivityPareto(b *testing.B) {
 		b.Fatal(err)
 	}
 	d := n.Description()
-	res, err := sensitivity.Sweep(d)
+	res, err := sensitivity.SweepOpts(d, BatchOptions{Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sensitivity.Sweep(d); err != nil {
+		if _, err := sensitivity.SweepOpts(d, BatchOptions{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -139,7 +139,7 @@ func BenchmarkTableIII_Top10Ranking(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := sensitivity.Sweep(n.Description())
+		res, err := sensitivity.SweepOpts(n.Description(), BatchOptions{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func BenchmarkTableIII_Top10Ranking(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n, _ := scaling.NodeFor(55)
-		if _, err := sensitivity.Sweep(n.Description()); err != nil {
+		if _, err := sensitivity.SweepOpts(n.Description(), BatchOptions{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -210,7 +210,7 @@ func BenchmarkFig13_EnergyPerBitTrend(b *testing.B) {
 // comparison (E13) and reports the best energy saving and its area cost.
 func BenchmarkSecV_SchemeComparison(b *testing.B) {
 	d := Sample1GbDDR3()
-	res, err := schemes.Evaluate(d)
+	res, err := schemes.EvaluateOpts(d, BatchOptions{Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func BenchmarkSecV_SchemeComparison(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := schemes.Evaluate(d); err != nil {
+		if _, err := schemes.EvaluateOpts(d, BatchOptions{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -300,7 +300,7 @@ func BenchmarkSweepSerial(b *testing.B) {
 	d := Sample1GbDDR3()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Sweep(d); err != nil {
+		if _, err := Sweep(d, BatchOptions{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -316,7 +316,7 @@ func BenchmarkSweepParallel(b *testing.B) {
 	d := Sample1GbDDR3()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SweepParallel(d, BatchOptions{}); err != nil {
+		if _, err := Sweep(d, BatchOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

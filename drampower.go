@@ -115,8 +115,11 @@ type (
 
 // ParseError reports a parse failure at a specific input position (Line
 // 1-based; Col the 1-based byte column of the offending token, 0 for
-// whole-line problems). All parse entry points surface it, possibly
-// wrapped, so recover it with errors.As:
+// whole-line problems). It is the one error type of all three input
+// languages: descriptions, command traces and access traces, whose
+// messages carry the "desc:", "trace:" or "access:" prefix (Lang). All
+// parse entry points surface it, possibly wrapped, so recover it with
+// errors.As:
 //
 //	var pe *drampower.ParseError
 //	if errors.As(err, &pe) { editor.Jump(pe.Line, pe.Col) }
@@ -227,49 +230,32 @@ type (
 	DatasheetComparison = datasheet.Comparison
 )
 
-// Sweep varies every model parameter by ±20 % on the given description and
-// returns the power responses sorted by impact (Figure 10, Table III).
-func Sweep(d *Description) ([]SensitivityResult, error) { return sensitivity.Sweep(d) }
-
-// EvaluateSchemes runs the Section V power-reduction schemes against the
-// given baseline and reports energy-per-bit and die-area impact.
-func EvaluateSchemes(base *Description) ([]SchemeResult, error) { return schemes.Evaluate(base) }
-
-// CompareDatasheetDDR2 regenerates the Figure 8 verification (1 Gb DDR2
-// model vs. five-vendor datasheet values).
-func CompareDatasheetDDR2() ([]DatasheetComparison, error) {
-	return datasheet.Compare(datasheet.DDR2)
-}
-
-// CompareDatasheetDDR3 regenerates the Figure 9 verification (1 Gb DDR3).
-func CompareDatasheetDDR3() ([]DatasheetComparison, error) {
-	return datasheet.Compare(datasheet.DDR3)
-}
-
 // BatchOptions configures the shared batch-evaluation engine behind the
-// *Parallel entry points: Workers is the worker-pool size (<= 0 means one
-// worker per CPU, 1 reproduces the serial evaluation exactly). Results are
-// deterministic — ordered by job, independent of the worker count.
+// analyses: Workers is the worker-pool size (<= 0 means one worker per
+// CPU, 1 is the serial run). Results are deterministic — ordered by job,
+// independent of the worker count.
 type BatchOptions = engine.Options
 
-// SweepParallel is Sweep on a worker pool. The results are byte-identical
-// to Sweep's for any worker count.
-func SweepParallel(d *Description, opts BatchOptions) ([]SensitivityResult, error) {
+// Sweep varies every model parameter by ±20 % on the given description and
+// returns the power responses sorted by impact (Figure 10, Table III).
+func Sweep(d *Description, opts BatchOptions) ([]SensitivityResult, error) {
 	return sensitivity.SweepOpts(d, opts)
 }
 
-// EvaluateSchemesParallel is EvaluateSchemes on a worker pool.
-func EvaluateSchemesParallel(base *Description, opts BatchOptions) ([]SchemeResult, error) {
+// EvaluateSchemes runs the Section V power-reduction schemes against the
+// given baseline and reports energy-per-bit and die-area impact.
+func EvaluateSchemes(base *Description, opts BatchOptions) ([]SchemeResult, error) {
 	return schemes.EvaluateOpts(base, opts)
 }
 
-// CompareDatasheetDDR2Parallel is CompareDatasheetDDR2 on a worker pool.
-func CompareDatasheetDDR2Parallel(opts BatchOptions) ([]DatasheetComparison, error) {
+// CompareDatasheetDDR2 regenerates the Figure 8 verification (1 Gb DDR2
+// model vs. five-vendor datasheet values).
+func CompareDatasheetDDR2(opts BatchOptions) ([]DatasheetComparison, error) {
 	return datasheet.CompareOpts(datasheet.DDR2, opts)
 }
 
-// CompareDatasheetDDR3Parallel is CompareDatasheetDDR3 on a worker pool.
-func CompareDatasheetDDR3Parallel(opts BatchOptions) ([]DatasheetComparison, error) {
+// CompareDatasheetDDR3 regenerates the Figure 9 verification (1 Gb DDR3).
+func CompareDatasheetDDR3(opts BatchOptions) ([]DatasheetComparison, error) {
 	return datasheet.CompareOpts(datasheet.DDR3, opts)
 }
 
@@ -311,8 +297,8 @@ type (
 	// [<row>]], '#' comments) without materializing it; see
 	// internal/trace for the format.
 	TraceScanner = trace.Scanner
-	// TraceParseError reports a malformed trace line with its 1-based
-	// line and column, mirroring ParseError's shape.
+	// TraceParseError is ParseError, named for the trace scanners: a
+	// malformed trace line or dtb record ("trace:" messages).
 	TraceParseError = trace.ParseError
 	// BinaryTraceScanner streams the compact dtb binary trace encoding
 	// (magic+version header, varint-delta slots, packed op/bank/row);
@@ -436,8 +422,8 @@ type (
 	// AccessSource is a request stream: the common interface of the two
 	// access scanners that the controller consumes.
 	AccessSource = ctl.Source
-	// AccessParseError reports a malformed access-trace input with its
-	// 1-based position, mirroring TraceParseError's shape.
+	// AccessParseError is ParseError, named for the access scanners: a
+	// malformed access-trace line or .dab record ("access:" messages).
 	AccessParseError = ctl.ParseError
 	// Controller schedules one access stream into a command trace.
 	Controller = ctl.Controller

@@ -78,25 +78,25 @@ func TestDeviceForThroughFacade(t *testing.T) {
 
 func TestAnalysesThroughFacade(t *testing.T) {
 	d := Sample1GbDDR3()
-	sens, err := Sweep(d)
+	sens, err := Sweep(d, BatchOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sens) == 0 || sens[0].RangePct <= 0 {
 		t.Error("sweep returned nothing")
 	}
-	sch, err := EvaluateSchemes(d)
+	sch, err := EvaluateSchemes(d, BatchOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sch) < 5 {
 		t.Errorf("schemes: %d results", len(sch))
 	}
-	ddr2, err := CompareDatasheetDDR2()
+	ddr2, err := CompareDatasheetDDR2(BatchOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ddr3, err := CompareDatasheetDDR3()
+	ddr3, err := CompareDatasheetDDR3(BatchOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 package drampower
 
 // Determinism and cache-coherence tests for the shared evaluation engine:
-// the *Parallel entry points must reproduce the serial results exactly for
-// any worker count, and the charge ledgers cached at Build time must equal
+// the analyses on a worker pool must reproduce their Workers: 1 results
+// exactly for any worker count, and the charge ledgers cached at Build time must equal
 // a from-scratch recomputation on every device we ship. Run with -race to
 // exercise the worker pool under the race detector.
 
@@ -28,12 +28,12 @@ func formatSweep(rs []SensitivityResult) string {
 
 func TestSweepParallelMatchesSerial(t *testing.T) {
 	d := Sample1GbDDR3()
-	serial, err := Sweep(d)
+	serial, err := Sweep(d, BatchOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		parallel, err := SweepParallel(d, BatchOptions{Workers: workers})
+		parallel, err := Sweep(d, BatchOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,11 +46,11 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 
 func TestEvaluateSchemesParallelMatchesSerial(t *testing.T) {
 	d := Sample1GbDDR3()
-	serial, err := EvaluateSchemes(d)
+	serial, err := EvaluateSchemes(d, BatchOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := EvaluateSchemesParallel(d, BatchOptions{Workers: 8})
+	parallel, err := EvaluateSchemes(d, BatchOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +60,11 @@ func TestEvaluateSchemesParallelMatchesSerial(t *testing.T) {
 }
 
 func TestCompareDatasheetParallelMatchesSerial(t *testing.T) {
-	serial, err := CompareDatasheetDDR3()
+	serial, err := CompareDatasheetDDR3(BatchOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := CompareDatasheetDDR3Parallel(BatchOptions{Workers: 8})
+	parallel, err := CompareDatasheetDDR3(BatchOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,7 @@ import (
 	"os"
 	"strings"
 
-	"drampower/internal/ctl"
-	"drampower/internal/desc"
-	"drampower/internal/trace"
+	"drampower/internal/codec"
 )
 
 // exit allows tests to intercept the process exit.
@@ -24,8 +22,8 @@ var exit = os.Exit
 var stderr io.Writer = os.Stderr
 
 // Fatal prints "tool: error" to stderr and exits 1. Positioned errors
-// (desc.ParseError, trace.ParseError, ctl.ParseError) already carry
-// their line/column in Error(); Fatal additionally prefixes the
+// (codec.ParseError, which the desc, trace and ctl parsers share) already
+// carry their line/column in Error(); Fatal additionally prefixes the
 // offending input name when one is known, producing editor-friendly
 // "tool: file: line N, col M: msg".
 func Fatal(tool string, err error) {
@@ -35,10 +33,8 @@ func Fatal(tool string, err error) {
 // FatalInput is Fatal with the name of the input (file path or "<stdin>")
 // the error came from; empty means no input context.
 func FatalInput(tool, input string, err error) {
-	var dpe *desc.ParseError
-	var tpe *trace.ParseError
-	var cpe *ctl.ParseError
-	positioned := errors.As(err, &dpe) || errors.As(err, &tpe) || errors.As(err, &cpe)
+	var pe *codec.ParseError
+	positioned := errors.As(err, &pe)
 	// Some entry points (desc.ParseFile) already wrap the path into the
 	// error text; don't prefix it twice.
 	if strings.Contains(err.Error(), input) {

@@ -34,7 +34,7 @@ func TestFatalExitsNonZero(t *testing.T) {
 }
 
 func TestFatalInputPrefixesPositionedErrors(t *testing.T) {
-	err := fmt.Errorf("wrapped: %w", &desc.ParseError{Line: 3, Col: 7, Msg: "bad token"})
+	err := fmt.Errorf("wrapped: %w", &desc.ParseError{Lang: "desc", Line: 3, Col: 7, Msg: "bad token"})
 	out, code := capture(func() { FatalInput("tool", "dev.dram", err) })
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1", code)
@@ -43,13 +43,13 @@ func TestFatalInputPrefixesPositionedErrors(t *testing.T) {
 		t.Fatalf("stderr = %q, want input-prefixed positioned diagnostic", out)
 	}
 
-	terr := &trace.ParseError{Line: 9, Col: 2, Msg: "bad bank"}
+	terr := &trace.ParseError{Lang: "trace", Line: 9, Col: 2, Msg: "bad bank"}
 	out, _ = capture(func() { FatalInput("tool", "t.txt", terr) })
 	if !strings.HasPrefix(out, "tool: t.txt: ") || !strings.Contains(out, "line 9") {
 		t.Fatalf("stderr = %q", out)
 	}
 
-	cerr := &ctl.ParseError{Line: 1, Col: 3, Msg: "bad op"}
+	cerr := &ctl.ParseError{Lang: "access", Line: 1, Col: 3, Msg: "bad op"}
 	out, _ = capture(func() { FatalInput("tool", "bad.txt", cerr) })
 	if out != "tool: bad.txt: access: line 1, col 3: bad op\n" {
 		t.Fatalf("stderr = %q, want the access error prefixed with its input", out)

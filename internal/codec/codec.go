@@ -4,13 +4,44 @@
 // the zigzag varints of the two binary formats, and the first-byte sniff
 // that tells a binary stream from text. The accept paths allocate
 // nothing, and the lexer and zigzag helpers are small enough to inline at
-// the scanners' call sites.
+// the scanners' call sites. ParseError is the one positioned error of all
+// three input languages, the descriptor (internal/desc) included.
 package codec
 
 import (
+	"fmt"
 	"io"
 	"math"
 )
+
+// ParseError reports malformed input at a position. Lang names the input
+// language and prefixes the message: "desc", "trace" or "access". Line is
+// 1-based; for a binary encoding it is the ordinal of the offending
+// record. Col is the 1-based byte column of the offending field, or 0
+// when the problem concerns the whole line or record. Err is the reader
+// failure behind a stream error and nil for bad input; Unwrap returns it,
+// as os.PathError does, so errors.Is reaches a cancelled context or an
+// http.MaxBytesError through the position.
+type ParseError struct {
+	Lang string
+	Line int
+	Col  int
+	Msg  string
+	Err  error
+}
+
+// Error renders "<lang>: line N, col M: msg", without ", col M" when Col
+// is 0.
+func (e *ParseError) Error() string {
+	if e.Col > 0 {
+		return fmt.Sprintf("%s: line %d, col %d: %s", e.Lang, e.Line, e.Col, e.Msg)
+	}
+	return fmt.Sprintf("%s: line %d: %s", e.Lang, e.Line, e.Msg)
+}
+
+// Unwrap returns the reader failure behind a stream error, nil for bad
+// input.
+func (e *ParseError) Unwrap() error { return e.Err }
 
 // IsSpace reports whether c separates fields in the text formats.
 func IsSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -22,6 +23,32 @@ func TestBuildValidates(t *testing.T) {
 	d.Spec.IOWidth = 0
 	if _, err := Build(d); err == nil {
 		t.Error("Build should reject an invalid description")
+	}
+}
+
+// TestBankAddrBitsBound: descriptions up to desc.MaxBankAddrBits bank bits
+// validate and build; wider ones are rejected by name and bound before
+// the bank count can size anything.
+func TestBankAddrBitsBound(t *testing.T) {
+	for _, bits := range []int{desc.MaxBankAddrBits, 9, 25, 63} {
+		d := desc.Sample1GbDDR3()
+		d.Spec.BankAddrBits = bits
+		_, err := Build(d)
+		if bits <= desc.MaxBankAddrBits {
+			if err != nil {
+				t.Errorf("bankadd=%d: %v", bits, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("bankadd=%d built, want a validation error", bits)
+			continue
+		}
+		for _, want := range []string{fmt.Sprintf("bankadd=%d", bits), fmt.Sprintf("bound of %d", desc.MaxBankAddrBits)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("bankadd=%d: error %q does not contain %q", bits, err, want)
+			}
+		}
 	}
 }
 

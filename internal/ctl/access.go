@@ -52,28 +52,18 @@ func (r Request) String() string {
 	return fmt.Sprintf("%d %s %#x", r.Slot, op, r.Addr)
 }
 
-// ParseError reports a malformed access-trace input at a 1-based
-// position: Line/Col for text, the request ordinal (Col zero) for
-// binary. It mirrors trace.ParseError so tooling surfaces description,
-// command-trace and access-trace errors uniformly.
-type ParseError struct {
-	Line int
-	Col  int
-	Msg  string
-	err  error // underlying reader error, when the input itself failed
-}
+// ParseError is the positioned error of the access-trace text and .dab
+// scanners (see codec.ParseError). Its messages carry the "access:"
+// prefix; for .dab input Line is the 1-based request ordinal and Col is
+// zero.
+type ParseError = codec.ParseError
 
-// Error implements the error interface.
-func (e *ParseError) Error() string {
-	if e.Col > 0 {
-		return fmt.Sprintf("access: line %d, col %d: %s", e.Line, e.Col, e.Msg)
-	}
-	return fmt.Sprintf("access: line %d: %s", e.Line, e.Msg)
+// parseErr returns an access ParseError at line and col (0 for a
+// whole-line or binary problem); err is the reader failure behind it, if
+// any.
+func parseErr(line, col int, msg string, err error) *ParseError {
+	return &ParseError{Lang: "access", Line: line, Col: col, Msg: msg, Err: err}
 }
-
-// Unwrap exposes the reader error behind a stream failure (nil for
-// ordinary syntax errors).
-func (e *ParseError) Unwrap() error { return e.err }
 
 // Source is a stream of access requests: the common face of the text
 // Scanner, the BinaryScanner and in-memory slices, and what the
@@ -125,7 +115,7 @@ func (sc *Scanner) Scan() bool {
 		}
 	}
 	if err := sc.s.Err(); err != nil {
-		sc.err = &ParseError{Line: sc.line + 1, Msg: err.Error(), err: err}
+		sc.err = parseErr(sc.line+1, 0, err.Error(), err)
 	}
 	return false
 }
@@ -149,34 +139,34 @@ func parseAccessLine(b []byte, line int) (req Request, ok bool, err error) {
 	}
 	slot, j, numOK := codec.ParseUint(b, i)
 	if !numOK {
-		return Request{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("bad slot %q (want non-negative integer)", codec.Field(b, i))}
+		return Request{}, false, parseErr(line, i+1, fmt.Sprintf("bad slot %q (want non-negative integer)", codec.Field(b, i)), nil)
 	}
 	req.Slot = slot
 
 	i = codec.SkipSpace(b, j)
 	if i >= len(b) || b[i] == '#' {
-		return Request{}, false, &ParseError{Line: line, Col: 0, Msg: "missing operation"}
+		return Request{}, false, parseErr(line, 0, "missing operation", nil)
 	}
 	j = codec.EndOfField(b, i)
 	w, opOK := parseAccessOp(b[i:j])
 	if !opOK {
-		return Request{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("unknown operation %q (want r or w)", codec.Field(b, i))}
+		return Request{}, false, parseErr(line, i+1, fmt.Sprintf("unknown operation %q (want r or w)", codec.Field(b, i)), nil)
 	}
 	req.Write = w
 
 	i = codec.SkipSpace(b, j)
 	if i >= len(b) || b[i] == '#' {
-		return Request{}, false, &ParseError{Line: line, Col: 0, Msg: "missing address"}
+		return Request{}, false, parseErr(line, 0, "missing address", nil)
 	}
 	addr, j, addrOK := parseAddr(b, i)
 	if !addrOK {
-		return Request{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("bad address %q (want non-negative integer, decimal or 0x hex)", codec.Field(b, i))}
+		return Request{}, false, parseErr(line, i+1, fmt.Sprintf("bad address %q (want non-negative integer, decimal or 0x hex)", codec.Field(b, i)), nil)
 	}
 	req.Addr = addr
 
 	i = codec.SkipSpace(b, j)
 	if i < len(b) && b[i] != '#' {
-		return Request{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("trailing field %q (want <slot> <r|w> <addr>)", codec.Field(b, i))}
+		return Request{}, false, parseErr(line, i+1, fmt.Sprintf("trailing field %q (want <slot> <r|w> <addr>)", codec.Field(b, i)), nil)
 	}
 	return req, true, nil
 }

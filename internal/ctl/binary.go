@@ -141,7 +141,7 @@ func NewBinaryScanner(r io.Reader) *BinaryScanner {
 }
 
 func (bs *BinaryScanner) fail(msg string, err error) bool {
-	bs.err = &ParseError{Line: bs.n + 1, Msg: msg, err: err}
+	bs.err = parseErr(bs.n+1, 0, msg, err)
 	return false
 }
 

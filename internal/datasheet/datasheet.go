@@ -164,19 +164,15 @@ func (s Standard) String() string {
 	return "DDR3"
 }
 
-// Compare evaluates the model against the datasheet points of the given
-// standard. Following Section IV.A, DDR2 devices are modeled in typical
-// 75 nm and 65 nm technologies and DDR3 devices in 65 nm and 55 nm — "the
-// comparison assumed technology nodes which were typically used for high
-// volume parts in the time frame the DRAMs ... were on the market".
-func Compare(std Standard) ([]Comparison, error) {
-	return CompareOpts(std, engine.Options{Workers: 1})
-}
-
-// CompareOpts is Compare with batch-evaluation options: the distinct
-// (node, width, rate) models build concurrently, then the comparison rows
-// assemble serially from the cache. Any worker count produces the same
-// rows in the same order.
+// CompareOpts evaluates the model against the datasheet points of the
+// given standard. Following Section IV.A, DDR2 devices are modeled in
+// typical 75 nm and 65 nm technologies and DDR3 devices in 65 nm and 55 nm
+// — "the comparison assumed technology nodes which were typically used for
+// high volume parts in the time frame the DRAMs ... were on the market".
+// The distinct (node, width, rate) models build on the worker pool
+// (Workers: 1 runs serially), then the comparison rows assemble serially
+// from the cache. Any worker count produces the same rows in the same
+// order.
 func CompareOpts(std Standard, opts engine.Options) ([]Comparison, error) {
 	var points []Point
 	var nodesNm []float64

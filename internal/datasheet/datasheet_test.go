@@ -2,6 +2,8 @@ package datasheet
 
 import (
 	"testing"
+
+	"drampower/internal/engine"
 )
 
 func TestDatasetShape(t *testing.T) {
@@ -54,7 +56,7 @@ func TestVendorSpreadIsLarge(t *testing.T) {
 }
 
 func TestFig8DDR2Comparison(t *testing.T) {
-	rows, err := Compare(DDR2)
+	rows, err := CompareOpts(DDR2, engine.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +78,7 @@ func TestFig8DDR2Comparison(t *testing.T) {
 }
 
 func TestFig9DDR3Comparison(t *testing.T) {
-	rows, err := Compare(DDR3)
+	rows, err := CompareOpts(DDR3, engine.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +96,7 @@ func TestFig9DDR3Comparison(t *testing.T) {
 func TestModelDescribesDependencies(t *testing.T) {
 	// "The dependency of current on operating frequency, interface
 	// standard, I/O width and type of operation is described correctly."
-	rows, err := Compare(DDR3)
+	rows, err := CompareOpts(DDR3, engine.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

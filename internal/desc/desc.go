@@ -436,6 +436,11 @@ func (s Specification) PageBits() int {
 // Banks returns the number of banks (2^BankAddrBits).
 func (s Specification) Banks() int { return 1 << uint(s.BankAddrBits) }
 
+// MaxBankAddrBits bounds Specification.BankAddrBits in Validate. Build
+// and replay work grows with the bank count, and the largest shipped
+// device has 5 bank bits (32 banks), so 8 (256 banks) leaves room.
+const MaxBankAddrBits = 8
+
 // Electrical is the basic electrical information group of Table I: the four
 // voltage domains of Section III.A plus generator efficiencies and the
 // constant reference-current sink.

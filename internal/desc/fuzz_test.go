@@ -2,6 +2,7 @@ package desc
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,7 +11,8 @@ import (
 
 // FuzzParse drives the description parser with mutated inputs, seeded
 // from the real testdata devices and a few degenerate fragments. The
-// parser must never panic; on failure it must surface a positioned
+// parser must never panic; two parses of one input must fail with the
+// same text or both succeed; on failure it must surface a positioned
 // *ParseError; and anything it accepts must survive the canonical
 // round-trip (Format output reparses cleanly), since the server derives
 // model-cache keys from that canonical form.
@@ -30,8 +32,13 @@ func FuzzParse(f *testing.F) {
 	f.Add("# comment only\n\n\t\n")
 	f.Add("FloorplanPhysical\nSizeHorizontal 1um 2um\nHorizontal blocks = a b\n")
 
+	f.Add("Specification\nTiming tRC=abc tRP=xyz tRCD=13.75ns\n")
+
 	f.Fuzz(func(t *testing.T, src string) {
 		d, err := ParseString(src)
+		if _, err2 := ParseString(src); fmt.Sprint(err2) != fmt.Sprint(err) {
+			t.Fatalf("two parses disagree:\nfirst:  %v\nsecond: %v", err, err2)
+		}
 		if err != nil {
 			var pe *ParseError
 			if !errors.As(err, &pe) {

@@ -83,9 +83,8 @@ func lex(r io.Reader) ([]line, error) {
 		if len(toks) == 0 {
 			continue
 		}
-		toks, err := normalizeEquals(toks)
+		toks, err := normalizeEquals(toks, num)
 		if err != nil {
-			err.Line = num
 			return nil, err
 		}
 		ln := line{num: num}
@@ -107,21 +106,19 @@ func lex(r io.Reader) ([]line, error) {
 // normalizeEquals joins "a = b" and "a=" "b" and "a" "=b" token triples /
 // pairs into single "a=b" tokens, keeping the column of the leftmost piece.
 // A trailing "key=" with nothing after it on the line is left as-is (empty
-// value). Errors are positioned at the offending '=' (the line is filled in
-// by lex).
-func normalizeEquals(toks []token) ([]token, *ParseError) {
+// value). Errors are positioned at the offending '=' of line num.
+func normalizeEquals(toks []token, num int) ([]token, error) {
 	var out []token
 	for i := 0; i < len(toks); i++ {
 		t := toks[i]
 		switch {
 		case t.text == "=":
 			if len(out) == 0 {
-				return nil, &ParseError{Col: t.col, Msg: "dangling '='"}
+				return nil, errAt(num, t.col, "dangling '='")
 			}
 			prev := out[len(out)-1]
 			if strings.Contains(prev.text, "=") {
-				return nil, &ParseError{Col: t.col,
-					Msg: fmt.Sprintf("unexpected '=' after %q", prev.text)}
+				return nil, errAt(num, t.col, "unexpected '=' after %q", prev.text)
 			}
 			if i+1 < len(toks) {
 				out[len(out)-1].text = prev.text + "=" + toks[i+1].text

@@ -190,7 +190,7 @@ func parseOverlayEntry(ln line) (OverlayEntry, error) {
 	if scale {
 		x, err := strconv.ParseFloat(val, 64)
 		if err != nil || math.IsNaN(x) || math.IsInf(x, 0) || x <= 0 {
-			return OverlayEntry{}, errAt(ln.num, "calibration %s: bad scale factor %q (want a positive number)", key, val)
+			return OverlayEntry{}, errAt(ln.num, 0, "calibration %s: bad scale factor %q (want a positive number)", key, val)
 		}
 		ent.Value = x
 		return ent, nil
@@ -212,10 +212,10 @@ func parseOverlayEntry(ln line) (OverlayEntry, error) {
 		v = float64(e)
 	}
 	if err != nil {
-		return OverlayEntry{}, errAt(ln.num, "calibration %s: %v", key, err)
+		return OverlayEntry{}, errAt(ln.num, 0, "calibration %s: %v", key, err)
 	}
 	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-		return OverlayEntry{}, errAt(ln.num, "calibration %s: value %q must be finite and non-negative", key, val)
+		return OverlayEntry{}, errAt(ln.num, 0, "calibration %s: value %q must be finite and non-negative", key, val)
 	}
 	ent.Value = v
 	return ent, nil

@@ -8,44 +8,32 @@ import (
 	"strconv"
 	"strings"
 
+	"drampower/internal/codec"
 	"drampower/internal/units"
 )
 
 // ParseError reports a syntax or semantic problem at a specific input
-// position. Line is 1-based; Col is the 1-based column of the offending
-// token, or 0 when the problem concerns the whole line. Parse, ParseString
-// and ParseFile surface it (possibly wrapped with the file path), so
-// callers recover the position with errors.As:
+// position (see codec.ParseError). Its messages carry the "desc:" prefix;
+// Line is 1-based and Col is the 1-based column of the offending token, or
+// 0 when the problem concerns the whole line. Parse, ParseString and
+// ParseFile surface it (possibly wrapped with the file path), so callers
+// recover the position with errors.As:
 //
 //	var pe *desc.ParseError
 //	if errors.As(err, &pe) { editor.Jump(pe.Line, pe.Col) }
-type ParseError struct {
-	Line int
-	Col  int
-	Msg  string
-}
+type ParseError = codec.ParseError
 
-// Error implements the error interface.
-func (e *ParseError) Error() string {
-	if e.Col > 0 {
-		return fmt.Sprintf("desc: line %d, col %d: %s", e.Line, e.Col, e.Msg)
-	}
-	return fmt.Sprintf("desc: line %d: %s", e.Line, e.Msg)
-}
-
-// errMsg formats a ParseError message, dropping a leading "desc: " from
-// embedded errors so Error() doesn't render the package prefix twice.
-func errMsg(format string, args ...any) string {
-	return strings.TrimPrefix(fmt.Sprintf(format, args...), "desc: ")
-}
-
-func errAt(n int, format string, args ...any) error {
-	return &ParseError{Line: n, Msg: errMsg(format, args...)}
+// errAt returns a desc ParseError at line n and column col (0 for the
+// whole line). A leading "desc: " is dropped from the message, so an
+// embedded error does not render the prefix twice.
+func errAt(n, col int, format string, args ...any) error {
+	msg := strings.TrimPrefix(fmt.Sprintf(format, args...), "desc: ")
+	return &ParseError{Lang: "desc", Line: n, Col: col, Msg: msg}
 }
 
 // errAtField positions the error at a specific token of the line.
 func errAtField(n int, f field, format string, args ...any) error {
-	return &ParseError{Line: n, Col: f.col, Msg: errMsg(format, args...)}
+	return errAt(n, f.col, format, args...)
 }
 
 // ParseFile reads and parses a description file.
@@ -183,7 +171,7 @@ func newAttrs(ln line, skip int) (*attrs, error) {
 
 // errKey positions an error at the named attribute's token.
 func (a *attrs) errKey(key, format string, args ...any) error {
-	return &ParseError{Line: a.num, Col: a.cols[key], Msg: errMsg(format, args...)}
+	return errAt(a.num, a.cols[key], format, args...)
 }
 
 func (a *attrs) has(key string) bool { _, ok := a.m[key]; return ok }
@@ -469,142 +457,123 @@ func (p *parser) signaling(ln line) error {
 
 // ---- Technology ----
 
-// technologySetters maps the input-language key of each technology
-// parameter to a setter. The keys are the Table I names in compact form.
-func technologySetters(t *Technology) map[string]func(string) error {
-	lenSet := func(dst *units.Length) func(string) error {
-		return func(v string) error {
-			l, err := units.ParseLength(v)
-			if err != nil {
-				return err
-			}
-			*dst = l
-			return nil
-		}
+// techParams is the Technology section of the input language: the Table I
+// parameters under their compact names, in canonical order. The parser
+// looks names up in it, Format writes the section from it and
+// TechnologyParameterNames lists it. Each field returns a pointer to its
+// Technology field, one of the five types parseTechValue and
+// formatTechValue switch on. The names are spelled out rather than taken
+// from the Go fields, so renaming a field never changes the language.
+var techParams = []struct {
+	name  string
+	field func(*Technology) any
+}{
+	{"GateOxideLogic", func(t *Technology) any { return &t.GateOxideLogic }},
+	{"GateOxideHV", func(t *Technology) any { return &t.GateOxideHV }},
+	{"GateOxideCell", func(t *Technology) any { return &t.GateOxideCell }},
+	{"MinGateLengthLogic", func(t *Technology) any { return &t.MinGateLengthLogic }},
+	{"JunctionCapLogic", func(t *Technology) any { return &t.JunctionCapLogic }},
+	{"MinGateLengthHV", func(t *Technology) any { return &t.MinGateLengthHV }},
+	{"JunctionCapHV", func(t *Technology) any { return &t.JunctionCapHV }},
+	{"CellAccessLength", func(t *Technology) any { return &t.CellAccessLength }},
+	{"CellAccessWidth", func(t *Technology) any { return &t.CellAccessWidth }},
+	{"BitlineCap", func(t *Technology) any { return &t.BitlineCap }},
+	{"CellCap", func(t *Technology) any { return &t.CellCap }},
+	{"BitlineToWLShare", func(t *Technology) any { return &t.BitlineToWLShare }},
+	{"BitsPerCSL", func(t *Technology) any { return &t.BitsPerCSL }},
+	{"WireCapMWL", func(t *Technology) any { return &t.WireCapMWL }},
+	{"MWLPredecodeRatio", func(t *Technology) any { return &t.MWLPredecodeRatio }},
+	{"MWLDecoderNMOS", func(t *Technology) any { return &t.MWLDecoderNMOS }},
+	{"MWLDecoderPMOS", func(t *Technology) any { return &t.MWLDecoderPMOS }},
+	{"MWLDecoderActivity", func(t *Technology) any { return &t.MWLDecoderActivity }},
+	{"WLControlLoadNMOS", func(t *Technology) any { return &t.WLControlLoadNMOS }},
+	{"WLControlLoadPMOS", func(t *Technology) any { return &t.WLControlLoadPMOS }},
+	{"SWDriverNMOS", func(t *Technology) any { return &t.SWDriverNMOS }},
+	{"SWDriverPMOS", func(t *Technology) any { return &t.SWDriverPMOS }},
+	{"SWDriverRestore", func(t *Technology) any { return &t.SWDriverRestore }},
+	{"WireCapLWL", func(t *Technology) any { return &t.WireCapLWL }},
+	{"BLSASenseNMOSWidth", func(t *Technology) any { return &t.BLSASenseNMOSWidth }},
+	{"BLSASenseNMOSLength", func(t *Technology) any { return &t.BLSASenseNMOSLength }},
+	{"BLSASensePMOSWidth", func(t *Technology) any { return &t.BLSASensePMOSWidth }},
+	{"BLSASensePMOSLength", func(t *Technology) any { return &t.BLSASensePMOSLength }},
+	{"BLSAEqualizeWidth", func(t *Technology) any { return &t.BLSAEqualizeWidth }},
+	{"BLSAEqualizeLength", func(t *Technology) any { return &t.BLSAEqualizeLength }},
+	{"BLSABitSwitchWidth", func(t *Technology) any { return &t.BLSABitSwitchWidth }},
+	{"BLSABitSwitchLength", func(t *Technology) any { return &t.BLSABitSwitchLength }},
+	{"BLSAMuxWidth", func(t *Technology) any { return &t.BLSAMuxWidth }},
+	{"BLSAMuxLength", func(t *Technology) any { return &t.BLSAMuxLength }},
+	{"BLSANSetWidth", func(t *Technology) any { return &t.BLSANSetWidth }},
+	{"BLSANSetLength", func(t *Technology) any { return &t.BLSANSetLength }},
+	{"BLSAPSetWidth", func(t *Technology) any { return &t.BLSAPSetWidth }},
+	{"BLSAPSetLength", func(t *Technology) any { return &t.BLSAPSetLength }},
+	{"WireCapSignal", func(t *Technology) any { return &t.WireCapSignal }},
+}
+
+// parseTechValue parses v into the Technology field dst points to.
+func parseTechValue(dst any, v string) (err error) {
+	switch p := dst.(type) {
+	case *units.Length:
+		*p, err = units.ParseLength(v)
+	case *units.Capacitance:
+		*p, err = units.ParseCapacitance(v)
+	case *units.CapacitancePerLength:
+		*p, err = units.ParseCapacitancePerLength(v)
+	case *float64:
+		*p, err = units.ParseFraction(v)
+	case *int:
+		*p, err = strconv.Atoi(v)
+	default:
+		panic(fmt.Sprintf("desc: technology field of type %T", dst))
 	}
-	capSet := func(dst *units.Capacitance) func(string) error {
-		return func(v string) error {
-			c, err := units.ParseCapacitance(v)
-			if err != nil {
-				return err
-			}
-			*dst = c
-			return nil
-		}
-	}
-	cplSet := func(dst *units.CapacitancePerLength) func(string) error {
-		return func(v string) error {
-			c, err := units.ParseCapacitancePerLength(v)
-			if err != nil {
-				return err
-			}
-			*dst = c
-			return nil
-		}
-	}
-	fracSet := func(dst *float64) func(string) error {
-		return func(v string) error {
-			f, err := units.ParseFraction(v)
-			if err != nil {
-				return err
-			}
-			*dst = f
-			return nil
-		}
-	}
-	intSet := func(dst *int) func(string) error {
-		return func(v string) error {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return err
-			}
-			*dst = n
-			return nil
-		}
-	}
-	return map[string]func(string) error{
-		"GateOxideLogic":      lenSet(&t.GateOxideLogic),
-		"GateOxideHV":         lenSet(&t.GateOxideHV),
-		"GateOxideCell":       lenSet(&t.GateOxideCell),
-		"MinGateLengthLogic":  lenSet(&t.MinGateLengthLogic),
-		"JunctionCapLogic":    cplSet(&t.JunctionCapLogic),
-		"MinGateLengthHV":     lenSet(&t.MinGateLengthHV),
-		"JunctionCapHV":       cplSet(&t.JunctionCapHV),
-		"CellAccessLength":    lenSet(&t.CellAccessLength),
-		"CellAccessWidth":     lenSet(&t.CellAccessWidth),
-		"BitlineCap":          capSet(&t.BitlineCap),
-		"CellCap":             capSet(&t.CellCap),
-		"BitlineToWLShare":    fracSet(&t.BitlineToWLShare),
-		"BitsPerCSL":          intSet(&t.BitsPerCSL),
-		"WireCapMWL":          cplSet(&t.WireCapMWL),
-		"MWLPredecodeRatio":   fracSet(&t.MWLPredecodeRatio),
-		"MWLDecoderNMOS":      lenSet(&t.MWLDecoderNMOS),
-		"MWLDecoderPMOS":      lenSet(&t.MWLDecoderPMOS),
-		"MWLDecoderActivity":  fracSet(&t.MWLDecoderActivity),
-		"WLControlLoadNMOS":   lenSet(&t.WLControlLoadNMOS),
-		"WLControlLoadPMOS":   lenSet(&t.WLControlLoadPMOS),
-		"SWDriverNMOS":        lenSet(&t.SWDriverNMOS),
-		"SWDriverPMOS":        lenSet(&t.SWDriverPMOS),
-		"SWDriverRestore":     lenSet(&t.SWDriverRestore),
-		"WireCapLWL":          cplSet(&t.WireCapLWL),
-		"BLSASenseNMOSWidth":  lenSet(&t.BLSASenseNMOSWidth),
-		"BLSASenseNMOSLength": lenSet(&t.BLSASenseNMOSLength),
-		"BLSASensePMOSWidth":  lenSet(&t.BLSASensePMOSWidth),
-		"BLSASensePMOSLength": lenSet(&t.BLSASensePMOSLength),
-		"BLSAEqualizeWidth":   lenSet(&t.BLSAEqualizeWidth),
-		"BLSAEqualizeLength":  lenSet(&t.BLSAEqualizeLength),
-		"BLSABitSwitchWidth":  lenSet(&t.BLSABitSwitchWidth),
-		"BLSABitSwitchLength": lenSet(&t.BLSABitSwitchLength),
-		"BLSAMuxWidth":        lenSet(&t.BLSAMuxWidth),
-		"BLSAMuxLength":       lenSet(&t.BLSAMuxLength),
-		"BLSANSetWidth":       lenSet(&t.BLSANSetWidth),
-		"BLSANSetLength":      lenSet(&t.BLSANSetLength),
-		"BLSAPSetWidth":       lenSet(&t.BLSAPSetWidth),
-		"BLSAPSetLength":      lenSet(&t.BLSAPSetLength),
-		"WireCapSignal":       cplSet(&t.WireCapSignal),
-	}
+	return err
 }
 
 // TechnologyParameterNames returns the input-language names of all
 // technology parameters in a stable order (used by the sensitivity sweep
 // and by documentation).
 func TechnologyParameterNames() []string {
-	return []string{
-		"GateOxideLogic", "GateOxideHV", "GateOxideCell",
-		"MinGateLengthLogic", "JunctionCapLogic", "MinGateLengthHV",
-		"JunctionCapHV", "CellAccessLength", "CellAccessWidth",
-		"BitlineCap", "CellCap", "BitlineToWLShare", "BitsPerCSL",
-		"WireCapMWL", "MWLPredecodeRatio", "MWLDecoderNMOS",
-		"MWLDecoderPMOS", "MWLDecoderActivity", "WLControlLoadNMOS",
-		"WLControlLoadPMOS", "SWDriverNMOS", "SWDriverPMOS",
-		"SWDriverRestore", "WireCapLWL",
-		"BLSASenseNMOSWidth", "BLSASenseNMOSLength",
-		"BLSASensePMOSWidth", "BLSASensePMOSLength",
-		"BLSAEqualizeWidth", "BLSAEqualizeLength",
-		"BLSABitSwitchWidth", "BLSABitSwitchLength",
-		"BLSAMuxWidth", "BLSAMuxLength",
-		"BLSANSetWidth", "BLSANSetLength",
-		"BLSAPSetWidth", "BLSAPSetLength",
-		"WireCapSignal",
+	names := make([]string, len(techParams))
+	for i, p := range techParams {
+		names[i] = p.name
 	}
+	return names
 }
 
 func (p *parser) technology(ln line) error {
 	if len(ln.fields) != 2 || !ln.fields[0].bare() || !ln.fields[1].bare() {
-		return errAt(ln.num, "technology parameters are 'Name value' lines")
+		return errAt(ln.num, 0, "technology parameters are 'Name value' lines")
 	}
 	key, val := ln.fields[0].value, ln.fields[1].value
-	set, ok := technologySetters(&p.d.Technology)[key]
-	if !ok {
-		return errAtField(ln.num, ln.fields[0], "unknown technology parameter %q", key)
+	for _, tp := range techParams {
+		if tp.name != key {
+			continue
+		}
+		if err := parseTechValue(tp.field(&p.d.Technology), val); err != nil {
+			return errAtField(ln.num, ln.fields[1], "technology parameter %s: %v", key, err)
+		}
+		return nil
 	}
-	if err := set(val); err != nil {
-		return errAtField(ln.num, ln.fields[1], "technology parameter %s: %v", key, err)
-	}
-	return nil
+	return errAtField(ln.num, ln.fields[0], "unknown technology parameter %q", key)
 }
 
 // ---- Specification ----
+
+// timingParams lists the attributes of the Timing directive in canonical
+// order: the parser checks them in this order, so a line with several bad
+// values always reports the same one, and Format writes them in it.
+var timingParams = []struct {
+	key   string
+	field func(*Specification) *units.Duration
+}{
+	{"tRC", func(s *Specification) *units.Duration { return &s.RowCycle }},
+	{"tRCD", func(s *Specification) *units.Duration { return &s.RowToColumnDelay }},
+	{"tRP", func(s *Specification) *units.Duration { return &s.PrechargeTime }},
+	{"CL", func(s *Specification) *units.Duration { return &s.CASLatency }},
+	{"tFAW", func(s *Specification) *units.Duration { return &s.FourBankWindow }},
+	{"tRRD", func(s *Specification) *units.Duration { return &s.RowToRowDelay }},
+	{"tREFI", func(s *Specification) *units.Duration { return &s.RefreshInterval }},
+	{"tRFC", func(s *Specification) *units.Duration { return &s.RefreshCycle }},
+}
 
 func (p *parser) specification(ln line) error {
 	head := ln.fields[0]
@@ -668,13 +637,8 @@ func (p *parser) specification(ln line) error {
 		}
 		return a.finish("Burst")
 	case "Timing":
-		for key, dst := range map[string]*units.Duration{
-			"tRC": &s.RowCycle, "tRCD": &s.RowToColumnDelay,
-			"tRP": &s.PrechargeTime, "CL": &s.CASLatency,
-			"tFAW": &s.FourBankWindow, "tRRD": &s.RowToRowDelay,
-			"tREFI": &s.RefreshInterval, "tRFC": &s.RefreshCycle,
-		} {
-			if err := a.durationAttr(key, dst); err != nil {
+		for _, tp := range timingParams {
+			if err := a.durationAttr(tp.key, tp.field(s)); err != nil {
 				return err
 			}
 		}

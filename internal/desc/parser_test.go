@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -356,26 +357,35 @@ WireCapSignal 0.2fF/um
 }
 
 func TestTechnologyParameterNamesComplete(t *testing.T) {
-	// Every listed name must have a setter and the list must cover all 39
-	// technology parameters of Table I.
-	var tech Technology
-	setters := technologySetters(&tech)
+	// The list must cover all 39 technology parameters of Table I, and the
+	// table behind it must reach every Technology field exactly once.
 	names := TechnologyParameterNames()
 	if len(names) != 39 {
 		t.Errorf("technology parameter count: got %d, want 39 (paper Section III.B.3)", len(names))
 	}
 	seen := map[string]bool{}
-	for _, n := range names {
+	for i, n := range names {
 		if seen[n] {
 			t.Errorf("duplicate parameter name %s", n)
 		}
 		seen[n] = true
-		if _, ok := setters[n]; !ok {
-			t.Errorf("parameter %s has no setter", n)
+		if techParams[i].name != n {
+			t.Errorf("name %d: list says %s, table says %s", i, n, techParams[i].name)
 		}
 	}
-	if len(setters) != len(names) {
-		t.Errorf("setters (%d) and names (%d) disagree", len(setters), len(names))
+	var tech Technology
+	reached := map[any]int{}
+	for _, p := range techParams {
+		reached[p.field(&tech)]++
+	}
+	v := reflect.ValueOf(&tech).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if n := reached[v.Field(i).Addr().Interface()]; n != 1 {
+			t.Errorf("Technology.%s is reached by %d table entries, want 1", v.Type().Field(i).Name, n)
+		}
+	}
+	if len(reached) != v.NumField() {
+		t.Errorf("table reaches %d fields, Technology has %d", len(reached), v.NumField())
 	}
 }
 
@@ -494,5 +504,42 @@ func TestDefaultToggle(t *testing.T) {
 	}
 	if DefaultToggle(SigControl) >= DefaultToggle(SigDataRead) {
 		t.Error("control should toggle less than data")
+	}
+}
+
+// TestTimingErrorDeterministic: a Timing line with several malformed
+// durations reports the first one in canonical attribute order, the same
+// text on every parse.
+func TestTimingErrorDeterministic(t *testing.T) {
+	const src = "Specification\nTiming tRC=abc tRP=xyz tRCD=13.75ns\n"
+	texts := map[string]bool{}
+	for i := 0; i < 100; i++ {
+		_, err := ParseString(src)
+		if err == nil {
+			t.Fatal("accepted malformed durations")
+		}
+		texts[err.Error()] = true
+	}
+	if len(texts) != 1 {
+		t.Fatalf("100 parses gave %d error texts, want 1: %v", len(texts), texts)
+	}
+	for text := range texts {
+		if !strings.Contains(text, "attribute tRC:") {
+			t.Errorf("error %q does not name tRC", text)
+		}
+	}
+}
+
+// TestParseAllocs bounds the allocations of parsing the sample
+// descriptor, so no lookup table is rebuilt per line again.
+func TestParseAllocs(t *testing.T) {
+	src := Format(Sample1GbDDR3())
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := ParseString(src); err != nil {
+			panic(err)
+		}
+	})
+	if allocs > 1500 {
+		t.Errorf("Parse allocated %.0f times, want <= 1500", allocs)
 	}
 }

@@ -2,7 +2,6 @@ package desc
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strings"
@@ -18,12 +17,6 @@ func Format(d *Description) string {
 	var b strings.Builder
 	write(&b, d)
 	return b.String()
-}
-
-// WriteTo writes the formatted description to w.
-func WriteTo(w io.Writer, d *Description) error {
-	_, err := io.WriteString(w, Format(d))
-	return err
 }
 
 func write(b *strings.Builder, d *Description) {
@@ -81,53 +74,9 @@ func write(b *strings.Builder, d *Description) {
 		b.WriteByte('\n')
 	}
 
-	t := &d.Technology
 	b.WriteString("\nTechnology\n")
-	for _, kv := range []struct {
-		key string
-		val string
-	}{
-		{"GateOxideLogic", lenStr(t.GateOxideLogic)},
-		{"GateOxideHV", lenStr(t.GateOxideHV)},
-		{"GateOxideCell", lenStr(t.GateOxideCell)},
-		{"MinGateLengthLogic", lenStr(t.MinGateLengthLogic)},
-		{"JunctionCapLogic", cplStr(t.JunctionCapLogic)},
-		{"MinGateLengthHV", lenStr(t.MinGateLengthHV)},
-		{"JunctionCapHV", cplStr(t.JunctionCapHV)},
-		{"CellAccessLength", lenStr(t.CellAccessLength)},
-		{"CellAccessWidth", lenStr(t.CellAccessWidth)},
-		{"BitlineCap", capStr(t.BitlineCap)},
-		{"CellCap", capStr(t.CellCap)},
-		{"BitlineToWLShare", fmt.Sprintf("%g", t.BitlineToWLShare)},
-		{"BitsPerCSL", fmt.Sprintf("%d", t.BitsPerCSL)},
-		{"WireCapMWL", cplStr(t.WireCapMWL)},
-		{"MWLPredecodeRatio", fmt.Sprintf("%g", t.MWLPredecodeRatio)},
-		{"MWLDecoderNMOS", lenStr(t.MWLDecoderNMOS)},
-		{"MWLDecoderPMOS", lenStr(t.MWLDecoderPMOS)},
-		{"MWLDecoderActivity", fmt.Sprintf("%g", t.MWLDecoderActivity)},
-		{"WLControlLoadNMOS", lenStr(t.WLControlLoadNMOS)},
-		{"WLControlLoadPMOS", lenStr(t.WLControlLoadPMOS)},
-		{"SWDriverNMOS", lenStr(t.SWDriverNMOS)},
-		{"SWDriverPMOS", lenStr(t.SWDriverPMOS)},
-		{"SWDriverRestore", lenStr(t.SWDriverRestore)},
-		{"WireCapLWL", cplStr(t.WireCapLWL)},
-		{"BLSASenseNMOSWidth", lenStr(t.BLSASenseNMOSWidth)},
-		{"BLSASenseNMOSLength", lenStr(t.BLSASenseNMOSLength)},
-		{"BLSASensePMOSWidth", lenStr(t.BLSASensePMOSWidth)},
-		{"BLSASensePMOSLength", lenStr(t.BLSASensePMOSLength)},
-		{"BLSAEqualizeWidth", lenStr(t.BLSAEqualizeWidth)},
-		{"BLSAEqualizeLength", lenStr(t.BLSAEqualizeLength)},
-		{"BLSABitSwitchWidth", lenStr(t.BLSABitSwitchWidth)},
-		{"BLSABitSwitchLength", lenStr(t.BLSABitSwitchLength)},
-		{"BLSAMuxWidth", lenStr(t.BLSAMuxWidth)},
-		{"BLSAMuxLength", lenStr(t.BLSAMuxLength)},
-		{"BLSANSetWidth", lenStr(t.BLSANSetWidth)},
-		{"BLSANSetLength", lenStr(t.BLSANSetLength)},
-		{"BLSAPSetWidth", lenStr(t.BLSAPSetWidth)},
-		{"BLSAPSetLength", lenStr(t.BLSAPSetLength)},
-		{"WireCapSignal", cplStr(t.WireCapSignal)},
-	} {
-		fmt.Fprintf(b, "%s %s\n", kv.key, kv.val)
+	for _, tp := range techParams {
+		fmt.Fprintf(b, "%s %s\n", tp.name, formatTechValue(tp.field(&d.Technology)))
 	}
 
 	s := &d.Spec
@@ -141,17 +90,9 @@ func write(b *strings.Builder, d *Description) {
 		fmt.Fprintf(b, "Burst length=%d\n", s.BurstLength)
 	}
 	b.WriteString("Timing")
-	for _, kv := range []struct {
-		key string
-		val units.Duration
-	}{
-		{"tRC", s.RowCycle}, {"tRCD", s.RowToColumnDelay},
-		{"tRP", s.PrechargeTime}, {"CL", s.CASLatency},
-		{"tFAW", s.FourBankWindow}, {"tRRD", s.RowToRowDelay},
-		{"tREFI", s.RefreshInterval}, {"tRFC", s.RefreshCycle},
-	} {
-		if kv.val > 0 {
-			fmt.Fprintf(b, " %s=%s", kv.key, durStr(kv.val))
+	for _, tp := range timingParams {
+		if v := *tp.field(s); v > 0 {
+			fmt.Fprintf(b, " %s=%s", tp.key, durStr(v))
 		}
 	}
 	b.WriteByte('\n')
@@ -184,6 +125,24 @@ func write(b *strings.Builder, d *Description) {
 	if len(d.Pattern.Loop) > 0 {
 		fmt.Fprintf(b, "\nPattern loop= %s\n", d.Pattern.String())
 	}
+}
+
+// formatTechValue renders the Technology field v points to, in the form
+// parseTechValue reads back exactly.
+func formatTechValue(v any) string {
+	switch p := v.(type) {
+	case *units.Length:
+		return lenStr(*p)
+	case *units.Capacitance:
+		return capStr(*p)
+	case *units.CapacitancePerLength:
+		return cplStr(*p)
+	case *float64:
+		return fmt.Sprintf("%g", *p)
+	case *int:
+		return fmt.Sprintf("%d", *p)
+	}
+	panic(fmt.Sprintf("desc: technology field of type %T", v))
 }
 
 func sizeList(m map[string]units.Length) string {

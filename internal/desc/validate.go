@@ -167,6 +167,10 @@ func (d *Description) Validate() error {
 		e.addf("specification: address bits invalid (bank=%d row=%d col=%d)",
 			s.BankAddrBits, s.RowAddrBits, s.ColAddrBits)
 	}
+	if s.BankAddrBits > MaxBankAddrBits {
+		e.addf("specification: bankadd=%d exceeds the bound of %d bank address bits",
+			s.BankAddrBits, MaxBankAddrBits)
+	}
 	if s.BurstLength < 0 {
 		e.addf("specification: negative burst length %d", s.BurstLength)
 	}

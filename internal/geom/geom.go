@@ -65,11 +65,6 @@ func (g *Grid) DieArea() units.Area {
 	return units.Area(float64(g.Width) * float64(g.Height))
 }
 
-// BlockName returns the name of the block at r.
-func (g *Grid) BlockName(r desc.BlockRef) string {
-	return g.fp.HorizontalBlocks[r.X] // column name; equal along the column
-}
-
 // BlockSize returns the width and height of the block at r.
 func (g *Grid) BlockSize(r desc.BlockRef) (w, h units.Length, err error) {
 	if err := g.check(r); err != nil {

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"drampower/internal/desc"
-	"drampower/internal/engine"
 	"drampower/internal/units"
 )
 
@@ -465,23 +464,16 @@ func rowToRow(i Interface) units.Duration {
 	return units.Nanoseconds(15)
 }
 
-// BuildAll returns descriptions for every roadmap node.
+// BuildAll returns validated descriptions for every roadmap node, in
+// roadmap order.
 func BuildAll() ([]*desc.Description, error) {
-	return BuildAllOpts(engine.Options{Workers: 1})
-}
-
-// BuildAllOpts is BuildAll with batch-evaluation options: the nodes
-// synthesize and validate concurrently, in roadmap order.
-func BuildAllOpts(opts engine.Options) ([]*desc.Description, error) {
-	out, err := engine.Map(Roadmap(), func(_ int, n Node) (*desc.Description, error) {
+	var out []*desc.Description
+	for _, n := range Roadmap() {
 		d := n.Description()
 		if err := d.Validate(); err != nil {
 			return nil, fmt.Errorf("scaling: node %s: %w", n.Name(), err)
 		}
-		return d, nil
-	}, opts)
-	if err != nil {
-		return nil, err
+		out = append(out, d)
 	}
 	return out, nil
 }

@@ -200,17 +200,12 @@ type Result struct {
 	IDD7 units.Current
 }
 
-// Evaluate runs the baseline and every scheme on the given description and
-// returns the results, baseline first. Evaluation is serial; EvaluateOpts
-// runs the schemes on a worker pool.
-func Evaluate(base *desc.Description) ([]Result, error) {
-	return EvaluateOpts(base, engine.Options{Workers: 1})
-}
-
-// EvaluateOpts is Evaluate with batch-evaluation options. The baseline is
+// EvaluateOpts runs the baseline and every scheme on the given
+// description and returns the results, baseline first. The baseline is
 // built first (its figures feed every delta); the schemes then evaluate
-// concurrently, each on its own deep clone of the baseline description, so
-// any worker count produces the same results.
+// on the worker pool (Workers: 1 runs serially), each on its own deep
+// clone of the baseline description, so any worker count produces the
+// same results.
 func EvaluateOpts(base *desc.Description, opts engine.Options) ([]Result, error) {
 	baseModel, err := core.Build(base.Clone())
 	if err != nil {

@@ -6,12 +6,13 @@ import (
 	"testing"
 
 	"drampower/internal/desc"
+	"drampower/internal/engine"
 	"drampower/internal/scaling"
 )
 
 func evaluate(t *testing.T) []Result {
 	t.Helper()
-	res, err := Evaluate(desc.Sample1GbDDR3())
+	res, err := EvaluateOpts(desc.Sample1GbDDR3(), engine.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestMiniRankPerDevicePenalty(t *testing.T) {
 func TestSchemesDoNotMutateBaseline(t *testing.T) {
 	d := desc.Sample1GbDDR3()
 	before := desc.Format(d)
-	if _, err := Evaluate(d); err != nil {
+	if _, err := EvaluateOpts(d, engine.Options{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if desc.Format(d) != before {
@@ -140,7 +141,7 @@ func TestSchemesOnGenerationDevices(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Evaluate(n.Description())
+		res, err := EvaluateOpts(n.Description(), engine.Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("%gnm: %v", nm, err)
 		}

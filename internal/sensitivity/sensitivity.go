@@ -192,20 +192,14 @@ type Result struct {
 // uses ±20 %).
 const Variation = 0.20
 
-// Sweep varies every registry parameter on the given description and
-// returns the results sorted by descending range, evaluating the
-// description's pattern. Parameters excluded from the chart are omitted;
-// use SweepAll to include them. Evaluation is serial; SweepOpts runs the
-// same sweep on a worker pool.
-func Sweep(d *desc.Description) ([]Result, error) {
-	return SweepOpts(d, engine.Options{Workers: 1})
-}
-
-// SweepOpts is Sweep with batch-evaluation options: one worker per
-// parameter up to the pool size (Workers <= 0 uses one worker per CPU).
-// The results are identical to Sweep's for any worker count.
+// SweepOpts varies every registry parameter on the given description and
+// returns the Figure 10 chart rows sorted by descending range, evaluating
+// the description's pattern; parameters excluded from the chart are
+// omitted (SweepCalibratedOpts returns every row). One job per parameter
+// runs on the worker pool (Workers <= 0 uses one worker per CPU, 1 runs
+// serially); the results are identical for any worker count.
 func SweepOpts(d *desc.Description, opts engine.Options) ([]Result, error) {
-	all, err := SweepAllOpts(d, opts)
+	all, err := SweepCalibratedOpts(d, nil, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -231,26 +225,16 @@ func ChartRows(all []Result) []Result {
 	return out
 }
 
-// SweepAll is Sweep including chart-excluded parameters.
-func SweepAll(d *desc.Description) ([]Result, error) {
-	return SweepAllOpts(d, engine.Options{Workers: 1})
-}
-
-// SweepAllOpts is SweepAll with batch-evaluation options. Each parameter's
-// up/down pair is one job: the jobs only read the shared base description
-// (every evaluation works on its own deep clone), so any worker count
-// produces the same results.
-func SweepAllOpts(d *desc.Description, opts engine.Options) ([]Result, error) {
-	return SweepCalibratedOpts(d, nil, opts)
-}
-
-// SweepCalibratedOpts runs the full sweep with a calibration overlay
-// applied to the base and to every parameter variant. Scaling-style
-// calibration entries compose naturally with the varied circuit
-// parameters (the overlay ratio rides on top of each variant's derived
-// value); absolute overrides pin their parameter and null its
-// sensitivity, which is the physically honest reading of "this value was
-// measured". A nil or empty overlay reproduces SweepAllOpts bit for bit.
+// SweepCalibratedOpts runs the full sweep, chart-excluded parameters
+// included, with a calibration overlay applied to the base and to every
+// parameter variant. Scaling-style calibration entries compose naturally
+// with the varied circuit parameters (the overlay ratio rides on top of
+// each variant's derived value); absolute overrides pin their parameter
+// and null its sensitivity, which is the physically honest reading of
+// "this value was measured". A nil or empty overlay sweeps the plain
+// description. Each parameter's up/down pair is one job: the jobs only
+// read the shared base description (every evaluation works on its own
+// deep clone), so any worker count produces the same results.
 func SweepCalibratedOpts(d *desc.Description, ov *desc.Overlay, opts engine.Options) ([]Result, error) {
 	if sweepInline(opts) {
 		opts = engine.Options{Workers: 1}

@@ -17,7 +17,7 @@ func sweepFor(t *testing.T, nm float64) []Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Sweep(n.Description())
+	res, err := SweepOpts(n.Description(), engine.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func rankOf(results []Result, name string) int {
 func TestRegistryApplies(t *testing.T) {
 	// Every parameter must actually change the power when varied.
 	d := desc.Sample1GbDDR3()
-	res, err := SweepAll(d)
+	res, err := SweepCalibratedOpts(d, nil, engine.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestVddDirectlyProportional(t *testing.T) {
 	// shown in the chart."
 	d := desc.Sample1GbDDR3()
 	d.Electrical.ConstantCurrent = 0 // the constant sink scales linearly, not quadratically
-	all, err := SweepAll(d)
+	all, err := SweepCalibratedOpts(d, nil, engine.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestVddDirectlyProportional(t *testing.T) {
 		t.Errorf("Vdd range: got %.2f%%, want 40%%", vdd)
 	}
 	// ... and it is excluded from the chart sweep.
-	chart, err := Sweep(d)
+	chart, err := SweepOpts(d, engine.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestTopHelper(t *testing.T) {
 func TestSweepDoesNotMutateInput(t *testing.T) {
 	d := desc.Sample1GbDDR3()
 	before := desc.Format(d)
-	if _, err := Sweep(d); err != nil {
+	if _, err := SweepOpts(d, engine.Options{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if desc.Format(d) != before {
@@ -244,7 +244,7 @@ func TestSweepDoesNotMutateInput(t *testing.T) {
 
 func TestSweepCalibratedEmptyOverlayIdentical(t *testing.T) {
 	d := desc.Sample1GbDDR3()
-	plain, err := SweepAllOpts(d, engine.Options{Workers: 1})
+	plain, err := SweepCalibratedOpts(d, nil, engine.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestSweepCalibratedScalesRideAlong(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := SweepAllOpts(d, engine.Options{Workers: 1})
+	plain, err := SweepCalibratedOpts(d, nil, engine.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 
+	"drampower/internal/codec"
 	"drampower/internal/core"
 	"drampower/internal/ctl"
 	"drampower/internal/desc"
@@ -43,20 +44,14 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 // client disconnects under 504 "request timed out".
 const statusClientClosedRequest = 499
 
-// writeParseAwareError maps an evaluation error to a response: positioned
-// parse errors become 400 with line/col, timeouts 504, client
-// cancellations 499, body-size limits 413, anything else the provided
-// fallback status. The stream-failure checks run before the
-// trace.ParseError one because the scanner wraps reader errors in a
-// positioned ParseError: a trace upload that dies on the request
-// deadline, the client hanging up or the body cap is an I/O outcome, not
-// bad trace text.
+// writeParseAwareError maps an evaluation error to a response: timeouts
+// 504, client cancellations 499, body-size limits 413, positioned parse
+// errors 400 with line/col, anything else the provided fallback status.
+// The stream-failure checks run before the parse-error one because the
+// trace and access scanners wrap reader errors in a positioned
+// ParseError: an upload that dies on the request deadline, the client
+// hanging up or the body cap is an I/O outcome, not bad input text.
 func writeParseAwareError(w http.ResponseWriter, err error, fallback int) {
-	var dpe *desc.ParseError
-	if errors.As(err, &dpe) {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error(), Line: dpe.Line, Col: dpe.Col})
-		return
-	}
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
 		writeError(w, http.StatusRequestEntityTooLarge,
@@ -71,14 +66,9 @@ func writeParseAwareError(w http.ResponseWriter, err error, fallback int) {
 		writeError(w, statusClientClosedRequest, "client closed request")
 		return
 	}
-	var tpe *trace.ParseError
-	if errors.As(err, &tpe) {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error(), Line: tpe.Line, Col: tpe.Col})
-		return
-	}
-	var cpe *ctl.ParseError
-	if errors.As(err, &cpe) {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error(), Line: cpe.Line, Col: cpe.Col})
+	var pe *codec.ParseError
+	if errors.As(err, &pe) {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error(), Line: pe.Line, Col: pe.Col})
 		return
 	}
 	writeError(w, fallback, err.Error())

@@ -128,6 +128,22 @@ func TestEvaluateParseErrorIsPositioned400(t *testing.T) {
 	}
 }
 
+// TestEvaluateRejectsTooManyBanks: a descriptor with more bank address
+// bits than desc.MaxBankAddrBits is a 422 naming the field, not a model
+// whose trace replays would try to size 2^63 banks.
+func TestEvaluateRejectsTooManyBanks(t *testing.T) {
+	_, hs := newTestServer(t, Options{})
+	d := desc.Sample1GbDDR3()
+	d.Spec.BankAddrBits = 63
+	resp, body := post(t, hs.URL+"/v1/evaluate", desc.Format(d))
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422: %s", resp.StatusCode, body)
+	}
+	if !bytes.Contains(body, []byte("bankadd=63")) {
+		t.Errorf("error body does not name bankadd: %s", body)
+	}
+}
+
 func TestEvaluatePatternOverride(t *testing.T) {
 	_, hs := newTestServer(t, Options{})
 	resp, body := post(t, hs.URL+"/v1/evaluate?pattern=act+nop+rd+nop+pre+nop", "")

@@ -90,7 +90,7 @@ func NewBinaryScanner(r io.Reader) *BinaryScanner {
 
 // fail records a positioned decode error at the current command ordinal.
 func (sc *BinaryScanner) fail(format string, args ...any) bool {
-	sc.err = &ParseError{Line: int(sc.n + 1), Msg: fmt.Sprintf(format, args...)}
+	sc.err = parseErr(int(sc.n+1), 0, fmt.Sprintf(format, args...), nil)
 	return false
 }
 
@@ -110,7 +110,7 @@ func (sc *BinaryScanner) fill() {
 			return
 		}
 		if err != nil {
-			sc.err = &ParseError{Line: int(sc.n + 1), Msg: err.Error(), err: err}
+			sc.err = parseErr(int(sc.n+1), 0, err.Error(), err)
 			return
 		}
 	}

@@ -36,30 +36,18 @@ import (
 	"drampower/internal/desc"
 )
 
-// ParseError reports a malformed trace line at a specific input position.
-// It mirrors the shape of desc.ParseError — Line is 1-based, Col the
-// 1-based byte column of the offending field, 0 for whole-line problems —
-// so tooling can surface description and trace errors uniformly.
-type ParseError struct {
-	Line int
-	Col  int
-	Msg  string
-	err  error // underlying reader error, when the input itself failed
-}
+// ParseError is the positioned error of the trace text and dtb scanners
+// (see codec.ParseError). Its messages carry the "trace:" prefix; for dtb
+// input Line is the 1-based ordinal of the offending command and Col is
+// zero. A reader failure is kept in Err, so callers can tell a cancelled
+// context or an http.MaxBytesError apart from bad trace text.
+type ParseError = codec.ParseError
 
-// Error implements the error interface.
-func (e *ParseError) Error() string {
-	if e.Col > 0 {
-		return fmt.Sprintf("trace: line %d, col %d: %s", e.Line, e.Col, e.Msg)
-	}
-	return fmt.Sprintf("trace: line %d: %s", e.Line, e.Msg)
+// parseErr returns a trace ParseError at line and col (0 for a whole-line
+// or binary problem); err is the reader failure behind it, if any.
+func parseErr(line, col int, msg string, err error) *ParseError {
+	return &ParseError{Lang: "trace", Line: line, Col: col, Msg: msg, Err: err}
 }
-
-// Unwrap exposes the reader error behind a stream failure, so callers can
-// errors.Is/As through the positioned wrapper (e.g. to tell a cancelled
-// context or an http.MaxBytesError apart from genuinely bad trace text).
-// It is nil for ordinary syntax errors.
-func (e *ParseError) Unwrap() error { return e.err }
 
 // maxLineBytes bounds a single trace line; a well-formed line is a few
 // dozen bytes, so the cap only guards against pathological input.
@@ -112,7 +100,7 @@ func (sc *Scanner) Scan() bool {
 		}
 	}
 	if err := sc.s.Err(); err != nil {
-		sc.err = &ParseError{Line: sc.line + 1, Msg: err.Error(), err: err}
+		sc.err = parseErr(sc.line+1, 0, err.Error(), err)
 	}
 	return false
 }
@@ -136,21 +124,21 @@ func parseLine(b []byte, line int) (cmd Command, ok bool, err error) {
 	}
 	slot, j, numOK := codec.ParseInt(b, i)
 	if !numOK {
-		return Command{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("bad slot %q (want integer)", codec.Field(b, i))}
+		return Command{}, false, parseErr(line, i+1, fmt.Sprintf("bad slot %q (want integer)", codec.Field(b, i)), nil)
 	}
 	if slot < 0 {
-		return Command{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("negative slot %d", slot)}
+		return Command{}, false, parseErr(line, i+1, fmt.Sprintf("negative slot %d", slot), nil)
 	}
 	cmd.Slot = slot
 
 	i = codec.SkipSpace(b, j)
 	if i >= len(b) || b[i] == '#' {
-		return Command{}, false, &ParseError{Line: line, Col: 0, Msg: "missing operation"}
+		return Command{}, false, parseErr(line, 0, "missing operation", nil)
 	}
 	j = codec.EndOfField(b, i)
 	op, opOK := parseOpBytes(b[i:j])
 	if !opOK {
-		return Command{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("unknown operation %q (want nop, act, pre, rd, wrt, ref, pde, pdx, sre or srx)", codec.Field(b, i))}
+		return Command{}, false, parseErr(line, i+1, fmt.Sprintf("unknown operation %q (want nop, act, pre, rd, wrt, ref, pde, pdx, sre or srx)", codec.Field(b, i)), nil)
 	}
 	cmd.Op = op
 
@@ -158,7 +146,7 @@ func parseLine(b []byte, line int) (cmd Command, ok bool, err error) {
 	if i < len(b) && b[i] != '#' {
 		bank, k, bankOK := codec.ParseInt(b, i)
 		if !bankOK {
-			return Command{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("bad bank %q (want integer)", codec.Field(b, i))}
+			return Command{}, false, parseErr(line, i+1, fmt.Sprintf("bad bank %q (want integer)", codec.Field(b, i)), nil)
 		}
 		cmd.Bank = int(bank)
 		i = codec.SkipSpace(b, k)
@@ -166,13 +154,13 @@ func parseLine(b []byte, line int) (cmd Command, ok bool, err error) {
 	if i < len(b) && b[i] != '#' {
 		row, k, rowOK := codec.ParseInt(b, i)
 		if !rowOK {
-			return Command{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("bad row %q (want integer)", codec.Field(b, i))}
+			return Command{}, false, parseErr(line, i+1, fmt.Sprintf("bad row %q (want integer)", codec.Field(b, i)), nil)
 		}
 		cmd.Row = int(row)
 		i = codec.SkipSpace(b, k)
 	}
 	if i < len(b) && b[i] != '#' {
-		return Command{}, false, &ParseError{Line: line, Col: i + 1, Msg: fmt.Sprintf("trailing field %q (want <slot> <op> [<bank> [<row>]])", codec.Field(b, i))}
+		return Command{}, false, parseErr(line, i+1, fmt.Sprintf("trailing field %q (want <slot> <op> [<bank> [<row>]])", codec.Field(b, i)), nil)
 	}
 	return cmd, true, nil
 }

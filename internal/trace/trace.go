@@ -446,6 +446,3 @@ func (s *Simulator) Result(endSlot int64) Result {
 	}
 	return r
 }
-
-// PowerState returns the background state the simulator is currently in.
-func (s *Simulator) PowerState() State { return s.state }

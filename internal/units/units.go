@@ -72,9 +72,6 @@ func Nanometers(n float64) Length { return Length(n * Nano) }
 // Micrometers returns a Length of n micrometers.
 func Micrometers(n float64) Length { return Length(n * Micro) }
 
-// Millimeters returns a Length of n millimeters.
-func Millimeters(n float64) Length { return Length(n * Milli) }
-
 // Femtofarads returns a Capacitance of n femtofarads.
 func Femtofarads(n float64) Capacitance { return Capacitance(n * Femto) }
 
