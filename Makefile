@@ -27,11 +27,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Trace + engine + server + model-build benchmarks, snapshotted into
-# BENCH_trace.json (ns/op, allocs/op, cmds/s, MB/s, req/s) so future PRs
-# have a perf trajectory to compare against. The human-readable output
-# still lands on stderr.
-BENCH_PATTERN = Trace|Sweep|Server|Schedule|Build$$|EvaluatePattern|SchemeComparison
+# Trace + engine + server + model-build + description-clone benchmarks,
+# snapshotted into BENCH_trace.json (ns/op, allocs/op, cmds/s, MB/s,
+# req/s) so future PRs have a perf trajectory to compare against. The
+# human-readable output still lands on stderr.
+BENCH_PATTERN = Trace|Sweep|Server|Schedule|Build$$|EvaluatePattern|SchemeComparison|Clone
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem . \
 		| $(GO) run ./tools/benchjson -echo > BENCH_trace.json
@@ -108,11 +108,13 @@ legality:
 # shutdown tests: proves the sharded schedule → replay handoff is
 # properly synchronized, including mid-stream source and sink failures,
 # that the shared double-buffered ring (engine.Pipeline) under both
-# streaming paths shuts down cleanly, and that trace replay's decoder
-# hands each round's slab to the consumer that shards it.
+# streaming paths shuts down cleanly, that engine.Run's workers, which
+# both pipelines call every round through engine.Map, claim each job
+# exactly once, and that trace replay's decoder hands each round's slab
+# to the consumer that shards it.
 legality-race:
 	$(GO) test -race ./internal/ctl -run '$(LEGALITY_TESTS)|TestScheduleInto' -count=1
-	$(GO) test -race ./internal/engine -run 'TestPipeline' -count=1
+	$(GO) test -race ./internal/engine -run 'TestPipeline|TestRun' -count=1
 	$(GO) test -race ./internal/trace -run 'TestReplay|TestMillionCommand' -count=1
 
 # The compiler must keep inlining the hot-path helpers into their

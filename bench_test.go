@@ -255,6 +255,16 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkDescriptionClone measures the deep copy every sensitivity and
+// scheme variant starts from.
+func BenchmarkDescriptionClone(b *testing.B) {
+	d := Sample1GbDDR3()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = d.Clone()
+	}
+}
+
 // BenchmarkEvaluatePattern measures a full pattern evaluation.
 func BenchmarkEvaluatePattern(b *testing.B) {
 	m, err := Build(Sample1GbDDR3())

@@ -81,12 +81,12 @@ const setDeviceSharing = 8
 // bitline precharge level.
 const equalizeTransistors = 3
 
-// ActivateItems returns the charge items of one activate command: master
-// wordline and row decode, local wordlines with their drivers and cell
-// gates, bitline sensing, cell restore and sense-amplifier device loads.
-func ActivateItems(p tech.Params, d *desc.Description, a *geom.ArrayLayout) []ChargeItem {
-	t := d.Technology
-	var items []ChargeItem
+// ActivateItems appends the charge items of one activate command to dst
+// and returns the extended slice: master wordline and row decode, local
+// wordlines with their drivers and cell gates, bitline sensing, cell
+// restore and sense-amplifier device loads.
+func ActivateItems(dst []ChargeItem, p tech.Params, d *desc.Description, a *geom.ArrayLayout) []ChargeItem {
+	t := &d.Technology
 	// Partial-activation schemes (Section V) raise only a fraction of the
 	// row's local wordlines and sense amplifiers; the master wordline and
 	// the row decode still run for the full row.
@@ -102,7 +102,7 @@ func ActivateItems(p tech.Params, d *desc.Description, a *geom.ArrayLayout) []Ch
 		// local driver pair it selects (Figure 3).
 		(p.GateLoad(t.SWDriverNMOS, 0, tech.ClassHV) +
 			p.GateLoad(t.SWDriverPMOS, 0, tech.ClassHV)).Times(float64(a.LWDStripes))
-	items = append(items, ChargeItem{
+	dst = append(dst, ChargeItem{
 		Name: "master wordline", Group: GroupRow, Domain: desc.DomainVpp,
 		Cap: mwlCap, Events: 1,
 	})
@@ -113,7 +113,7 @@ func ActivateItems(p tech.Params, d *desc.Description, a *geom.ArrayLayout) []Ch
 		predecodeLines := 1 / t.MWLPredecodeRatio
 		decCap := p.GateLoad(t.MWLDecoderNMOS, 0, tech.ClassHV) +
 			p.GateLoad(t.MWLDecoderPMOS, 0, tech.ClassHV)
-		items = append(items, ChargeItem{
+		dst = append(dst, ChargeItem{
 			Name: "row decoder", Group: GroupRow, Domain: desc.DomainVint,
 			Cap:    decCap.Times(t.MWLDecoderActivity),
 			Events: predecodeLines,
@@ -124,7 +124,7 @@ func ActivateItems(p tech.Params, d *desc.Description, a *geom.ArrayLayout) []Ch
 	// selected row of LWD stripes.
 	wlCtlCap := p.GateLoad(t.WLControlLoadNMOS, 0, tech.ClassHV) +
 		p.GateLoad(t.WLControlLoadPMOS, 0, tech.ClassHV)
-	items = append(items, ChargeItem{
+	dst = append(dst, ChargeItem{
 		Name: "wordline control", Group: GroupRow, Domain: desc.DomainVpp,
 		Cap: wlCtlCap, Events: float64(a.LWDStripes),
 	})
@@ -137,7 +137,7 @@ func ActivateItems(p tech.Params, d *desc.Description, a *geom.ArrayLayout) []Ch
 		p.DrainLoad(t.SWDriverNMOS, tech.ClassHV) +
 		p.DrainLoad(t.SWDriverPMOS, tech.ClassHV) +
 		p.DrainLoad(t.SWDriverRestore, tech.ClassHV)
-	items = append(items, ChargeItem{
+	dst = append(dst, ChargeItem{
 		Name: "local wordlines", Group: GroupRow, Domain: desc.DomainVpp,
 		Cap: lwlCap, Events: frac * float64(a.SubarraysAlongWL),
 	})
@@ -145,7 +145,7 @@ func ActivateItems(p tech.Params, d *desc.Description, a *geom.ArrayLayout) []Ch
 	// Bitline sensing: each pair develops from the Vbl/2 precharge level;
 	// the supply delivers Cbl·Vbl/2 of charge into the high-going bitline,
 	// i.e. an effective capacitance of Cbl/2 at Vbl per pair.
-	items = append(items, ChargeItem{
+	dst = append(dst, ChargeItem{
 		Name: "bitline sensing", Group: GroupArray, Domain: desc.DomainVbl,
 		Cap: t.BitlineCap.Times(0.5), Events: frac * float64(a.PageBits),
 	})
@@ -153,7 +153,7 @@ func ActivateItems(p tech.Params, d *desc.Description, a *geom.ArrayLayout) []Ch
 	// Bitline-to-wordline coupling: the rising wordline couples into every
 	// bitline it crosses through the given share of the bitline
 	// capacitance; the sense amplifier restores the disturbance from Vbl.
-	items = append(items, ChargeItem{
+	dst = append(dst, ChargeItem{
 		Name: "bitline-wordline coupling", Group: GroupArray, Domain: desc.DomainVbl,
 		Cap:    t.BitlineCap.Times(t.BitlineToWLShare * 0.5),
 		Events: frac * float64(a.PageBits),
@@ -162,7 +162,7 @@ func ActivateItems(p tech.Params, d *desc.Description, a *geom.ArrayLayout) []Ch
 	// Cell restore: on average the cells of the page take Ccell·Vbl/4 of
 	// charge (half the cells store a high level, restored by half a swing
 	// after charge sharing with the bitline).
-	items = append(items, ChargeItem{
+	dst = append(dst, ChargeItem{
 		Name: "cell restore", Group: GroupArray, Domain: desc.DomainVbl,
 		Cap: t.CellCap.Times(0.25), Events: frac * float64(a.PageBits),
 	})
@@ -176,7 +176,7 @@ func ActivateItems(p tech.Params, d *desc.Description, a *geom.ArrayLayout) []Ch
 			p.DrainLoad(t.BLSASensePMOSWidth, tech.ClassLogic)).Times(2)
 	setCap := (tech.GateCap(t.BLSANSetWidth, t.BLSANSetLength, p.Oxide(tech.ClassLogic)) +
 		tech.GateCap(t.BLSAPSetWidth, t.BLSAPSetLength, p.Oxide(tech.ClassLogic))).Times(1.0 / setDeviceSharing)
-	items = append(items, ChargeItem{
+	dst = append(dst, ChargeItem{
 		Name: "sense amplifier devices", Group: GroupArray, Domain: desc.DomainVbl,
 		Cap: saCap + setCap, Events: frac * float64(a.PageBits),
 	})
@@ -185,35 +185,34 @@ func ActivateItems(p tech.Params, d *desc.Description, a *geom.ArrayLayout) []Ch
 	// is boosted to pass the full bitline level.
 	if d.Floorplan.Arch == desc.Folded && t.BLSAMuxWidth > 0 {
 		muxCap := tech.GateCap(t.BLSAMuxWidth, t.BLSAMuxLength, p.Oxide(tech.ClassHV)).Times(2)
-		items = append(items, ChargeItem{
+		dst = append(dst, ChargeItem{
 			Name: "bitline multiplexers", Group: GroupArray, Domain: desc.DomainVpp,
 			Cap: muxCap, Events: frac * float64(a.PageBits),
 		})
 	}
-	return items
+	return dst
 }
 
-// PrechargeItems returns the charge items of one precharge command. The
-// bitlines themselves are equalized by charge sharing (no supply draw, the
-// one adiabatic saving the paper notes); what costs energy is driving the
-// equalize gates, the wordline restore devices and the master wordline
-// path control.
-func PrechargeItems(p tech.Params, d *desc.Description, a *geom.ArrayLayout) []ChargeItem {
-	t := d.Technology
-	var items []ChargeItem
+// PrechargeItems appends the charge items of one precharge command to dst
+// and returns the extended slice. The bitlines themselves are equalized
+// by charge sharing (no supply draw, the one adiabatic saving the paper
+// notes); what costs energy is driving the equalize gates, the wordline
+// restore devices and the master wordline path control.
+func PrechargeItems(dst []ChargeItem, p tech.Params, d *desc.Description, a *geom.ArrayLayout) []ChargeItem {
+	t := &d.Technology
 	frac := d.Floorplan.EffectiveActivation()
 
 	// Equalize gates: three boosted devices per pair (Figure 2).
 	eqCap := tech.GateCap(t.BLSAEqualizeWidth, t.BLSAEqualizeLength, p.Oxide(tech.ClassHV)).
 		Times(equalizeTransistors)
-	items = append(items, ChargeItem{
+	dst = append(dst, ChargeItem{
 		Name: "equalize gates", Group: GroupArray, Domain: desc.DomainVpp,
 		Cap: eqCap, Events: frac * float64(a.PageBits),
 	})
 
 	// Wordline restore devices: pull the local wordlines low again.
 	restoreCap := p.GateLoad(t.SWDriverRestore, 0, tech.ClassHV)
-	items = append(items, ChargeItem{
+	dst = append(dst, ChargeItem{
 		Name: "wordline restore", Group: GroupRow, Domain: desc.DomainVpp,
 		Cap: restoreCap, Events: frac * float64(a.SubarraysAlongWL),
 	})
@@ -221,7 +220,7 @@ func PrechargeItems(p tech.Params, d *desc.Description, a *geom.ArrayLayout) []C
 	// Wordline control returns to the precharge state.
 	wlCtlCap := p.GateLoad(t.WLControlLoadNMOS, 0, tech.ClassHV) +
 		p.GateLoad(t.WLControlLoadPMOS, 0, tech.ClassHV)
-	items = append(items, ChargeItem{
+	dst = append(dst, ChargeItem{
 		Name: "wordline control", Group: GroupRow, Domain: desc.DomainVpp,
 		Cap: wlCtlCap, Events: float64(a.LWDStripes),
 	})
@@ -232,24 +231,24 @@ func PrechargeItems(p tech.Params, d *desc.Description, a *geom.ArrayLayout) []C
 	// against sense-amplifier imbalance, array leakage and the charge the
 	// column access removed. Modeled as a quarter of the bitline
 	// capacitance recharged from the Vbl domain per pair.
-	items = append(items, ChargeItem{
+	dst = append(dst, ChargeItem{
 		Name: "precharge level regeneration", Group: GroupArray, Domain: desc.DomainVbl,
 		Cap: t.BitlineCap.Times(0.25), Events: frac * float64(a.PageBits),
 	})
-	return items
+	return dst
 }
 
-// ColumnItems returns the charge items of one column command (read or
+// ColumnItems appends the charge items of one column command (read or
 // write) transferring `bits` bits between the sense amplifiers and the
-// master array data lines: column select pulses with the bit-switch gates
-// they drive, and the local array data lines. The master array data lines
-// and everything downstream belong to the signaling floorplan. For writes
-// the flipped bitlines and cells are added.
-func ColumnItems(p tech.Params, d *desc.Description, a *geom.ArrayLayout, bits int, write bool) []ChargeItem {
-	t := d.Technology
-	var items []ChargeItem
+// master array data lines to dst and returns the extended slice: column
+// select pulses with the bit-switch gates they drive, and the local array
+// data lines. The master array data lines and everything downstream
+// belong to the signaling floorplan. For writes the flipped bitlines and
+// cells are added.
+func ColumnItems(dst []ChargeItem, p tech.Params, d *desc.Description, a *geom.ArrayLayout, bits int, write bool) []ChargeItem {
+	t := &d.Technology
 	if t.BitsPerCSL <= 0 || bits <= 0 {
-		return items
+		return dst
 	}
 	cslPulses := float64(bits) / float64(t.BitsPerCSL)
 
@@ -258,7 +257,7 @@ func ColumnItems(p tech.Params, d *desc.Description, a *geom.ArrayLayout, bits i
 	cslCap := tech.WireCap(a.CSLLength, t.WireCapSignal) +
 		tech.GateCap(t.BLSABitSwitchWidth, t.BLSABitSwitchLength, p.Oxide(tech.ClassLogic)).
 			Times(2*float64(t.BitsPerCSL))
-	items = append(items, ChargeItem{
+	dst = append(dst, ChargeItem{
 		Name: "column select lines", Group: GroupColumn, Domain: desc.DomainVint,
 		Cap: cslCap, Events: cslPulses,
 	})
@@ -268,7 +267,7 @@ func ColumnItems(p tech.Params, d *desc.Description, a *geom.ArrayLayout, bits i
 	// the wire and the bit-switch junctions hanging on it.
 	ldqCap := tech.WireCap(a.LocalWLLength, t.WireCapSignal) +
 		p.DrainLoad(t.BLSABitSwitchWidth, tech.ClassLogic).Times(float64(t.BitsPerCSL))
-	items = append(items, ChargeItem{
+	dst = append(dst, ChargeItem{
 		Name: "local data lines", Group: GroupColumn, Domain: desc.DomainVint,
 		Cap: ldqCap, Events: float64(bits),
 	})
@@ -276,16 +275,16 @@ func ColumnItems(p tech.Params, d *desc.Description, a *geom.ArrayLayout, bits i
 	if write {
 		// Writing flips on average half the accessed bitline pairs
 		// rail-to-rail and rewrites the corresponding cells.
-		items = append(items, ChargeItem{
+		dst = append(dst, ChargeItem{
 			Name: "written bitlines", Group: GroupArray, Domain: desc.DomainVbl,
 			Cap: t.BitlineCap, Events: 0.5 * float64(bits),
 		})
-		items = append(items, ChargeItem{
+		dst = append(dst, ChargeItem{
 			Name: "written cells", Group: GroupArray, Domain: desc.DomainVbl,
 			Cap: t.CellCap, Events: 0.5 * float64(bits),
 		})
 	}
-	return items
+	return dst
 }
 
 // BLSATransistorsPerPair returns the transistor count of the Figure 2

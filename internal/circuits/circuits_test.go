@@ -62,7 +62,7 @@ func TestChargeItemMath(t *testing.T) {
 
 func TestActivateItems(t *testing.T) {
 	p, d, a := setup(t)
-	items := ActivateItems(p, d, a)
+	items := ActivateItems(nil, p, d, a)
 
 	sensing := findItem(t, items, "bitline sensing")
 	if sensing.Domain != desc.DomainVbl {
@@ -125,7 +125,7 @@ func TestActivateItemsFolded(t *testing.T) {
 	d.Floorplan.Arch = desc.Folded
 	d.Technology.BLSAMuxWidth = units.Micrometers(0.4)
 	d.Technology.BLSAMuxLength = units.Nanometers(90)
-	items := ActivateItems(p, d, a)
+	items := ActivateItems(nil, p, d, a)
 	mux := findItem(t, items, "bitline multiplexers")
 	if mux.Domain != desc.DomainVpp {
 		t.Errorf("mux domain: got %v", mux.Domain)
@@ -137,7 +137,7 @@ func TestActivateItemsFolded(t *testing.T) {
 
 func TestPrechargeItems(t *testing.T) {
 	p, d, a := setup(t)
-	items := PrechargeItems(p, d, a)
+	items := PrechargeItems(nil, p, d, a)
 	eq := findItem(t, items, "equalize gates")
 	if eq.Domain != desc.DomainVpp {
 		t.Errorf("equalize domain: got %v", eq.Domain)
@@ -147,7 +147,7 @@ func TestPrechargeItems(t *testing.T) {
 	}
 	// Precharge must cost much less than activate: no bitline charge from
 	// the supply (midlevel precharge via charge sharing).
-	actItems := ActivateItems(p, d, a)
+	actItems := ActivateItems(nil, p, d, a)
 	actE, preE := 0.0, 0.0
 	for _, it := range actItems {
 		v, _ := d.Electrical.DomainVoltageAndEff(it.Domain)
@@ -165,7 +165,7 @@ func TestPrechargeItems(t *testing.T) {
 func TestColumnItemsRead(t *testing.T) {
 	p, d, a := setup(t)
 	bits := d.Spec.IOWidth * d.Spec.BurstLength // 128
-	items := ColumnItems(p, d, a, bits, false)
+	items := ColumnItems(nil, p, d, a, bits, false)
 	csl := findItem(t, items, "column select lines")
 	if csl.Events != float64(bits)/float64(d.Technology.BitsPerCSL) {
 		t.Errorf("CSL pulses: got %g, want %g", csl.Events,
@@ -186,7 +186,7 @@ func TestColumnItemsRead(t *testing.T) {
 func TestColumnItemsWrite(t *testing.T) {
 	p, d, a := setup(t)
 	bits := 128
-	items := ColumnItems(p, d, a, bits, true)
+	items := ColumnItems(nil, p, d, a, bits, true)
 	wb := findItem(t, items, "written bitlines")
 	if wb.Events != 0.5*float64(bits) {
 		t.Errorf("written bitline events: got %g, want %g", wb.Events, 0.5*float64(bits))
@@ -195,7 +195,7 @@ func TestColumnItemsWrite(t *testing.T) {
 		t.Errorf("written bitline domain: got %v", wb.Domain)
 	}
 	// Write energy exceeds read energy for the same bit count.
-	rd := ColumnItems(p, d, a, bits, false)
+	rd := ColumnItems(nil, p, d, a, bits, false)
 	we, re := 0.0, 0.0
 	for _, it := range items {
 		v, _ := d.Electrical.DomainVoltageAndEff(it.Domain)
@@ -212,7 +212,7 @@ func TestColumnItemsWrite(t *testing.T) {
 
 func TestColumnItemsZeroBits(t *testing.T) {
 	p, d, a := setup(t)
-	if items := ColumnItems(p, d, a, 0, false); len(items) != 0 {
+	if items := ColumnItems(nil, p, d, a, 0, false); len(items) != 0 {
 		t.Errorf("zero-bit column command should produce no items, got %v", itemNames(items))
 	}
 }
@@ -240,8 +240,8 @@ func TestPropActivateLinearInPage(t *testing.T) {
 		a1 := *a
 		a2 := *a
 		a2.PageBits = a1.PageBits * m
-		e1 := findItemQuiet(ActivateItems(p, d, &a1), "bitline sensing").Events
-		e2 := findItemQuiet(ActivateItems(p, d, &a2), "bitline sensing").Events
+		e1 := findItemQuiet(ActivateItems(nil, p, d, &a1), "bitline sensing").Events
+		e2 := findItemQuiet(ActivateItems(nil, p, d, &a2), "bitline sensing").Events
 		return math.Abs(e2-float64(m)*e1) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -254,8 +254,8 @@ func TestPropColumnLinearInBits(t *testing.T) {
 	p, d, a := setup(t)
 	f := func(nRaw uint8) bool {
 		bits := (int(nRaw%16) + 1) * 8
-		q1 := totalEnergy(d, ColumnItems(p, d, a, bits, false))
-		q2 := totalEnergy(d, ColumnItems(p, d, a, 2*bits, false))
+		q1 := totalEnergy(d, ColumnItems(nil, p, d, a, bits, false))
+		q2 := totalEnergy(d, ColumnItems(nil, p, d, a, 2*bits, false))
 		return math.Abs(q2-2*q1) < 1e-9*q2+1e-30
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -22,7 +22,9 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 
+	"drampower/internal/circuits"
 	"drampower/internal/desc"
 	"drampower/internal/geom"
 	"drampower/internal/tech"
@@ -43,13 +45,14 @@ type Model struct {
 	// ledger holds the immutable per-op charge lists precomputed by
 	// Build, indexed by desc.Op. Charges serves O(1) reads from it; the
 	// slices inside are shared and must never be mutated (RecomputeCharges
-	// is the escape hatch for post-Build description changes).
-	ledger [desc.NumOps]*OpCharges
+	// is the escape hatch for post-Build description changes). All six
+	// lists are capacity-capped windows of one slice.
+	ledger [desc.NumOps]OpCharges
 	// opEnergy caches each operation's Vdd-referred energy per occurrence
 	// so the trace simulator's per-command integration is a plain lookup.
 	opEnergy [desc.NumOps]units.Energy
 	// background caches the continuous-power ledger (see Background).
-	background *Background
+	background Background
 
 	// derived is the parameter set as produced by the circuit derivation
 	// (the derive stage); params is the resolved set after the optional
@@ -64,9 +67,11 @@ type Model struct {
 }
 
 // ResolvedSegment is a signaling floorplan segment with its routed length,
-// per-wire capacitance and derived wire count.
+// per-wire capacitance and derived wire count, as resolved at Build.
 type ResolvedSegment struct {
-	Seg    desc.Segment
+	// Name and Kind are the segment's name and bus kind.
+	Name   string
+	Kind   desc.SignalKind
 	Length units.Length
 	// WireCap is the wire capacitance of one wire of the segment.
 	WireCap units.Capacitance
@@ -113,10 +118,11 @@ func BuildCalibrated(d *desc.Description, ov *desc.Overlay) (*Model, error) {
 		return nil, err
 	}
 	m := &Model{D: d, Grid: g, Array: a, P: tech.Params{T: &d.Technology}}
-	if err := m.resolveSegments(); err != nil {
+	names := itemNames(d)
+	if err := m.resolveSegments(names[:len(d.Signals)]); err != nil {
 		return nil, err
 	}
-	m.buildLedger()
+	m.buildLedger(names[len(d.Signals):])
 	m.derive()
 	if err := m.applyOverlay(ov); err != nil {
 		return nil, err
@@ -124,19 +130,36 @@ func BuildCalibrated(d *desc.Description, ov *desc.Overlay) (*Model, error) {
 	return m, nil
 }
 
+// ledgerScratch is the number of charge items buildLedger gathers on the
+// stack before spilling to the heap; the shipped devices need about half.
+const ledgerScratch = 128
+
 // buildLedger precomputes the per-op charge ledgers, per-op energies and
 // the background ledger (steps 3–5 of Figure 4, run once per Build). After
 // this, Charges, OpEnergy, Background, EvaluatePattern and the trace
 // simulator read cached immutable state instead of re-deriving the
-// charge-event lists on every call.
-func (m *Model) buildLedger() {
+// charge-event lists on every call. The six ops' items are gathered in a
+// stack array and copied once into one slice of their exact length; each
+// op's list is a capacity-capped window of it, so an append to one op's
+// items cannot reach the next op's.
+func (m *Model) buildLedger(logicNames []string) {
+	var scratch [ledgerScratch]circuits.ChargeItem
+	items := scratch[:0]
+	var end [desc.NumOps]int
 	for _, op := range desc.AllOps {
-		oc := m.computeCharges(op)
-		m.ledger[op] = oc
-		m.opEnergy[op] = oc.EnergyFromVdd(m.D.Electrical)
+		items = m.appendCharges(items, op, logicNames)
+		end[op] = len(items)
 	}
-	bg := m.RecomputeBackground()
-	m.background = &bg
+	slab := make([]circuits.ChargeItem, len(items))
+	copy(slab, items)
+	start := 0
+	for _, op := range desc.AllOps {
+		oc := &m.ledger[op]
+		*oc = OpCharges{Op: op, Items: slab[start:end[op]:end[op]]}
+		m.opEnergy[op] = oc.EnergyFromVdd(m.D.Electrical)
+		start = end[op]
+	}
+	m.background = m.computeBackground(logicNames)
 }
 
 // OpEnergy returns the resolved Vdd-referred energy one occurrence of op
@@ -157,26 +180,35 @@ func (m *Model) OpEnergy(op desc.Op) units.Energy {
 // path.
 func (m *Model) OpEnergies() [desc.NumOps]units.Energy { return m.params.OpEnergy }
 
+// Item-name prefixes of the wire and logic charge and background items.
+const (
+	wirePrefix  = "wire "
+	logicPrefix = "logic "
+)
+
 // resolveSegments computes lengths, capacitances, wire counts and toggle
-// rates for every signaling segment. Data buses widen by the accumulated
-// mux (deserialization) ratio of upstream segments of the same bus.
-func (m *Model) resolveSegments() error {
+// rates for every signaling segment, whose item names wireNames holds in
+// order. Data buses widen by the accumulated mux (deserialization) ratio
+// of upstream segments of the same bus.
+func (m *Model) resolveSegments(wireNames []string) error {
 	d := m.D
 	serial := map[string]int{} // bus prefix -> accumulated widening
 	m.Segments = make([]ResolvedSegment, 0, len(d.Signals))
-	for _, s := range d.Signals {
-		l, err := m.Grid.SegmentLength(&s)
+	for i := range d.Signals {
+		s := &d.Signals[i]
+		l, err := m.Grid.SegmentLength(s)
 		if err != nil {
 			return err
 		}
 		frac := s.EffectiveActiveFrac()
 		rs := ResolvedSegment{
-			Seg:     s,
+			Name:    s.Name,
+			Kind:    s.Kind,
 			Length:  l,
 			WireCap: tech.WireCap(l, d.Technology.WireCapSignal).Times(frac),
 			Toggle:  s.Toggle,
 
-			itemName: "wire " + s.Name,
+			itemName: wireNames[i],
 		}
 		if rs.Toggle < 0 {
 			rs.Toggle = desc.DefaultToggle(s.Kind)
@@ -186,13 +218,46 @@ func (m *Model) resolveSegments() error {
 			// beyond the cut as well.
 			rs.BufCap = m.P.BufferLoad(s.BufNWidth, s.BufPWidth).Times(frac)
 		}
-		rs.Wires = m.segmentWires(&s, serial)
+		rs.Wires = m.segmentWires(s, serial)
 		if s.MuxRatio > 1 && isDataKind(s.Kind) {
 			serial[busPrefix(s.Kind)] *= s.MuxRatio
 		}
 		m.Segments = append(m.Segments, rs)
 	}
 	return nil
+}
+
+// itemNames returns the charge and background item names of d's signal
+// segments ("wire <name>"), then of its logic blocks ("logic <name>"), in
+// description order. All of them are slices of one string.
+func itemNames(d *desc.Description) []string {
+	ns := len(d.Signals)
+	part := func(i int) (prefix, name string) {
+		if i < ns {
+			return wirePrefix, d.Signals[i].Name
+		}
+		return logicPrefix, d.LogicBlocks[i-ns].Name
+	}
+	names := make([]string, ns+len(d.LogicBlocks))
+	size := 0
+	for i := range names {
+		prefix, name := part(i)
+		size += len(prefix) + len(name)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for i := range names {
+		prefix, name := part(i)
+		b.WriteString(prefix)
+		b.WriteString(name)
+	}
+	all := b.String()
+	for i := range names {
+		prefix, name := part(i)
+		n := len(prefix) + len(name)
+		names[i], all = all[:n], all[n:]
+	}
+	return names
 }
 
 func isDataKind(k desc.SignalKind) bool {

@@ -56,7 +56,7 @@ func TestSegmentResolution(t *testing.T) {
 	m := build(t)
 	byName := map[string]ResolvedSegment{}
 	for _, rs := range m.Segments {
-		byName[rs.Seg.Name] = rs
+		byName[rs.Name] = rs
 	}
 
 	// DataW0 sits before its own 1:8 mux: pad width of 16 wires.

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"drampower/internal/circuits"
 	"drampower/internal/desc"
 	"drampower/internal/units"
@@ -75,10 +73,8 @@ func (oc *OpCharges) EnergyByDomain(el desc.Electrical) [desc.NumDomains]units.E
 // is immutable and must not be modified. Callers that mutate the
 // description after Build must use RecomputeCharges instead (or rebuild).
 func (m *Model) Charges(op desc.Op) *OpCharges {
-	if int(op) >= 0 && int(op) < len(m.ledger) {
-		if oc := m.ledger[op]; oc != nil {
-			return oc
-		}
+	if op.Valid() {
+		return &m.ledger[op]
 	}
 	return m.computeCharges(op)
 }
@@ -92,48 +88,55 @@ func (m *Model) RecomputeCharges(op desc.Op) *OpCharges {
 }
 
 // computeCharges derives the charge-event list of one occurrence of op
-// from scratch (steps 2–3 of the Figure 4 program flow). The circuit
-// items come first; the list is then grown once to hold every wire and
-// logic item the operation can add.
+// from the live description.
 func (m *Model) computeCharges(op desc.Op) *OpCharges {
+	return &OpCharges{Op: op, Items: m.appendCharges(nil, op, m.liveLogicNames())}
+}
+
+// liveLogicNames returns the item names of the description's logic blocks
+// as they are now, for the recompute escape hatches.
+func (m *Model) liveLogicNames() []string { return itemNames(m.D)[len(m.D.Signals):] }
+
+// appendCharges appends the charge-event list of one occurrence of op to
+// dst (steps 2–3 of the Figure 4 program flow): the circuit items first,
+// then every wire and logic item the operation adds. logicNames holds
+// the logic blocks' item names in block order.
+func (m *Model) appendCharges(dst []circuits.ChargeItem, op desc.Op, logicNames []string) []circuits.ChargeItem {
 	d := m.D
 	bits := m.BitsPerBurst()
-	extra := len(m.Segments) + len(d.LogicBlocks)
-	var items []circuits.ChargeItem
 	switch op {
 	case desc.OpActivate:
-		items = slices.Grow(circuits.ActivateItems(m.P, d, m.Array), extra)
-		items = m.appendSegmentItems(items, desc.SigAddrRow, 1)
-		items = m.appendSegmentItems(items, desc.SigAddrBank, 1)
+		dst = circuits.ActivateItems(dst, m.P, d, m.Array)
+		dst = m.appendSegmentItems(dst, desc.SigAddrRow, 1)
+		dst = m.appendSegmentItems(dst, desc.SigAddrBank, 1)
 	case desc.OpPrecharge:
-		items = slices.Grow(circuits.PrechargeItems(m.P, d, m.Array), extra)
-		items = m.appendSegmentItems(items, desc.SigAddrBank, 1)
+		dst = circuits.PrechargeItems(dst, m.P, d, m.Array)
+		dst = m.appendSegmentItems(dst, desc.SigAddrBank, 1)
 	case desc.OpRead, desc.OpWrite:
 		write := op == desc.OpWrite
-		items = slices.Grow(circuits.ColumnItems(m.P, d, m.Array, bits, write), extra)
-		items = m.appendSegmentItems(items, desc.SigAddrCol, 1)
-		items = m.appendSegmentItems(items, desc.SigAddrBank, 1)
+		dst = circuits.ColumnItems(dst, m.P, d, m.Array, bits, write)
+		dst = m.appendSegmentItems(dst, desc.SigAddrCol, 1)
+		dst = m.appendSegmentItems(dst, desc.SigAddrBank, 1)
 		data := desc.SigDataRead
 		if write {
 			data = desc.SigDataWrite
 		}
-		items = m.appendDataPathItems(items, data, bits)
+		dst = m.appendDataPathItems(dst, data, bits)
 	case desc.OpRefresh:
 		// A refresh command activates and precharges one row in every
 		// bank (all-bank auto-refresh).
-		act := circuits.ActivateItems(m.P, d, m.Array)
-		pre := circuits.PrechargeItems(m.P, d, m.Array)
-		items = make([]circuits.ChargeItem, 0, len(act)+len(pre)+extra)
-		items = append(append(items, act...), pre...)
+		start := len(dst)
+		dst = circuits.ActivateItems(dst, m.P, d, m.Array)
+		dst = circuits.PrechargeItems(dst, m.P, d, m.Array)
 		banks := float64(d.Spec.Banks())
-		for i := range items {
-			items[i].Events *= banks
+		for i := start; i < len(dst); i++ {
+			dst[i].Events *= banks
 		}
-		items = m.appendSegmentItems(items, desc.SigAddrRow, banks)
+		dst = m.appendSegmentItems(dst, desc.SigAddrRow, banks)
 	case desc.OpNop:
 		// Only background power; no command charge.
 	}
-	return &OpCharges{Op: op, Items: m.appendLogicItems(items, op)}
+	return m.appendLogicItems(dst, op, logicNames)
 }
 
 // appendSegmentItems appends charge items for all segments of the given
@@ -141,7 +144,7 @@ func (m *Model) computeCharges(op desc.Op) *OpCharges {
 func (m *Model) appendSegmentItems(items []circuits.ChargeItem, kind desc.SignalKind, scale float64) []circuits.ChargeItem {
 	for i := range m.Segments {
 		rs := &m.Segments[i]
-		if rs.Seg.Kind != kind {
+		if rs.Kind != kind {
 			continue
 		}
 		items = append(items, circuits.ChargeItem{
@@ -162,7 +165,7 @@ func (m *Model) appendSegmentItems(items []circuits.ChargeItem, kind desc.Signal
 func (m *Model) appendDataPathItems(items []circuits.ChargeItem, kind desc.SignalKind, bits int) []circuits.ChargeItem {
 	for i := range m.Segments {
 		rs := &m.Segments[i]
-		if k := rs.Seg.Kind; k != kind && k != desc.SigDataShared {
+		if k := rs.Kind; k != kind && k != desc.SigDataShared {
 			continue
 		}
 		items = append(items, circuits.ChargeItem{
@@ -182,9 +185,10 @@ func (m *Model) appendDataPathItems(items []circuits.ChargeItem, kind desc.Signa
 // commands keep the column and interface logic busy for the whole burst
 // (BurstSlots cycles — eight internal column cycles on a BL8 SDR, half a
 // data-clock burst on DDR3). Always-on blocks are background (see
-// Background) and excluded here. Names come from the live description,
-// so RecomputeCharges sees blocks renamed or added after Build.
-func (m *Model) appendLogicItems(items []circuits.ChargeItem, op desc.Op) []circuits.ChargeItem {
+// Background) and excluded here. Items take their names from logicNames
+// (see appendCharges), so RecomputeCharges, which passes the live names,
+// sees blocks renamed or added after Build.
+func (m *Model) appendLogicItems(items []circuits.ChargeItem, op desc.Op, logicNames []string) []circuits.ChargeItem {
 	slots := 1.0
 	if op == desc.OpRead || op == desc.OpWrite {
 		slots = float64(m.BurstSlots())
@@ -196,7 +200,7 @@ func (m *Model) appendLogicItems(items []circuits.ChargeItem, op desc.Op) []circ
 		}
 		cap := m.P.LogicGateCap(b, m.D.Technology.WireCapSignal)
 		items = append(items, circuits.ChargeItem{
-			Name:   "logic " + b.Name,
+			Name:   logicNames[i],
 			Group:  circuits.GroupLogic,
 			Domain: desc.DomainVint,
 			Cap:    cap,
@@ -226,30 +230,32 @@ type BackgroundItem struct {
 }
 
 // Background returns the background power of the model from the ledger
-// cached at Build time. The returned struct is shared and must not be
-// modified; callers that mutate the description in place must use
-// RecomputeBackground.
-func (m *Model) Background() Background {
-	if m.background != nil {
-		return *m.background
-	}
-	return m.RecomputeBackground()
-}
+// cached at Build time. The returned struct shares its items with the
+// model and must not be modified; callers that mutate the description in
+// place must use RecomputeBackground.
+func (m *Model) Background() Background { return m.background }
 
 // RecomputeBackground rebuilds the background ledger from the current
 // description state, bypassing the Build-time cache.
-func (m *Model) RecomputeBackground() Background {
-	var bg Background
+func (m *Model) RecomputeBackground() Background { return m.computeBackground(m.liveLogicNames()) }
+
+// computeBackground builds the background ledger, naming the logic items
+// from logicNames (see appendCharges). The items are gathered in a stack
+// array and copied once into a slice of their exact length.
+func (m *Model) computeBackground(logicNames []string) Background {
+	var scratch [32]BackgroundItem
+	items := scratch[:0]
+	var total units.Power
 	el := m.D.Electrical
 	add := func(name string, group circuits.Group, p units.Power) {
-		bg.Items = append(bg.Items, BackgroundItem{Name: name, Group: group, Power: p})
-		bg.Power += p
+		items = append(items, BackgroundItem{Name: name, Group: group, Power: p})
+		total += p
 	}
 
 	for i := range m.Segments {
 		rs := &m.Segments[i]
 		var f units.Frequency
-		switch rs.Seg.Kind {
+		switch rs.Kind {
 		case desc.SigClock:
 			f = m.D.Spec.DataClock
 		case desc.SigControl:
@@ -261,7 +267,7 @@ func (m *Model) RecomputeBackground() Background {
 		e := float64(rs.TotalCapPerWire()) * float64(v) * float64(el.Vdd) *
 			rs.Toggle * float64(rs.Wires) / eff
 		group := circuits.GroupClock
-		if rs.Seg.Kind == desc.SigControl {
+		if rs.Kind == desc.SigControl {
 			group = circuits.GroupDataPath
 		}
 		add(rs.itemName, group, units.Energy(e).PowerAt(f))
@@ -275,12 +281,17 @@ func (m *Model) RecomputeBackground() Background {
 		cap := m.P.LogicGateCap(b, m.D.Technology.WireCapSignal)
 		v, eff := el.DomainVoltageAndSafeEff(desc.DomainVint)
 		e := float64(cap) * float64(v) * float64(el.Vdd) * b.Toggle * float64(b.Gates) / eff
-		add("logic "+b.Name, circuits.GroupLogic, units.Energy(e).PowerAt(m.D.Spec.ControlClock))
+		add(logicNames[i], circuits.GroupLogic, units.Energy(e).PowerAt(m.D.Spec.ControlClock))
 	}
 
 	if el.ConstantCurrent > 0 {
 		add("constant current", circuits.GroupStatic,
 			units.Power(float64(el.ConstantCurrent)*float64(el.Vdd)))
+	}
+	bg := Background{Power: total}
+	if len(items) > 0 {
+		bg.Items = make([]BackgroundItem, len(items))
+		copy(bg.Items, items)
 	}
 	return bg
 }

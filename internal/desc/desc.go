@@ -25,6 +25,7 @@ package desc
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 
 	"drampower/internal/units"
@@ -605,47 +606,64 @@ type Description struct {
 }
 
 // Clone returns a deep copy of the description. The sensitivity sweep and
-// the scheme evaluations mutate clones rather than the original.
+// the scheme evaluations mutate clones rather than the original. The
+// copy makes few allocations: every segment BlockRef lives in one slice,
+// and every ActiveDuring list and the pattern loop in another, each list
+// a capacity-capped window so an append to it cannot reach its
+// neighbour's elements. An empty block-name, ActiveDuring or pattern
+// list clones to nil.
 func (d *Description) Clone() *Description {
 	c := *d
 	c.Floorplan.HorizontalBlocks = append([]string(nil), d.Floorplan.HorizontalBlocks...)
 	c.Floorplan.VerticalBlocks = append([]string(nil), d.Floorplan.VerticalBlocks...)
-	c.Floorplan.BlockWidth = cloneLenMap(d.Floorplan.BlockWidth)
-	c.Floorplan.BlockHeight = cloneLenMap(d.Floorplan.BlockHeight)
+	c.Floorplan.BlockWidth = maps.Clone(d.Floorplan.BlockWidth)
+	c.Floorplan.BlockHeight = maps.Clone(d.Floorplan.BlockHeight)
+
+	nrefs := 0
+	for i := range d.Signals {
+		s := &d.Signals[i]
+		for _, r := range [...]*BlockRef{s.Inside, s.Start, s.End} {
+			if r != nil {
+				nrefs++
+			}
+		}
+	}
+	refs := make([]BlockRef, 0, nrefs)
+	cloneRef := func(r *BlockRef) *BlockRef {
+		if r == nil {
+			return nil
+		}
+		refs = append(refs, *r)
+		return &refs[len(refs)-1]
+	}
 	c.Signals = make([]Segment, len(d.Signals))
-	for i, s := range d.Signals {
-		cs := s
-		if s.Inside != nil {
-			in := *s.Inside
-			cs.Inside = &in
+	for i := range d.Signals {
+		cs := &c.Signals[i]
+		*cs = d.Signals[i]
+		cs.Inside = cloneRef(cs.Inside)
+		cs.Start = cloneRef(cs.Start)
+		cs.End = cloneRef(cs.End)
+	}
+
+	nops := len(d.Pattern.Loop)
+	for i := range d.LogicBlocks {
+		nops += len(d.LogicBlocks[i].ActiveDuring)
+	}
+	ops := make([]Op, 0, nops)
+	cloneOps := func(src []Op) []Op {
+		if len(src) == 0 {
+			return nil
 		}
-		if s.Start != nil {
-			st := *s.Start
-			cs.Start = &st
-		}
-		if s.End != nil {
-			en := *s.End
-			cs.End = &en
-		}
-		c.Signals[i] = cs
+		start := len(ops)
+		ops = append(ops, src...)
+		return ops[start:len(ops):len(ops)]
 	}
 	c.LogicBlocks = make([]LogicBlock, len(d.LogicBlocks))
-	for i, b := range d.LogicBlocks {
-		cb := b
-		cb.ActiveDuring = append([]Op(nil), b.ActiveDuring...)
-		c.LogicBlocks[i] = cb
+	for i := range d.LogicBlocks {
+		cb := &c.LogicBlocks[i]
+		*cb = d.LogicBlocks[i]
+		cb.ActiveDuring = cloneOps(cb.ActiveDuring)
 	}
-	c.Pattern.Loop = append([]Op(nil), d.Pattern.Loop...)
+	c.Pattern.Loop = cloneOps(d.Pattern.Loop)
 	return &c
-}
-
-func cloneLenMap(m map[string]units.Length) map[string]units.Length {
-	if m == nil {
-		return nil
-	}
-	c := make(map[string]units.Length, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
 }

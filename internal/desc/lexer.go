@@ -2,7 +2,6 @@ package desc
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"strings"
 )
@@ -64,7 +63,9 @@ func splitTokens(text string) []token {
 // matching the free-form spacing the paper's excerpts use
 // ("Vertical blocks = A1 P1 P2 P1 A1", "Pattern loop= act nop ..."). Every
 // field keeps the column of its first byte; lexing problems surface as
-// positioned *ParseError values.
+// positioned *ParseError values. So does a reader failure, at the line
+// after the last one read (as the trace and access scanners count), with
+// the failure as Err.
 func lex(r io.Reader) ([]line, error) {
 	var lines []line
 	sc := bufio.NewScanner(r)
@@ -98,7 +99,7 @@ func lex(r io.Reader) ([]line, error) {
 		lines = append(lines, ln)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("desc: reading input: %v", err)
+		return nil, &ParseError{Lang: "desc", Line: num + 1, Msg: err.Error(), Err: err}
 	}
 	return lines, nil
 }

@@ -30,6 +30,7 @@ package engine
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Options configures a batch evaluation.
@@ -167,21 +168,23 @@ func Run[T any](jobs []func() (T, error), opts Options) ([]T, error) {
 			results[i], errs[i] = jobs[i]()
 		})
 	} else {
-		idx := make(chan int)
+		// Each worker claims the next unrun job index until none is left;
+		// the caller only waits.
+		var next atomic.Int64
 		var wg sync.WaitGroup
 		wg.Add(w)
 		for g := 0; g < w; g++ {
 			go func() {
 				defer wg.Done()
-				for i := range idx {
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= len(jobs) {
+						return
+					}
 					results[i], errs[i] = jobs[i]()
 				}
 			}()
 		}
-		for i := range jobs {
-			idx <- i
-		}
-		close(idx)
 		wg.Wait()
 	}
 	for _, err := range errs {

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -72,6 +73,97 @@ func TestRunEmptyAndSingle(t *testing.T) {
 	got, err := Run([]func() (int, error){func() (int, error) { return 42, nil }}, Options{Workers: 8})
 	if err != nil || len(got) != 1 || got[0] != 42 {
 		t.Errorf("single run: %v, %v", got, err)
+	}
+}
+
+// TestRunClaimsEveryJobOnce runs a table of worker and job counts with
+// random job durations. Every job must run exactly once and its result
+// land at its own index, and the error must be the lowest-index failure
+// even though the later failing job fails first: the earlier one waits
+// until the later one has failed.
+func TestRunClaimsEveryJobOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, w := range []int{2, 3, 8} {
+		for _, n := range []int{1, w - 1, w, 3*w + 1, 200} {
+			delays := make([]time.Duration, n)
+			for i := range delays {
+				delays[i] = time.Duration(rng.Intn(300)) * time.Microsecond
+			}
+			t.Run(fmt.Sprintf("w=%d/n=%d", w, n), func(t *testing.T) {
+				lo, hi := (n-1)/2, n-1
+				errLo, errHi := errors.New("lower job failed"), errors.New("higher job failed")
+				hiFailed := make(chan struct{})
+				runs := make([]atomic.Int32, n)
+				jobs := make([]func() (int, error), n)
+				for i := range jobs {
+					i := i
+					jobs[i] = func() (int, error) {
+						runs[i].Add(1)
+						time.Sleep(delays[i])
+						switch {
+						case i == hi && hi != lo:
+							close(hiFailed)
+							return 0, errHi
+						case i == lo:
+							if hi != lo {
+								select {
+								case <-hiFailed:
+								case <-time.After(5 * time.Second):
+								}
+							}
+							return 0, errLo
+						}
+						return 10*i + 1, nil
+					}
+				}
+				got, err := Run(jobs, Options{Workers: w})
+				if !errors.Is(err, errLo) {
+					t.Errorf("error = %v, want the lowest-index failure %v", err, errLo)
+				}
+				if len(got) != n {
+					t.Fatalf("%d results, want %d", len(got), n)
+				}
+				for i := range got {
+					if r := runs[i].Load(); r != 1 {
+						t.Errorf("job %d ran %d times, want 1", i, r)
+					}
+					want := 10*i + 1
+					if i == lo || i == hi {
+						want = 0
+					}
+					if got[i] != want {
+						t.Errorf("result[%d] = %d, want %d", i, got[i], want)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestRunRunsWorkersJobsAtOnce holds each of w jobs until all w have
+// started: it passes only if Run really runs w jobs at once, and the
+// timeout turns a pool that runs fewer into a failure instead of a hang.
+func TestRunRunsWorkersJobsAtOnce(t *testing.T) {
+	for _, w := range []int{2, 3, 8} {
+		var arrived atomic.Int32
+		all := make(chan struct{})
+		jobs := make([]func() (int, error), w)
+		for i := range jobs {
+			jobs[i] = func() (int, error) {
+				if arrived.Add(1) == int32(w) {
+					close(all)
+				}
+				select {
+				case <-all:
+					return 1, nil
+				case <-time.After(5 * time.Second):
+					return 0, errors.New("timed out waiting for the other jobs to start")
+				}
+			}
+		}
+		if _, err := Run(jobs, Options{Workers: w}); err != nil {
+			t.Errorf("w=%d: %v", w, err)
+		}
 	}
 }
 

@@ -31,8 +31,12 @@ type Grid struct {
 // than panicking.
 func NewGrid(fp *desc.Floorplan) (*Grid, error) {
 	g := &Grid{fp: fp}
-	g.colWidth = make([]units.Length, len(fp.HorizontalBlocks))
-	g.colCenter = make([]units.Length, len(fp.HorizontalBlocks))
+	// One array backs the four extent slices.
+	nx, ny := len(fp.HorizontalBlocks), len(fp.VerticalBlocks)
+	ext := make([]units.Length, 2*nx+2*ny)
+	g.colWidth, ext = ext[:nx:nx], ext[nx:]
+	g.colCenter, ext = ext[:nx:nx], ext[nx:]
+	g.rowHeight, g.rowCenter = ext[:ny:ny], ext[ny:]
 	var x units.Length
 	for i, name := range fp.HorizontalBlocks {
 		w, ok := fp.BlockWidth[name]
@@ -44,8 +48,6 @@ func NewGrid(fp *desc.Floorplan) (*Grid, error) {
 		x += w
 	}
 	g.Width = x
-	g.rowHeight = make([]units.Length, len(fp.VerticalBlocks))
-	g.rowCenter = make([]units.Length, len(fp.VerticalBlocks))
 	var y units.Length
 	for i, name := range fp.VerticalBlocks {
 		h, ok := fp.BlockHeight[name]

@@ -207,7 +207,8 @@ type Result struct {
 // clone of the baseline description, so any worker count produces the
 // same results.
 func EvaluateOpts(base *desc.Description, opts engine.Options) ([]Result, error) {
-	baseModel, err := core.Build(base.Clone())
+	// Build never mutates its input; only the scheme variants need clones.
+	baseModel, err := core.Build(base)
 	if err != nil {
 		return nil, fmt.Errorf("schemes: baseline: %w", err)
 	}

@@ -233,13 +233,15 @@ func ChartRows(all []Result) []Result {
 // and null its sensitivity, which is the physically honest reading of
 // "this value was measured". A nil or empty overlay sweeps the plain
 // description. Each parameter's up/down pair is one job: the jobs only
-// read the shared base description (every evaluation works on its own
-// deep clone), so any worker count produces the same results.
+// read the shared base description (every variant works on its own deep
+// clone), so any worker count produces the same results.
 func SweepCalibratedOpts(d *desc.Description, ov *desc.Overlay, opts engine.Options) ([]Result, error) {
 	if sweepInline(opts) {
 		opts = engine.Options{Workers: 1}
 	}
-	base, err := core.BuildCalibrated(d.Clone(), ov)
+	// Build never mutates its input, so the base model reads d itself;
+	// only the variants, which Apply mutates, need a clone.
+	base, err := core.BuildCalibrated(d, ov)
 	if err != nil {
 		return nil, err
 	}

@@ -242,6 +242,21 @@ func TestSweepDoesNotMutateInput(t *testing.T) {
 	}
 }
 
+// TestSweepAllocs pins the allocations of one serial sweep of the sample:
+// the base build, then a description clone and a model build for each of
+// the two variants of every registry parameter.
+func TestSweepAllocs(t *testing.T) {
+	d := desc.Sample1GbDDR3()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := SweepOpts(d, engine.Options{Workers: 1}); err != nil {
+			panic(err)
+		}
+	})
+	if allocs > 2000 {
+		t.Errorf("SweepOpts allocated %.0f times, want <= 2000", allocs)
+	}
+}
+
 func TestSweepCalibratedEmptyOverlayIdentical(t *testing.T) {
 	d := desc.Sample1GbDDR3()
 	plain, err := SweepCalibratedOpts(d, nil, engine.Options{Workers: 1})

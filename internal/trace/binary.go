@@ -69,13 +69,16 @@ const (
 // after construction the accept path performs no heap allocations —
 // commands decode straight out of a fixed refill buffer. Errors are
 // *ParseError like the text scanner's; for binary input Line carries the
-// 1-based ordinal of the offending command and Col is zero.
+// 1-based ordinal of the offending command and Col is zero. A reader
+// failure is reported after the complete commands buffered before it, at
+// the ordinal of the first command it cut.
 type BinaryScanner struct {
 	r        io.Reader
 	buf      []byte
 	pos, end int
-	eof      bool
-	started  bool // header consumed
+	eof      bool  // the reader ended or failed: no more reads
+	readErr  error // the reader's failure, pending until the buffer drains
+	started  bool  // header consumed
 	prev     int64
 	n        int64 // commands decoded so far
 	cmd      Command
@@ -94,8 +97,16 @@ func (sc *BinaryScanner) fail(format string, args ...any) bool {
 	return false
 }
 
+// failRead reports the pending reader failure at the ordinal of the
+// first command it cut, the one after the last decoded.
+func (sc *BinaryScanner) failRead() bool {
+	sc.err = parseErr(int(sc.n+1), 0, sc.readErr.Error(), sc.readErr)
+	return false
+}
+
 // fill slides the unread bytes to the front of the buffer and reads until
-// it holds at least maxBinCmdBytes (or the input ends or errors).
+// it holds at least maxBinCmdBytes or the input ends or fails. A failure
+// is kept pending in readErr: the commands already buffered still decode.
 func (sc *BinaryScanner) fill() {
 	if sc.pos > 0 {
 		copy(sc.buf, sc.buf[sc.pos:sc.end])
@@ -105,12 +116,11 @@ func (sc *BinaryScanner) fill() {
 	for sc.end-sc.pos < maxBinCmdBytes && !sc.eof {
 		n, err := sc.r.Read(sc.buf[sc.end:])
 		sc.end += n
-		if err == io.EOF {
-			sc.eof = true
-			return
-		}
 		if err != nil {
-			sc.err = parseErr(int(sc.n+1), 0, err.Error(), err)
+			sc.eof = true
+			if err != io.EOF {
+				sc.readErr = err
+			}
 			return
 		}
 	}
@@ -119,10 +129,10 @@ func (sc *BinaryScanner) fill() {
 // readHeader consumes and validates the magic + version header.
 func (sc *BinaryScanner) readHeader() bool {
 	sc.fill()
-	if sc.err != nil {
-		return false
-	}
 	if sc.end-sc.pos < binHeaderLen {
+		if sc.readErr != nil {
+			return sc.failRead()
+		}
 		return sc.fail("truncated dtb header (%d bytes, want %d: not a binary trace?)", sc.end-sc.pos, binHeaderLen)
 	}
 	h := sc.buf[sc.pos : sc.pos+binHeaderLen]
@@ -172,18 +182,20 @@ func (sc *BinaryScanner) Scan() bool {
 	}
 	if sc.end-sc.pos < maxBinCmdBytes && !sc.eof {
 		sc.fill()
-		if sc.err != nil {
-			return false
-		}
 	}
 	return sc.decode()
 }
 
 // decode decodes one command from the buffered bytes (the caller has
 // ensured the buffer holds a full command or the input's final bytes).
+// Once the buffered commands are decoded, a pending reader failure is
+// the error.
 func (sc *BinaryScanner) decode() bool {
 	i, end := sc.pos, sc.end
 	if i == end {
+		if sc.readErr != nil {
+			return sc.failRead()
+		}
 		return false // clean end of input
 	}
 	b := sc.buf
@@ -198,7 +210,7 @@ func (sc *BinaryScanner) decode() bool {
 	}
 	delta, i, ok := binVarint(b, i, end)
 	if !ok {
-		return sc.fail("truncated or overlong slot delta")
+		return sc.failVarint(i, "slot delta")
 	}
 	slot := sc.prev + delta
 	if (delta > 0 && slot < sc.prev) || (delta < 0 && slot > sc.prev) {
@@ -210,12 +222,12 @@ func (sc *BinaryScanner) decode() bool {
 	var bank, row int64
 	if h&flagBank != 0 {
 		if bank, i, ok = binVarint(b, i, end); !ok {
-			return sc.fail("truncated or overlong bank")
+			return sc.failVarint(i, "bank")
 		}
 	}
 	if h&flagRow != 0 {
 		if row, i, ok = binVarint(b, i, end); !ok {
-			return sc.fail("truncated or overlong row")
+			return sc.failVarint(i, "row")
 		}
 	}
 	sc.pos = i
@@ -223,6 +235,17 @@ func (sc *BinaryScanner) decode() bool {
 	sc.n++
 	sc.cmd = Command{Slot: slot, Op: op, Bank: int(bank), Row: int(row)}
 	return true
+}
+
+// failVarint reports the named field's varint that binVarint could not
+// decode, stopping before next. One that ran into the end of the buffered
+// bytes after a reader failure was cut by it, and the failure is the
+// error.
+func (sc *BinaryScanner) failVarint(next int, field string) bool {
+	if next == sc.end && sc.readErr != nil {
+		return sc.failRead()
+	}
+	return sc.fail("truncated or overlong %s", field)
 }
 
 // fastVarint decodes a one- or two-byte varint from b at i (the caller
@@ -276,9 +299,6 @@ func (sc *BinaryScanner) ScanBatch(dst []Command) int {
 	for n < len(dst) {
 		if sc.end-sc.pos < maxBinCmdBytes && !sc.eof {
 			sc.fill()
-			if sc.err != nil {
-				return n
-			}
 		}
 		b := sc.buf
 		i, end, prev := sc.pos, sc.end, sc.prev

@@ -3,9 +3,12 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"drampower/internal/desc"
 )
@@ -235,6 +238,74 @@ func TestBinaryScannerErrorOrdinal(t *testing.T) {
 	}
 	if n != 3 || pe.Line != 4 {
 		t.Errorf("scanned %d commands with error at ordinal %d, want 3 and 4", n, pe.Line)
+	}
+}
+
+// A reader failure ends a dtb stream only after the complete commands
+// buffered before it: Scan and ScanBatch, at every batch size and read
+// granularity, decode them all and then report the failure at the
+// ordinal of the first command it cut, whether it struck inside the
+// header, between commands or inside one, and before or after refills.
+func TestBinaryReaderFailure(t *testing.T) {
+	errBroke := errors.New("stream broke")
+	long := RandomClosedPage(model(t), 6000, 0.5, 5)
+	short := long[:2]
+	empty, shortBin, longBin := binData(t, nil), binData(t, short), binData(t, long)
+	if len(longBin) < 2*binBufSize {
+		t.Fatalf("encoded trace is %d bytes; want > %d to cross refill boundaries", len(longBin), 2*binBufSize)
+	}
+	cases := []struct {
+		name string
+		data []byte    // what the reader yields before it fails
+		want []Command // the complete commands in data
+	}{
+		{"inside the header", empty[:3], nil},
+		{"after the header", empty, nil},
+		{"between commands", shortBin, short},
+		{"inside a command", shortBin[:len(shortBin)-1], short[:1]},
+		{"after refills", longBin, long},
+		{"inside a command after refills", longBin[:len(longBin)-1], long[:len(long)-1]},
+	}
+	readers := map[string]func([]byte) io.Reader{
+		"whole": func(b []byte) io.Reader {
+			return io.MultiReader(bytes.NewReader(b), iotest.ErrReader(errBroke))
+		},
+		"one byte": func(b []byte) io.Reader {
+			return iotest_oneByte{io.MultiReader(bytes.NewReader(b), iotest.ErrReader(errBroke))}
+		},
+	}
+	for _, tc := range cases {
+		wantErr := fmt.Sprintf("trace: line %d: stream broke", len(tc.want)+1)
+		for rname, reader := range readers {
+			check := func(how string, got []Command, err error) {
+				t.Helper()
+				if err == nil || err.Error() != wantErr || !errors.Is(err, errBroke) {
+					t.Errorf("%s, %s reads, %s: error %v, want %s wrapping the reader's", tc.name, rname, how, err, wantErr)
+				}
+				if !slices.Equal(got, tc.want) {
+					t.Errorf("%s, %s reads, %s: %d commands, want the %d complete ones", tc.name, rname, how, len(got), len(tc.want))
+				}
+			}
+			sc := NewBinaryScanner(reader(tc.data))
+			var got []Command
+			for sc.Scan() {
+				got = append(got, sc.Command())
+			}
+			check("Scan", got, sc.Err())
+			for _, batch := range []int{1, 2, 3, 61, 4096} {
+				sc := NewBinaryScanner(reader(tc.data))
+				dst := make([]Command, batch)
+				got = got[:0]
+				for {
+					n := sc.ScanBatch(dst)
+					got = append(got, dst[:n]...)
+					if n < batch {
+						break
+					}
+				}
+				check(fmt.Sprintf("ScanBatch(%d)", batch), got, sc.Err())
+			}
+		}
 	}
 }
 

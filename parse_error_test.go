@@ -52,6 +52,20 @@ func scanTrace(src TraceSource) error {
 	return src.Err()
 }
 
+// scanTraceN drains a command-trace source like scanTrace and checks that
+// it yielded want commands before its error.
+func scanTraceN(t *testing.T, src TraceSource, want int) error {
+	t.Helper()
+	n := 0
+	for src.Scan() {
+		n++
+	}
+	if n != want {
+		t.Errorf("scanned %d commands before the error, want %d", n, want)
+	}
+	return src.Err()
+}
+
 // scanAccess drains an access-trace source and returns its error.
 func scanAccess(src AccessSource) error {
 	for src.Scan() {
@@ -89,9 +103,9 @@ func dabWith(t *testing.T, tail ...byte) []byte {
 // TestParseErrorTexts pins the complete message and position of a
 // malformed input in each of the three input languages (descriptor,
 // command trace text and dtb, access trace text and .dab), plus a reader
-// failure behind every streaming scanner, which must stay reachable
-// through errors.Is. The descriptor reader error is deliberately
-// unpositioned.
+// failure behind every reader, the descriptor's included, which must be
+// positioned after the input read before it and stay reachable through
+// errors.Is.
 func TestParseErrorTexts(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -145,11 +159,12 @@ func TestParseErrorTexts(t *testing.T) {
 			line: 2, col: 1,
 		},
 		{
-			name:    "desc reader failure",
-			run:     func() error { _, err := Parse(brokenAfter([]byte("Technology\n"))); return err },
-			pos:     descPos,
-			want:    `desc: reading input: stream broke`,
-			unposed: true,
+			name:  "desc reader failure",
+			run:   func() error { _, err := Parse(brokenAfter([]byte("Technology\n"))); return err },
+			pos:   descPos,
+			want:  `desc: line 2: stream broke`,
+			line:  2,
+			cause: errStreamBroke,
 		},
 		{
 			name: "trace unknown operation",
@@ -196,10 +211,10 @@ func TestParseErrorTexts(t *testing.T) {
 		},
 		{
 			name:  "dtb reader failure",
-			run:   func() error { return scanTrace(NewBinaryTraceScanner(brokenAfter(dtbWith(t)))) },
+			run:   func() error { return scanTraceN(t, NewBinaryTraceScanner(brokenAfter(dtbWith(t))), 2) },
 			pos:   tracePos,
-			want:  `trace: line 1: stream broke`,
-			line:  1,
+			want:  `trace: line 3: stream broke`,
+			line:  3,
 			cause: errStreamBroke,
 		},
 		{
