@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race bench bench-all bench-gate check serve-smoke fuzz-short legality legality-race lint perfbench-test inline-check loc
+.PHONY: all build vet test race bench bench-all bench-gate check cmd-tests serve-smoke fuzz-short legality legality-race lint perfbench-test inline-check loc
 
 all: check
 
@@ -125,6 +125,13 @@ legality-race:
 inline-check:
 	GO=$(GO) sh tools/inlinecheck.sh
 
+# Every binary keeps its tests: each cmd/* directory must hold a _test.go
+# file (golden tests of its run function, error paths and -h included).
+cmd-tests:
+	@status=0; for d in cmd/*/; do \
+		ls "$$d"*_test.go >/dev/null 2>&1 || { echo "cmd-tests: $$d has no _test.go file" >&2; status=1; }; \
+	done; exit $$status
+
 # Line counts of the module's Go sources, the yardstick of a change that
 # claims less code: non-test lines raw, non-test lines of code only (blank
 # and // comment lines dropped) and test lines. Tracked and new
@@ -139,4 +146,4 @@ loc:
 # The full gate: everything CI (and a reviewer) expects to be green.
 # CI runs the race detector as its own job (ci.yml "race"), so check
 # keeps the fast non-instrumented test pass.
-check: build vet test inline-check legality perfbench-test serve-smoke fuzz-short
+check: build vet cmd-tests test inline-check legality perfbench-test serve-smoke fuzz-short

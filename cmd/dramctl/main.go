@@ -44,114 +44,121 @@ import (
 
 	"drampower"
 	"drampower/internal/cli"
+	"drampower/internal/server"
 )
 
-func main() {
-	src := cli.NewSource("dramctl", "desc", false)
-	policyFlag := flag.String("policy", "open", "page policy: open, closed or timeout=N (idle slots)")
-	mapSpec := flag.String("map", drampower.DefaultAddressMap, "address interleave spec (fields ch, ba, ro, co joined by ':', MSB first)")
-	channels := flag.Int("channels", 1, "number of channels the flat address space spreads over (power of two)")
-	pdTimeout := flag.Int64("pd-timeout", 0, "enter precharge power-down after this many idle all-banks-closed slots (0 = never)")
-	srAfter := flag.Int64("sr-after", 0, "prefer self-refresh for idle gaps at least this long (0 = never)")
-	refreshEvery := flag.Int64("refresh-every", 0, "refresh interval tREFI in slots (0 = resolve from the spec)")
-	maxPostponed := flag.Int("max-postponed", 0, "JEDEC refresh postponement bound (0 = default 8)")
-	noRefresh := flag.Bool("no-refresh", false, "disable refresh scheduling (report the missed retention deadlines instead)")
-	emit := flag.String("emit", "", "emit the scheduled command trace to stdout (text or binary) instead of replaying")
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// run runs dramctl on args and returns its exit status.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dramctl", flag.ContinueOnError)
+	src := cli.NewSource(fs, "desc", false)
+	policyFlag := fs.String("policy", "open", "page policy: open, closed or timeout=N (idle slots)")
+	mapSpec := fs.String("map", drampower.DefaultAddressMap, "address interleave spec (fields ch, ba, ro, co joined by ':', MSB first)")
+	channels := fs.Int("channels", 1, "number of channels the flat address space spreads over (power of two)")
+	pdTimeout := fs.Int64("pd-timeout", 0, "enter precharge power-down after this many idle all-banks-closed slots (0 = never)")
+	srAfter := fs.Int64("sr-after", 0, "prefer self-refresh for idle gaps at least this long (0 = never)")
+	refreshEvery := fs.Int64("refresh-every", 0, "refresh interval tREFI in slots (0 = resolve from the spec)")
+	maxPostponed := fs.Int("max-postponed", 0, "JEDEC refresh postponement bound (0 = default 8)")
+	noRefresh := fs.Bool("no-refresh", false, "disable refresh scheduling (report the missed retention deadlines instead)")
+	emit := fs.String("emit", "", "emit the scheduled command trace to stdout (text or binary) instead of replaying")
 	var workers int
-	cli.WorkersVar(&workers, "the schedule+replay pipeline")
-	format := cli.FormatVar()
-	prof := cli.ProfileVars()
-	gen := flag.Bool("gen", false, "generate a synthetic access trace to stdout instead of scheduling")
-	n := flag.Int("n", 100000, "request count for -gen")
-	rowhit := flag.Float64("rowhit", 0.5, "with -gen: probability a request reuses its bank's open row, in [0,1]")
-	readShare := flag.Float64("readshare", 0.7, "with -gen: read share of generated requests")
-	gap := flag.Int64("gap", 8, "with -gen: arrival spacing between requests in slots")
-	seed := flag.Uint64("seed", 1, "with -gen: RNG seed")
-	genFormat := flag.String("gen-format", "text", "with -gen: output encoding (text or binary)")
-	calib := cli.OverlayVar()
-	flag.Parse()
-	cli.MustFormat("dramctl", *format)
-	defer prof.Start("dramctl")()
-
-	policy, pageTimeout, err := drampower.ParseControllerPolicy(*policyFlag)
-	if err != nil {
-		cli.Fatal("dramctl", err)
-	}
-	d := src.Description()
-	m, err := drampower.BuildCalibrated(d, cli.LoadOverlay("dramctl", *calib))
-	if err != nil {
-		cli.Fatal("dramctl", err)
-	}
-
-	if *gen {
-		if err := generate(m, *n, *rowhit, *readShare, *gap, *seed, *mapSpec, *channels, *genFormat); err != nil {
-			cli.Fatal("dramctl", err)
+	cli.WorkersVar(fs, &workers, "the schedule+replay pipeline")
+	format := cli.FormatVar(fs)
+	prof := cli.ProfileVars(fs)
+	gen := fs.Bool("gen", false, "generate a synthetic access trace to stdout instead of scheduling")
+	n := fs.Int("n", 100000, "request count for -gen")
+	rowhit := fs.Float64("rowhit", 0.5, "with -gen: probability a request reuses its bank's open row, in [0,1]")
+	readShare := fs.Float64("readshare", 0.7, "with -gen: read share of generated requests")
+	gap := fs.Int64("gap", 8, "with -gen: arrival spacing between requests in slots")
+	seed := fs.Uint64("seed", 1, "with -gen: RNG seed")
+	genFormat := fs.String("gen-format", "text", "with -gen: output encoding (text or binary)")
+	calib := cli.OverlayVar(fs)
+	return cli.Run(fs, args, stderr, func() error {
+		if err := cli.CheckFormat(*format); err != nil {
+			return err
 		}
-		return
-	}
+		return prof.Run(func() error {
+			policy, pageTimeout, err := drampower.ParseControllerPolicy(*policyFlag)
+			if err != nil {
+				return err
+			}
+			d, err := src.Description()
+			if err != nil {
+				return err
+			}
+			ov, err := cli.LoadOverlay(*calib)
+			if err != nil {
+				return err
+			}
+			m, err := drampower.BuildCalibrated(d, ov)
+			if err != nil {
+				return err
+			}
 
-	opts := drampower.ControllerOptions{
-		Policy:           policy,
-		PageTimeout:      pageTimeout,
-		Map:              *mapSpec,
-		Channels:         *channels,
-		PowerDownAfter:   *pdTimeout,
-		SelfRefreshAfter: *srAfter,
-		RefreshEvery:     *refreshEvery,
-		MaxPostponed:     *maxPostponed,
-		DisableRefresh:   *noRefresh,
-		Workers:          workers,
-	}
-	in, name := openInput()
-	start := time.Now()
+			if *gen {
+				return generate(stdout, m, *n, *rowhit, *readShare, *gap, *seed, *mapSpec, *channels, *genFormat)
+			}
 
-	// -emit materializes the merged trace (it is the output); the default
-	// replay path runs the fused schedule→replay pipeline instead, so peak
-	// memory is one batch per channel, not the whole command trace, and
-	// the energy report is still exactly what dramtrace would print for
-	// the emitted trace.
-	if *emit != "" {
-		cmds, _, err := drampower.ScheduleTrace(m, in, opts)
-		if err != nil {
-			cli.FatalInput("dramctl", name, err)
-		}
-		switch *emit {
-		case "text":
-			err = drampower.WriteTrace(os.Stdout, cmds)
-		case "binary":
-			err = drampower.WriteBinaryTrace(os.Stdout, cmds)
-		default:
-			cli.Fatalf("dramctl", "bad -emit %q (want text or binary)", *emit)
-		}
-		if err != nil {
-			cli.Fatal("dramctl", err)
-		}
-		return
-	}
+			opts := drampower.ControllerOptions{
+				Policy:           policy,
+				PageTimeout:      pageTimeout,
+				Map:              *mapSpec,
+				Channels:         *channels,
+				PowerDownAfter:   *pdTimeout,
+				SelfRefreshAfter: *srAfter,
+				RefreshEvery:     *refreshEvery,
+				MaxPostponed:     *maxPostponed,
+				DisableRefresh:   *noRefresh,
+				Workers:          workers,
+			}
+			in, name, err := cli.Input(fs, stdin)
+			if err != nil {
+				return err
+			}
+			defer in.Close()
+			start := time.Now()
 
-	stats, res, err := drampower.ScheduleAndReplay(m, in, opts,
-		drampower.ReplayOptions{Workers: workers})
-	if err != nil {
-		cli.FatalInput("dramctl", name, err)
-	}
-	report(*policyFlag, opts, stats, res, time.Since(start), *format)
+			// -emit materializes the merged trace (it is the output); the
+			// default replay path runs the fused schedule→replay pipeline
+			// instead, so peak memory is one batch per channel, not the
+			// whole command trace, and the energy report is still exactly
+			// what dramtrace would print for the emitted trace.
+			if *emit != "" {
+				cmds, _, err := drampower.ScheduleTrace(m, in, opts)
+				if err != nil {
+					return cli.InputErr(name, err)
+				}
+				switch *emit {
+				case "text":
+					return drampower.WriteTrace(stdout, cmds)
+				case "binary":
+					return drampower.WriteBinaryTrace(stdout, cmds)
+				default:
+					return fmt.Errorf("bad -emit %q (want text or binary)", *emit)
+				}
+			}
+
+			stats, res, err := drampower.ScheduleAndReplay(m, in, opts,
+				drampower.ReplayOptions{Workers: workers})
+			if err != nil {
+				return cli.InputErr(name, err)
+			}
+			wall := time.Since(start)
+			r := report{ScheduleResponse: server.ScheduleResponseFor(stats, res, server.CalibratedKey(d, ov),
+				opts.Channels, opts.PolicySpec(), opts.MapSpec())}
+			r.Calibrated = m.Calibrated()
+			r.Run.Workers, r.Run.WallSeconds = workers, wall.Seconds()
+			if s := wall.Seconds(); s > 0 {
+				r.Run.RequestsPerSecond = float64(stats.Requests) / s
+			}
+			return r.write(stdout, *format)
+		})
+	})
 }
 
-// openInput returns the access-trace input: the positional file
-// argument, or stdin.
-func openInput() (io.Reader, string) {
-	if flag.NArg() == 0 {
-		return os.Stdin, "<stdin>"
-	}
-	f, err := os.Open(flag.Arg(0))
-	if err != nil {
-		cli.Fatal("dramctl", err)
-	}
-	return f, flag.Arg(0)
-}
-
-// generate writes a synthetic access trace to stdout.
-func generate(m *drampower.Model, n int, rowhit, readShare float64, gap int64, seed uint64, mapSpec string, channels int, format string) error {
+// generate writes a synthetic access trace to w.
+func generate(w io.Writer, m *drampower.Model, n int, rowhit, readShare float64, gap int64, seed uint64, mapSpec string, channels int, format string) error {
 	reqs, err := drampower.GenerateAccesses(m, drampower.AccessGenOptions{
 		N: n, RowHit: rowhit, ReadShare: readShare, Gap: gap, Seed: seed,
 		Map: mapSpec, Channels: channels,
@@ -161,101 +168,59 @@ func generate(m *drampower.Model, n int, rowhit, readShare float64, gap int64, s
 	}
 	switch format {
 	case "text":
-		return drampower.WriteAccessTrace(os.Stdout, reqs)
+		return drampower.WriteAccessTrace(w, reqs)
 	case "binary":
-		return drampower.WriteBinaryAccessTrace(os.Stdout, reqs)
+		return drampower.WriteBinaryAccessTrace(w, reqs)
 	default:
 		return fmt.Errorf("bad -gen-format %q (want text or binary)", format)
 	}
 }
 
-// output is the JSON shape of a scheduling report.
-type output struct {
-	Policy           string                  `json:"policy"`
-	Map              string                  `json:"map"`
-	Channels         int                     `json:"channels"`
-	Schedule         drampower.ScheduleStats `json:"schedule"`
-	RowHitRate       float64                 `json:"row_hit_rate"`
-	Slots            int64                   `json:"slots"`
-	DurationSeconds  float64                 `json:"duration_seconds"`
-	CommandEnergyJ   float64                 `json:"command_energy_j"`
-	BackgroundJ      float64                 `json:"background_energy_j"`
-	TotalJ           float64                 `json:"total_energy_j"`
-	AveragePowerW    float64                 `json:"average_power_w"`
-	EnergyPerBitPJ   float64                 `json:"energy_per_bit_pj"`
-	PowerDownSlots   int64                   `json:"power_down_slots"`
-	SelfRefreshSlots int64                   `json:"self_refresh_slots"`
-	// Retention audit of the scheduled trace (see TraceResult): zero
-	// missed deadlines for every configuration except -no-refresh.
-	MaxRefreshIntervalSlots int64 `json:"max_refresh_interval_slots"`
-	MissedRefreshDeadlines  int64 `json:"missed_refresh_deadlines"`
-	// Scheduling and replay run fused (overlapped), so the two timings
-	// are one measurement; ScheduleSeconds is kept for report
-	// compatibility.
-	ScheduleSeconds   float64 `json:"schedule_seconds"`
-	WallSeconds       float64 `json:"wall_seconds"`
-	RequestsPerSecond float64 `json:"requests_per_second"`
+// report is a scheduling run's report: the /v1/schedule body for the
+// same access trace, model and controller options, which -format json
+// prints with the numbers of this run added as "run". Scheduling and
+// replay run fused (overlapped), so the run has one wall time.
+type report struct {
+	server.ScheduleResponse
+	Run struct {
+		Workers           int     `json:"workers"`
+		WallSeconds       float64 `json:"wall_seconds"`
+		RequestsPerSecond float64 `json:"requests_per_second"`
+	} `json:"run"`
 }
 
-func report(policy string, opts drampower.ControllerOptions, stats drampower.ScheduleStats, res drampower.TraceResult, wall time.Duration, format string) {
-	mapSpec := opts.Map
-	if mapSpec == "" {
-		mapSpec = drampower.DefaultAddressMap
-	}
-	o := output{
-		Policy:                  policy,
-		Map:                     mapSpec,
-		Channels:                opts.Channels,
-		Schedule:                stats,
-		RowHitRate:              stats.RowHitRate(),
-		Slots:                   res.Slots,
-		DurationSeconds:         float64(res.Duration),
-		CommandEnergyJ:          float64(res.CommandEnergy),
-		BackgroundJ:             float64(res.Background),
-		TotalJ:                  float64(res.Total),
-		AveragePowerW:           float64(res.AveragePower),
-		EnergyPerBitPJ:          float64(res.EnergyPerBit) * 1e12,
-		PowerDownSlots:          res.PowerDownSlots,
-		SelfRefreshSlots:        res.SelfRefreshSlots,
-		MaxRefreshIntervalSlots: res.MaxRefreshInterval,
-		MissedRefreshDeadlines:  res.MissedRefreshDeadlines,
-		ScheduleSeconds:         wall.Seconds(),
-		WallSeconds:             wall.Seconds(),
-	}
-	if s := wall.Seconds(); s > 0 {
-		o.RequestsPerSecond = float64(stats.Requests) / s
-	}
+// write prints the report to w as text or (format "json") indented JSON.
+func (r *report) write(w io.Writer, format string) error {
 	if format == "json" {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(o); err != nil {
-			cli.Fatal("dramctl", err)
-		}
-		return
+		return enc.Encode(r)
 	}
-	fmt.Printf("scheduled %d requests (%d rd, %d wr) -> %d commands over %d channel(s), policy %s, map %s\n",
-		stats.Requests, stats.Reads, stats.Writes, stats.Commands, o.Channels, o.Policy, o.Map)
-	fmt.Printf("  row buffer:      %.1f%% hits (%d hit / %d miss / %d conflict)\n",
-		100*o.RowHitRate, stats.RowHits, stats.RowMisses, stats.RowConflicts)
-	if stats.TimeoutPrecharges > 0 {
-		fmt.Printf("  page timeout:    %d precharges\n", stats.TimeoutPrecharges)
+	st := &r.Schedule
+	fmt.Fprintf(w, "scheduled %d requests (%d rd, %d wr) -> %d commands over %d channel(s), policy %s, map %s\n",
+		st.Requests, st.Reads, st.Writes, st.Commands, r.Channels, r.Policy, r.Map)
+	fmt.Fprintf(w, "  row buffer:      %.1f%% hits (%d hit / %d miss / %d conflict)\n",
+		100*r.RowHitRate, st.RowHits, st.RowMisses, st.RowConflicts)
+	if st.TimeoutPrecharges > 0 {
+		fmt.Fprintf(w, "  page timeout:    %d precharges\n", st.TimeoutPrecharges)
 	}
-	if stats.PowerDowns+stats.SelfRefreshes > 0 {
-		fmt.Printf("  low power:       %d power-down, %d self-refresh entries (%d + %d slots resident)\n",
-			stats.PowerDowns, stats.SelfRefreshes, o.PowerDownSlots, o.SelfRefreshSlots)
+	if st.PowerDowns+st.SelfRefreshes > 0 {
+		fmt.Fprintf(w, "  low power:       %d power-down, %d self-refresh entries (%d + %d slots resident)\n",
+			st.PowerDowns, st.SelfRefreshes, r.PowerDownSlots, r.SelfRefreshSlots)
 	}
-	if stats.Refreshes > 0 {
-		fmt.Printf("  refresh:         %d issued (%d postponed, %d forced), max interval %d slots\n",
-			stats.Refreshes, stats.PostponedRefreshes, stats.ForcedRefreshes, o.MaxRefreshIntervalSlots)
+	if st.Refreshes > 0 {
+		fmt.Fprintf(w, "  refresh:         %d issued (%d postponed, %d forced), max interval %d slots\n",
+			st.Refreshes, st.PostponedRefreshes, st.ForcedRefreshes, r.MaxRefreshIntervalSlots)
 	}
-	if o.MissedRefreshDeadlines > 0 {
-		fmt.Printf("  retention:       %d missed tREFI deadlines\n", o.MissedRefreshDeadlines)
+	if r.MissedRefreshDeadlines > 0 {
+		fmt.Fprintf(w, "  retention:       %d missed tREFI deadlines\n", r.MissedRefreshDeadlines)
 	}
-	fmt.Printf("  trace:           %d slots (%.3f ms simulated)\n", o.Slots, o.DurationSeconds*1e3)
-	fmt.Printf("  command energy:  %.4g J\n", o.CommandEnergyJ)
-	fmt.Printf("  background:      %.4g J\n", o.BackgroundJ)
-	fmt.Printf("  total:           %.4g J  (%.1f mW avg, %.2f pJ/bit)\n",
-		o.TotalJ, o.AveragePowerW*1e3, o.EnergyPerBitPJ)
-	fmt.Printf("  throughput:      %.2f Mreq/s scheduled+replayed (%.3f s wall)\n",
-		o.RequestsPerSecond/1e6, o.WallSeconds)
+	fmt.Fprintf(w, "  trace:           %d slots (%.3f ms simulated)\n", r.Slots, r.DurationSeconds*1e3)
+	fmt.Fprintf(w, "  command energy:  %.4g J\n", r.CommandEnergyJ)
+	fmt.Fprintf(w, "  background:      %.4g J\n", r.BackgroundJ)
+	fmt.Fprintf(w, "  total:           %.4g J  (%.1f mW avg, %.2f pJ/bit)\n",
+		r.TotalJ, r.AveragePowerW*1e3, r.EnergyPerBitPJ)
+	fmt.Fprintf(w, "  throughput:      %.2f Mreq/s scheduled+replayed (%.3f s wall)\n",
+		r.Run.RequestsPerSecond/1e6, r.Run.WallSeconds)
+	return nil
 }

@@ -15,8 +15,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"os"
 	"sort"
-	"strings"
 
 	"drampower/internal/circuits"
 	"drampower/internal/cli"
@@ -24,65 +25,62 @@ import (
 	"drampower/internal/desc"
 )
 
-func main() {
-	src := cli.NewSource("drampower", "f", false)
-	pattern := flag.String("pattern", "", "override the command pattern, e.g. \"act nop rd nop pre nop\"")
-	verbose := flag.Bool("v", false, "print the full charge-item breakdown per operation")
-	emit := flag.Bool("emit", false, "print the description in the input language and exit")
-	params := flag.Bool("params", false, "list the technology parameter names (Table I) and exit")
-	calib := cli.OverlayVar()
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
 
-	if *params {
-		for _, n := range desc.TechnologyParameterNames() {
-			fmt.Println(n)
+// run runs drampower on args and returns its exit status.
+func run(args []string, _ io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("drampower", flag.ContinueOnError)
+	src := cli.NewSource(fs, "f", false)
+	pattern := fs.String("pattern", "", "override the command pattern, e.g. \"act nop rd nop pre nop\"")
+	verbose := fs.Bool("v", false, "print the full charge-item breakdown per operation")
+	emit := fs.Bool("emit", false, "print the description in the input language and exit")
+	params := fs.Bool("params", false, "list the technology parameter names (Table I) and exit")
+	calib := cli.OverlayVar(fs)
+	return cli.Run(fs, args, stderr, func() error {
+		if *params {
+			for _, n := range desc.TechnologyParameterNames() {
+				fmt.Fprintln(stdout, n)
+			}
+			return nil
 		}
-		return
-	}
 
-	d := src.Description()
-	if *emit {
-		fmt.Print(desc.Format(d))
-		return
-	}
-	if *pattern != "" {
-		loop, err := parsePattern(*pattern)
+		d, err := src.Description()
 		if err != nil {
-			cli.Fatal("drampower", err)
+			return err
 		}
-		d.Pattern = desc.Pattern{Loop: loop}
-	}
+		if *emit {
+			fmt.Fprint(stdout, desc.Format(d))
+			return nil
+		}
+		if *pattern != "" {
+			loop, err := desc.ParsePattern(*pattern)
+			if err != nil {
+				return err
+			}
+			d.Pattern = desc.Pattern{Loop: loop}
+		}
 
-	m, err := core.BuildCalibrated(d, cli.LoadOverlay("drampower", *calib))
-	if err != nil {
-		cli.Fatal("drampower", err)
-	}
-	report(m, *verbose)
+		ov, err := cli.LoadOverlay(*calib)
+		if err != nil {
+			return err
+		}
+		m, err := core.BuildCalibrated(d, ov)
+		if err != nil {
+			return err
+		}
+		report(stdout, m, *verbose)
+		return nil
+	})
 }
 
-func parsePattern(s string) ([]desc.Op, error) {
-	var loop []desc.Op
-	for _, tok := range strings.Fields(s) {
-		op, err := desc.ParseOp(tok)
-		if err != nil {
-			return nil, err
-		}
-		loop = append(loop, op)
-	}
-	if len(loop) == 0 {
-		return nil, fmt.Errorf("empty pattern")
-	}
-	return loop, nil
-}
-
-func report(m *core.Model, verbose bool) {
+func report(w io.Writer, m *core.Model, verbose bool) {
 	d := m.D
-	fmt.Printf("Device: %s\n", d.Name)
-	fmt.Printf("  die %.1f x %.1f mm = %.1f mm², %d banks, page %d bits, %d sub-arrays/bank\n",
+	fmt.Fprintf(w, "Device: %s\n", d.Name)
+	fmt.Fprintf(w, "  die %.1f x %.1f mm = %.1f mm², %d banks, page %d bits, %d sub-arrays/bank\n",
 		m.Grid.Width.Micrometers()/1000, m.Grid.Height.Micrometers()/1000,
 		float64(m.DieArea())/1e-6, d.Spec.Banks(), m.Array.PageBits,
 		m.Array.SubarraysAlongBL*m.Array.SubarraysAlongWL)
-	fmt.Printf("  interface x%d @ %s, Vdd %s / Vint %s / Vbl %s / Vpp %s\n",
+	fmt.Fprintf(w, "  interface x%d @ %s, Vdd %s / Vint %s / Vbl %s / Vpp %s\n",
 		d.Spec.IOWidth, d.Spec.DataRate, d.Electrical.Vdd, d.Electrical.Vint,
 		d.Electrical.Vbl, d.Electrical.Vpp)
 	if m.Calibrated() {
@@ -90,60 +88,60 @@ func report(m *core.Model, verbose bool) {
 		if name == "" {
 			name = "unnamed"
 		}
-		fmt.Printf("  calibration %q applied; energies and currents below are the resolved values\n", name)
+		fmt.Fprintf(w, "  calibration %q applied; energies and currents below are the resolved values\n", name)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	// The headline numbers come from the resolved parameter set (derived
 	// circuit values with any calibration overlay applied); the verbose
 	// charge-item breakdown stays purely derived.
-	fmt.Println("Per-operation energy (referred to Vdd):")
+	fmt.Fprintln(w, "Per-operation energy (referred to Vdd):")
 	for _, op := range []desc.Op{desc.OpActivate, desc.OpPrecharge, desc.OpRead,
 		desc.OpWrite, desc.OpRefresh} {
-		fmt.Printf("  %-4s %10s", op, m.OpEnergy(op))
+		fmt.Fprintf(w, "  %-4s %10s", op, m.OpEnergy(op))
 		if op == desc.OpRead || op == desc.OpWrite {
 			perBit := float64(m.OpEnergy(op)) / float64(m.BitsPerBurst())
-			fmt.Printf("  (%5.2f pJ/bit over %d bits)", perBit/1e-12, m.BitsPerBurst())
+			fmt.Fprintf(w, "  (%5.2f pJ/bit over %d bits)", perBit/1e-12, m.BitsPerBurst())
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		if verbose {
 			oc := m.Charges(op)
 			for _, it := range oc.Items {
 				v, _ := d.Electrical.DomainVoltageAndEff(it.Domain)
-				fmt.Printf("        %-32s %-9s %-5s x%-8.1f %10s\n",
+				fmt.Fprintf(w, "        %-32s %-9s %-5s x%-8.1f %10s\n",
 					it.Name, it.Group, it.Domain, it.Events, it.Energy(v))
 			}
 		}
 	}
 
 	bg := m.Background()
-	fmt.Printf("\nBackground power: %s\n", m.BackgroundPower())
+	fmt.Fprintf(w, "\nBackground power: %s\n", m.BackgroundPower())
 	if verbose {
 		for _, it := range bg.Items {
-			fmt.Printf("        %-32s %-9s %10s\n", it.Name, it.Group, it.Power)
+			fmt.Fprintf(w, "        %-32s %-9s %10s\n", it.Name, it.Group, it.Power)
 		}
 	}
 
 	idd := m.IDD()
-	fmt.Println("\nDatasheet currents:")
-	fmt.Printf("  IDD0  %8.1f mA   (activate-precharge cycling)\n", idd.IDD0.Milliamps())
-	fmt.Printf("  IDD2N %8.1f mA   (precharge standby)\n", idd.IDD2N.Milliamps())
-	fmt.Printf("  IDD2P %8.1f mA   (precharge power-down)\n", m.IDD2P().Milliamps())
-	fmt.Printf("  IDD3N %8.1f mA   (active standby)\n", idd.IDD3N.Milliamps())
-	fmt.Printf("  IDD4R %8.1f mA   (gapless reads)\n", idd.IDD4R.Milliamps())
-	fmt.Printf("  IDD4W %8.1f mA   (gapless writes)\n", idd.IDD4W.Milliamps())
-	fmt.Printf("  IDD5  %8.1f mA   (auto refresh)\n", idd.IDD5.Milliamps())
-	fmt.Printf("  IDD7  %8.1f mA   (interleaved act/rd/pre)\n", idd.IDD7.Milliamps())
+	fmt.Fprintln(w, "\nDatasheet currents:")
+	fmt.Fprintf(w, "  IDD0  %8.1f mA   (activate-precharge cycling)\n", idd.IDD0.Milliamps())
+	fmt.Fprintf(w, "  IDD2N %8.1f mA   (precharge standby)\n", idd.IDD2N.Milliamps())
+	fmt.Fprintf(w, "  IDD2P %8.1f mA   (precharge power-down)\n", m.IDD2P().Milliamps())
+	fmt.Fprintf(w, "  IDD3N %8.1f mA   (active standby)\n", idd.IDD3N.Milliamps())
+	fmt.Fprintf(w, "  IDD4R %8.1f mA   (gapless reads)\n", idd.IDD4R.Milliamps())
+	fmt.Fprintf(w, "  IDD4W %8.1f mA   (gapless writes)\n", idd.IDD4W.Milliamps())
+	fmt.Fprintf(w, "  IDD5  %8.1f mA   (auto refresh)\n", idd.IDD5.Milliamps())
+	fmt.Fprintf(w, "  IDD7  %8.1f mA   (interleaved act/rd/pre)\n", idd.IDD7.Milliamps())
 
 	res := m.Evaluate()
-	fmt.Printf("\nPattern \"%s\":\n", d.Pattern.String())
-	fmt.Printf("  power %s  current %s", res.Power, res.Current)
+	fmt.Fprintf(w, "\nPattern \"%s\":\n", d.Pattern.String())
+	fmt.Fprintf(w, "  power %s  current %s", res.Power, res.Current)
 	if res.EnergyPerBit > 0 {
-		fmt.Printf("  energy/bit %.2f pJ", res.EnergyPerBit.Picojoules())
+		fmt.Fprintf(w, "  energy/bit %.2f pJ", res.EnergyPerBit.Picojoules())
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
-	fmt.Println("  by group:")
+	fmt.Fprintln(w, "  by group:")
 	type kv struct {
 		g circuits.Group
 		p float64
@@ -154,13 +152,13 @@ func report(m *core.Model, verbose bool) {
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].p > rows[j].p })
 	for _, r := range rows {
-		fmt.Printf("    %-9s %10.2f mW  (%4.1f%%)\n", r.g, r.p/1e-3,
+		fmt.Fprintf(w, "    %-9s %10.2f mW  (%4.1f%%)\n", r.g, r.p/1e-3,
 			100*r.p/float64(res.Power))
 	}
-	fmt.Println("  by domain:")
+	fmt.Fprintln(w, "  by domain:")
 	for _, dom := range desc.AllDomains {
 		if p, ok := res.ByDomain[dom]; ok {
-			fmt.Printf("    %-9s %10.2f mW  (%4.1f%%)\n", dom, float64(p)/1e-3,
+			fmt.Fprintf(w, "    %-9s %10.2f mW  (%4.1f%%)\n", dom, float64(p)/1e-3,
 				100*float64(p)/float64(res.Power))
 		}
 	}

@@ -22,6 +22,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -33,50 +34,58 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:8457", "listen address (host:port; port 0 picks a free port)")
-	cacheSize := flag.Int("cache", 128, "model cache capacity (entries)")
-	maxInflight := flag.Int("max-inflight", 64, "maximum concurrently executing /v1/* requests")
-	queueWait := flag.Duration("queue-wait", 2*time.Second, "how long an over-limit request waits for a slot before 429")
-	timeout := flag.Duration("timeout", 60*time.Second, "per-request timeout")
-	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain limit")
-	maxBody := flag.Int64("max-body", 1<<20, "descriptor request body limit (bytes)")
-	maxTrace := flag.Int64("max-trace", 256<<20, "trace upload limit (bytes)")
-	var workers int
-	cli.WorkersVar(&workers, "the shared evaluation pool")
-	quiet := flag.Bool("quiet", false, "disable the JSON access log on stderr")
-	calib := cli.OverlayVar()
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdin, os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
-	opts := server.Options{
-		CacheSize:          *cacheSize,
-		MaxInflight:        *maxInflight,
-		QueueWait:          *queueWait,
-		RequestTimeout:     *timeout,
-		MaxDescriptorBytes: *maxBody,
-		MaxTraceBytes:      *maxTrace,
-		Workers:            workers,
+// run runs dramserved on args until ctx is done, then drains; it returns
+// the exit status.
+func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dramserved", flag.ContinueOnError)
+	addr := fs.String("addr", "127.0.0.1:8457", "listen address (host:port; port 0 picks a free port)")
+	cacheSize := fs.Int("cache", 128, "model cache capacity (entries)")
+	maxInflight := fs.Int("max-inflight", 64, "maximum concurrently executing /v1/* requests")
+	queueWait := fs.Duration("queue-wait", 2*time.Second, "how long an over-limit request waits for a slot before 429")
+	timeout := fs.Duration("timeout", 60*time.Second, "per-request timeout")
+	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown drain limit")
+	maxBody := fs.Int64("max-body", 1<<20, "descriptor request body limit (bytes)")
+	maxTrace := fs.Int64("max-trace", 256<<20, "trace upload limit (bytes)")
+	var workers int
+	cli.WorkersVar(fs, &workers, "the shared evaluation pool")
+	quiet := fs.Bool("quiet", false, "disable the JSON access log on stderr")
+	calib := cli.OverlayVar(fs)
+	return cli.Run(fs, args, stderr, func() error {
+		opts := server.Options{
+			CacheSize:          *cacheSize,
+			MaxInflight:        *maxInflight,
+			QueueWait:          *queueWait,
+			RequestTimeout:     *timeout,
+			MaxDescriptorBytes: *maxBody,
+			MaxTraceBytes:      *maxTrace,
+			Workers:            workers,
+		}
 		// A -calib overlay becomes the server-wide default calibration,
 		// applied to any model a request does not calibrate itself.
-		Calibration: cli.LoadOverlay("dramserved", *calib),
-	}
-	if !*quiet {
-		opts.AccessLog = os.Stderr
-	}
-	s := server.New(opts)
-	defer s.Close()
+		var err error
+		if opts.Calibration, err = cli.LoadOverlay(*calib); err != nil {
+			return err
+		}
+		if !*quiet {
+			opts.AccessLog = stderr
+		}
+		s := server.New(opts)
+		defer s.Close()
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		cli.Fatal("dramserved", err)
-	}
-	// The resolved address on stdout is the service's one line of
-	// plain-text output; tooling (make serve-smoke) parses it to find a
-	// randomly assigned port.
-	fmt.Printf("dramserved listening on %s\n", ln.Addr())
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := s.Serve(ctx, ln, *drain); err != nil {
-		cli.Fatal("dramserved", err)
-	}
+		ln, err := net.Listen("tcp", *addr)
+		if err != nil {
+			return err
+		}
+		// The resolved address on stdout is the service's one line of
+		// plain-text output; tooling (make serve-smoke) parses it to find
+		// a randomly assigned port.
+		fmt.Fprintf(stdout, "dramserved listening on %s\n", ln.Addr())
+		return s.Serve(ctx, ln, *drain)
+	})
 }

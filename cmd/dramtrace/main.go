@@ -50,90 +50,99 @@ import (
 
 	"drampower"
 	"drampower/internal/cli"
+	"drampower/internal/server"
 	"drampower/internal/trace"
 )
 
-func main() {
-	src := cli.NewSource("dramtrace", "desc", false)
-	channels := flag.Int("channels", 1, "number of channels the trace's global bank indices span")
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// run runs dramtrace on args and returns its exit status.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dramtrace", flag.ContinueOnError)
+	src := cli.NewSource(fs, "desc", false)
+	channels := fs.Int("channels", 1, "number of channels the trace's global bank indices span")
 	var workers int
-	cli.WorkersVar(&workers, "the replay")
-	format := cli.FormatVar()
-	convert := flag.String("convert", "", "convert the input trace to the given encoding (text or binary) on stdout instead of replaying")
-	gen := flag.String("gen", "", "generate a trace to stdout instead of replaying: streaming, closed, refresh or mixed")
-	n := flag.Int("n", 100000, "approximate command count for -gen")
-	readShare := flag.Float64("readshare", 0.7, "read share of generated column commands")
-	rowhit := flag.Float64("rowhit", 0.5, "with -gen mixed: probability an access reuses its bank's open row, in [0,1]")
-	seed := flag.Int64("seed", 1, "base RNG seed for -gen")
-	idle := flag.Int64("idle", 0, "with -gen: enter power-down in idle gaps of at least this many slots (0 = never)")
-	calib := cli.OverlayVar()
-	prof := cli.ProfileVars()
-	flag.Parse()
-	defer prof.Start("dramtrace")()
+	cli.WorkersVar(fs, &workers, "the replay")
+	format := cli.FormatVar(fs)
+	convert := fs.String("convert", "", "convert the input trace to the given encoding (text or binary) on stdout instead of replaying")
+	gen := fs.String("gen", "", "generate a trace to stdout instead of replaying: streaming, closed, refresh or mixed")
+	n := fs.Int("n", 100000, "approximate command count for -gen")
+	readShare := fs.Float64("readshare", 0.7, "read share of generated column commands")
+	rowhit := fs.Float64("rowhit", 0.5, "with -gen mixed: probability an access reuses its bank's open row, in [0,1]")
+	seed := fs.Int64("seed", 1, "base RNG seed for -gen")
+	idle := fs.Int64("idle", 0, "with -gen: enter power-down in idle gaps of at least this many slots (0 = never)")
+	calib := cli.OverlayVar(fs)
+	prof := cli.ProfileVars(fs)
+	return cli.Run(fs, args, stderr, func() error {
+		return prof.Run(func() error {
+			// -format binary selects the dtb trace encoding for -gen
+			// output; the replay report itself is text or json.
+			if *format == "binary" {
+				if *gen == "" {
+					return fmt.Errorf("-format binary only applies to -gen output (use -convert binary to re-encode a trace)")
+				}
+			} else if err := cli.CheckFormat(*format); err != nil {
+				return err
+			}
 
-	// -format binary selects the dtb trace encoding for -gen output; the
-	// replay report itself is text or json.
-	if *format == "binary" {
-		if *gen == "" {
-			cli.Fatalf("dramtrace", "-format binary only applies to -gen output (use -convert binary to re-encode a trace)")
-		}
-	} else {
-		cli.MustFormat("dramtrace", *format)
-	}
+			if *convert != "" {
+				in, name, err := cli.Input(fs, stdin)
+				if err != nil {
+					return err
+				}
+				defer in.Close()
+				return cli.InputErr(name, convertTrace(stdout, in, *convert))
+			}
 
-	if *convert != "" {
-		in, name := openInput()
-		if err := convertTrace(in, *convert); err != nil {
-			cli.FatalInput("dramtrace", name, err)
-		}
-		return
-	}
+			d, err := src.Description()
+			if err != nil {
+				return err
+			}
+			ov, err := cli.LoadOverlay(*calib)
+			if err != nil {
+				return err
+			}
+			m, err := drampower.BuildCalibrated(d, ov)
+			if err != nil {
+				return err
+			}
 
-	d := src.Description()
-	m, err := drampower.BuildCalibrated(d, cli.LoadOverlay("dramtrace", *calib))
-	if err != nil {
-		cli.Fatal("dramtrace", err)
-	}
+			if *gen != "" {
+				return generate(stdout, m, *gen, *channels, *n, *readShare, *rowhit, *seed, *idle, *format == "binary")
+			}
 
-	if *gen != "" {
-		if err := generate(m, *gen, *channels, *n, *readShare, *rowhit, *seed, *idle, *format == "binary"); err != nil {
-			cli.Fatal("dramtrace", err)
-		}
-		return
-	}
-
-	in, name := openInput()
-	cr := &countingReader{r: in}
-	start := time.Now()
-	res, err := drampower.ReplayTrace(m, cr, drampower.ReplayOptions{Channels: *channels, Workers: workers})
-	if err != nil {
-		cli.FatalInput("dramtrace", name, err)
-	}
-	report(res, cr.n, *channels, workers, time.Since(start), *format)
+			in, name, err := cli.Input(fs, stdin)
+			if err != nil {
+				return err
+			}
+			defer in.Close()
+			cr := &countingReader{r: in}
+			start := time.Now()
+			res, err := drampower.ReplayTrace(m, cr, drampower.ReplayOptions{Channels: *channels, Workers: workers})
+			if err != nil {
+				return cli.InputErr(name, err)
+			}
+			wall := time.Since(start)
+			r := report{TraceResponse: server.TraceResponseFor(res, server.CalibratedKey(d, ov), *channels)}
+			r.Calibrated = m.Calibrated()
+			r.Run.Workers, r.Run.TraceBytes, r.Run.WallSeconds = workers, cr.n, wall.Seconds()
+			if s := wall.Seconds(); s > 0 {
+				r.Run.CommandsPerSecond = float64(r.Commands) / s
+				r.Run.MBPerSecond = float64(cr.n) / 1e6 / s
+			}
+			return r.write(stdout, *format)
+		})
+	})
 }
 
-// openInput returns the trace input: the positional file argument, or
-// stdin. The file (if any) stays open until the process exits, which is
-// when replay or conversion finishes.
-func openInput() (io.Reader, string) {
-	if flag.NArg() == 0 {
-		return os.Stdin, "<stdin>"
-	}
-	f, err := os.Open(flag.Arg(0))
-	if err != nil {
-		cli.Fatal("dramtrace", err)
-	}
-	return f, flag.Arg(0)
-}
-
-// convertTrace streams the input trace (either encoding, sniffed) to
-// stdout in the requested encoding. No model is involved: conversion
-// re-encodes the command stream verbatim, without timing checks.
-func convertTrace(in io.Reader, out string) error {
+// convertTrace streams the input trace (either encoding, sniffed) to w
+// in the requested encoding. No model is involved: conversion re-encodes
+// the command stream verbatim, without timing checks.
+func convertTrace(w io.Writer, in io.Reader, out string) error {
 	src := drampower.NewTraceSource(in)
 	switch out {
 	case "text":
-		bw := bufio.NewWriter(os.Stdout)
+		bw := bufio.NewWriter(w)
 		var line []byte
 		for src.Scan() {
 			line = trace.AppendCommand(line[:0], src.Command())
@@ -146,7 +155,7 @@ func convertTrace(in io.Reader, out string) error {
 		}
 		return bw.Flush()
 	case "binary":
-		bw := drampower.NewBinaryTraceWriter(os.Stdout)
+		bw := drampower.NewBinaryTraceWriter(w)
 		for src.Scan() {
 			if err := bw.WriteCommand(src.Command()); err != nil {
 				return err
@@ -161,13 +170,13 @@ func convertTrace(in io.Reader, out string) error {
 	}
 }
 
-// generate writes a synthetic trace to stdout: per-channel workloads from
-// the generators in internal/trace, optionally parked in power-down
-// during idle gaps (-idle), interleaved into one global-bank trace, in
-// the text or (with -format binary) the dtb binary encoding. The mixed
-// kind instead drives the controller front-end: a random access stream
-// with -rowhit row locality, scheduled open-page into a legal trace.
-func generate(m *drampower.Model, kind string, channels, n int, readShare, rowhit float64, seed, idle int64, binary bool) error {
+// generate writes a synthetic trace to w: per-channel workloads from the
+// generators in internal/trace, optionally parked in power-down during
+// idle gaps (-idle), interleaved into one global-bank trace, in the text
+// or (with -format binary) the dtb binary encoding. The mixed kind
+// instead drives the controller front-end: a random access stream with
+// -rowhit row locality, scheduled open-page into a legal trace.
+func generate(w io.Writer, m *drampower.Model, kind string, channels, n int, readShare, rowhit float64, seed, idle int64, binary bool) error {
 	if channels < 1 {
 		channels = 1
 	}
@@ -193,9 +202,9 @@ func generate(m *drampower.Model, kind string, channels, n int, readShare, rowhi
 			return err
 		}
 		if binary {
-			return drampower.WriteBinaryTrace(os.Stdout, cmds)
+			return drampower.WriteBinaryTrace(w, cmds)
 		}
-		return drampower.WriteTrace(os.Stdout, cmds)
+		return drampower.WriteTrace(w, cmds)
 	}
 	perChannel := (n + channels - 1) / channels
 	chans := make([][]drampower.Command, channels)
@@ -220,9 +229,9 @@ func generate(m *drampower.Model, kind string, channels, n int, readShare, rowhi
 	}
 	cmds := drampower.InterleaveChannels(chans, m.D.Spec.Banks())
 	if binary {
-		return drampower.WriteBinaryTrace(os.Stdout, cmds)
+		return drampower.WriteBinaryTrace(w, cmds)
 	}
-	return drampower.WriteTrace(os.Stdout, cmds)
+	return drampower.WriteTrace(w, cmds)
 }
 
 // countingReader counts the trace bytes consumed, for throughput
@@ -238,98 +247,45 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// output is the JSON shape of a replay report.
-type output struct {
-	Channels          int              `json:"channels"`
-	Workers           int              `json:"workers"`
-	Commands          int64            `json:"commands"`
-	Slots             int64            `json:"slots"`
-	DurationSeconds   float64          `json:"duration_seconds"`
-	CommandEnergyJ    float64          `json:"command_energy_j"`
-	BackgroundJ       float64          `json:"background_energy_j"`
-	TotalJ            float64          `json:"total_energy_j"`
-	AveragePowerW     float64          `json:"average_power_w"`
-	AverageCurrentA   float64          `json:"average_current_a"`
-	Bits              int64            `json:"bits"`
-	EnergyPerBitPJ    float64          `json:"energy_per_bit_pj"`
-	BusUtilization    float64          `json:"bus_utilization"`
-	ActiveSlots       int64            `json:"active_slots"`
-	PrechargedSlots   int64            `json:"precharged_slots"`
-	PowerDownSlots    int64            `json:"power_down_slots"`
-	SelfRefreshSlots  int64            `json:"self_refresh_slots"`
-	ActiveBgJ         float64          `json:"active_background_j"`
-	PrechargedBgJ     float64          `json:"precharged_background_j"`
-	PowerDownBgJ      float64          `json:"power_down_background_j"`
-	SelfRefreshBgJ    float64          `json:"self_refresh_background_j"`
-	Counts            map[string]int64 `json:"counts"`
-	TraceBytes        int64            `json:"trace_bytes"`
-	WallSeconds       float64          `json:"wall_seconds"`
-	CommandsPerSecond float64          `json:"commands_per_second"`
-	MBPerSecond       float64          `json:"mb_per_second"`
+// report is a replay's report: the /v1/trace body for the same trace and
+// model, which -format json prints with the numbers of this run added as
+// "run".
+type report struct {
+	server.TraceResponse
+	Run struct {
+		Workers           int     `json:"workers"`
+		TraceBytes        int64   `json:"trace_bytes"`
+		WallSeconds       float64 `json:"wall_seconds"`
+		CommandsPerSecond float64 `json:"commands_per_second"`
+		MBPerSecond       float64 `json:"mb_per_second"`
+	} `json:"run"`
 }
 
-func report(res drampower.TraceResult, bytes int64, channels, workers int, wall time.Duration, format string) {
-	var commands int64
-	counts := map[string]int64{}
-	for op, c := range res.Counts {
-		commands += c
-		counts[drampower.TraceOpName(op)] = c
-	}
-	o := output{
-		Channels:         channels,
-		Workers:          workers,
-		Commands:         commands,
-		Slots:            res.Slots,
-		DurationSeconds:  float64(res.Duration),
-		CommandEnergyJ:   float64(res.CommandEnergy),
-		BackgroundJ:      float64(res.Background),
-		TotalJ:           float64(res.Total),
-		AveragePowerW:    float64(res.AveragePower),
-		AverageCurrentA:  float64(res.AverageCurrent),
-		Bits:             res.Bits,
-		EnergyPerBitPJ:   float64(res.EnergyPerBit) * 1e12,
-		BusUtilization:   res.BusUtilization,
-		ActiveSlots:      res.ActiveSlots,
-		PrechargedSlots:  res.PrechargedSlots,
-		PowerDownSlots:   res.PowerDownSlots,
-		SelfRefreshSlots: res.SelfRefreshSlots,
-		ActiveBgJ:        float64(res.ActiveBackground),
-		PrechargedBgJ:    float64(res.PrechargedBackground),
-		PowerDownBgJ:     float64(res.PowerDownBackground),
-		SelfRefreshBgJ:   float64(res.SelfRefreshBackground),
-		Counts:           counts,
-		TraceBytes:       bytes,
-		WallSeconds:      wall.Seconds(),
-	}
-	if s := wall.Seconds(); s > 0 {
-		o.CommandsPerSecond = float64(commands) / s
-		o.MBPerSecond = float64(bytes) / 1e6 / s
-	}
+// write prints the report to w as text or (format "json") indented JSON.
+func (r *report) write(w io.Writer, format string) error {
 	if format == "json" {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(o); err != nil {
-			cli.Fatal("dramtrace", err)
-		}
-		return
+		return enc.Encode(r)
 	}
-	fmt.Printf("replayed %d commands over %d channel(s): %d slots (%.3f ms simulated)\n",
-		o.Commands, o.Channels, o.Slots, o.DurationSeconds*1e3)
-	fmt.Printf("  counts:          %v\n", o.Counts)
-	fmt.Printf("  command energy:  %.4g J\n", o.CommandEnergyJ)
-	fmt.Printf("  background:      %.4g J\n", o.BackgroundJ)
-	fmt.Printf("  total:           %.4g J  (%.1f mW avg, %.1f mA avg)\n",
-		o.TotalJ, o.AveragePowerW*1e3, o.AverageCurrentA*1e3)
-	fmt.Printf("  data:            %d bits, %.2f pJ/bit, bus utilization %.2f\n",
-		o.Bits, o.EnergyPerBitPJ, o.BusUtilization)
-	totalStateSlots := o.ActiveSlots + o.PrechargedSlots + o.PowerDownSlots + o.SelfRefreshSlots
+	fmt.Fprintf(w, "replayed %d commands over %d channel(s): %d slots (%.3f ms simulated)\n",
+		r.Commands, r.Channels, r.Slots, r.DurationSeconds*1e3)
+	fmt.Fprintf(w, "  counts:          %v\n", r.Counts)
+	fmt.Fprintf(w, "  command energy:  %.4g J\n", r.CommandEnergyJ)
+	fmt.Fprintf(w, "  background:      %.4g J\n", r.BackgroundJ)
+	fmt.Fprintf(w, "  total:           %.4g J  (%.1f mW avg, %.1f mA avg)\n",
+		r.TotalJ, r.AveragePowerW*1e3, r.AverageCurrentA*1e3)
+	fmt.Fprintf(w, "  data:            %d bits, %.2f pJ/bit, bus utilization %.2f\n",
+		r.Bits, r.EnergyPerBitPJ, r.BusUtilization)
+	totalStateSlots := r.ActiveSlots + r.PrechargedSlots + r.PowerDownSlots + r.SelfRefreshSlots
 	if totalStateSlots > 0 {
 		pct := func(s int64) float64 { return 100 * float64(s) / float64(totalStateSlots) }
-		fmt.Printf("  residency:       active %.1f%%, precharged %.1f%%, power-down %.1f%%, self-refresh %.1f%%\n",
-			pct(o.ActiveSlots), pct(o.PrechargedSlots), pct(o.PowerDownSlots), pct(o.SelfRefreshSlots))
-		fmt.Printf("  bg by state:     %.4g / %.4g / %.4g / %.4g J\n",
-			o.ActiveBgJ, o.PrechargedBgJ, o.PowerDownBgJ, o.SelfRefreshBgJ)
+		fmt.Fprintf(w, "  residency:       active %.1f%%, precharged %.1f%%, power-down %.1f%%, self-refresh %.1f%%\n",
+			pct(r.ActiveSlots), pct(r.PrechargedSlots), pct(r.PowerDownSlots), pct(r.SelfRefreshSlots))
+		fmt.Fprintf(w, "  bg by state:     %.4g / %.4g / %.4g / %.4g J\n",
+			r.ActiveBgJ, r.PrechargedBgJ, r.PowerDownBgJ, r.SelfRefreshBgJ)
 	}
-	fmt.Printf("  throughput:      %.2f Mcmd/s, %.1f MB/s (%.3f s wall)\n",
-		o.CommandsPerSecond/1e6, o.MBPerSecond, o.WallSeconds)
+	fmt.Fprintf(w, "  throughput:      %.2f Mcmd/s, %.1f MB/s (%.3f s wall)\n",
+		r.Run.CommandsPerSecond/1e6, r.Run.MBPerSecond, r.Run.WallSeconds)
+	return nil
 }

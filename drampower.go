@@ -84,10 +84,6 @@ const (
 	OpSelfRefreshExit  = trace.OpSelfRefreshExit
 )
 
-// TraceOpName renders any trace operation, including the power-state
-// commands Op.String does not know (use it for TraceResult.Counts keys).
-func TraceOpName(op Op) string { return trace.OpName(op) }
-
 // MaxPostponedRefreshes is the JEDEC refresh postponement bound: up to
 // this many consecutive tREFI obligations may slide past their nominal
 // due slot before the controller must catch up. The replayer's retention

@@ -1,54 +1,51 @@
-// Package cli centralizes the error-exit path of the cmd/* binaries so
-// all of them behave identically on bad input: diagnostics go to stderr
-// only (never interleaved into stdout, which may be carrying -format json
-// or emitted descriptors/traces), positioned parse errors render with
-// their input coordinates, and the process exits with a non-zero status.
+// Package cli holds what the cmd/* binaries share: their common flags
+// and the one way a run ends. Each binary's run(args, stdin, stdout,
+// stderr) parses its own flag.FlagSet and returns the exit status, so
+// tests call it like any function. Diagnostics go to the given stderr
+// only, never into stdout, which may carry -format json or a trace.
 package cli
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"drampower/internal/codec"
 )
 
-// exit allows tests to intercept the process exit.
-var exit = os.Exit
-
-// stderr allows tests to capture the diagnostic stream.
-var stderr io.Writer = os.Stderr
-
-// Fatal prints "tool: error" to stderr and exits 1. Positioned errors
-// (codec.ParseError, which the desc, trace and ctl parsers share) already
-// carry their line/column in Error(); Fatal additionally prefixes the
-// offending input name when one is known, producing editor-friendly
-// "tool: file: line N, col M: msg".
-func Fatal(tool string, err error) {
-	FatalInput(tool, "", err)
+// Run parses args into fs, which must use flag.ContinueOnError, and then
+// runs body. It returns the process exit status: 0 on success and after
+// -h, 2 after a flag error (the flag package has printed the diagnostic
+// and the usage on stderr, as flag.ExitOnError does), and 1 when body
+// fails, after printing "tool: err" on stderr, the tool being fs's name.
+func Run(fs *flag.FlagSet, args []string, stderr io.Writer, body func() error) int {
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if err := body(); err != nil {
+		fmt.Fprintf(stderr, "%s: %v\n", fs.Name(), err)
+		return 1
+	}
+	return 0
 }
 
-// FatalInput is Fatal with the name of the input (file path or "<stdin>")
-// the error came from; empty means no input context.
-func FatalInput(tool, input string, err error) {
+// InputErr attributes err to the input it came from, a file path or
+// "<stdin>". A positioned error (codec.ParseError, which the desc, trace
+// and ctl parsers share) already carries its line and column; InputErr
+// prefixes the input's name, so Run prints the editor-friendly
+// "tool: file: line N, col M: msg". Other errors, and errors whose text
+// already names the input (desc.ParseFile wraps its path), are returned
+// as they are.
+func InputErr(input string, err error) error {
 	var pe *codec.ParseError
-	positioned := errors.As(err, &pe)
-	// Some entry points (desc.ParseFile) already wrap the path into the
-	// error text; don't prefix it twice.
-	if strings.Contains(err.Error(), input) {
-		input = ""
+	if err == nil || !errors.As(err, &pe) || strings.Contains(err.Error(), input) {
+		return err
 	}
-	if input != "" && positioned {
-		fmt.Fprintf(stderr, "%s: %s: %v\n", tool, input, err)
-	} else {
-		fmt.Fprintf(stderr, "%s: %v\n", tool, err)
-	}
-	exit(1)
-}
-
-// Fatalf is Fatal with formatting.
-func Fatalf(tool, format string, args ...any) {
-	Fatal(tool, fmt.Errorf(format, args...))
+	return fmt.Errorf("%s: %w", input, err)
 }

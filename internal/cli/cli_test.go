@@ -2,6 +2,7 @@ package cli
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"strings"
 	"testing"
@@ -11,20 +12,21 @@ import (
 	"drampower/internal/trace"
 )
 
-// capture intercepts exit and stderr around fn.
-func capture(fn func()) (out string, code int) {
+// runTool runs body through Run under a flag set named "tool" and
+// returns the exit status and what Run printed on stderr.
+func runTool(args []string, body func() error) (code int, stderr string) {
 	var b strings.Builder
-	code = -1
-	oldExit, oldErr := exit, stderr
-	exit = func(c int) { code = c }
-	stderr = &b
-	defer func() { exit, stderr = oldExit, oldErr }()
-	fn()
-	return b.String(), code
+	fs := flag.NewFlagSet("tool", flag.ContinueOnError)
+	fs.Bool("v", false, "verbose")
+	code = Run(fs, args, &b, body)
+	return code, b.String()
 }
 
+// fail is a run body that fails with err.
+func fail(err error) func() error { return func() error { return err } }
+
 func TestFatalExitsNonZero(t *testing.T) {
-	out, code := capture(func() { Fatal("tool", errors.New("boom")) })
+	code, out := runTool(nil, fail(errors.New("boom")))
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1", code)
 	}
@@ -33,9 +35,25 @@ func TestFatalExitsNonZero(t *testing.T) {
 	}
 }
 
+func TestRunExitCodes(t *testing.T) {
+	ran := false
+	if code, out := runTool([]string{"-v"}, func() error { ran = true; return nil }); code != 0 || out != "" || !ran {
+		t.Errorf("success: code=%d stderr=%q ran=%v, want 0, silent, ran", code, out, ran)
+	}
+	ran = false
+	code, out := runTool([]string{"-h"}, func() error { ran = true; return nil })
+	if code != 0 || ran || !strings.HasPrefix(out, "Usage of tool:\n") {
+		t.Errorf("-h: code=%d ran=%v stderr=%q, want 0, not run, the usage", code, ran, out)
+	}
+	code, out = runTool([]string{"-bogus"}, func() error { ran = true; return nil })
+	if code != 2 || ran || !strings.HasPrefix(out, "flag provided but not defined: -bogus\nUsage of tool:\n") {
+		t.Errorf("flag error: code=%d ran=%v stderr=%q, want 2, not run, diagnostic then usage", code, ran, out)
+	}
+}
+
 func TestFatalInputPrefixesPositionedErrors(t *testing.T) {
 	err := fmt.Errorf("wrapped: %w", &desc.ParseError{Lang: "desc", Line: 3, Col: 7, Msg: "bad token"})
-	out, code := capture(func() { FatalInput("tool", "dev.dram", err) })
+	code, out := runTool(nil, fail(InputErr("dev.dram", err)))
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1", code)
 	}
@@ -44,21 +62,31 @@ func TestFatalInputPrefixesPositionedErrors(t *testing.T) {
 	}
 
 	terr := &trace.ParseError{Lang: "trace", Line: 9, Col: 2, Msg: "bad bank"}
-	out, _ = capture(func() { FatalInput("tool", "t.txt", terr) })
+	_, out = runTool(nil, fail(InputErr("t.txt", terr)))
 	if !strings.HasPrefix(out, "tool: t.txt: ") || !strings.Contains(out, "line 9") {
 		t.Fatalf("stderr = %q", out)
 	}
+	if !errors.Is(InputErr("t.txt", terr), terr) {
+		t.Error("InputErr hides the positioned error from errors.Is")
+	}
 
 	cerr := &ctl.ParseError{Lang: "access", Line: 1, Col: 3, Msg: "bad op"}
-	out, _ = capture(func() { FatalInput("tool", "bad.txt", cerr) })
+	_, out = runTool(nil, fail(InputErr("bad.txt", cerr)))
 	if out != "tool: bad.txt: access: line 1, col 3: bad op\n" {
 		t.Fatalf("stderr = %q, want the access error prefixed with its input", out)
 	}
 }
 
 func TestFatalInputSkipsPrefixForPlainErrors(t *testing.T) {
-	out, _ := capture(func() { FatalInput("tool", "dev.dram", errors.New("no such file")) })
+	_, out := runTool(nil, fail(InputErr("dev.dram", errors.New("no such file"))))
 	if out != "tool: no such file\n" {
 		t.Fatalf("stderr = %q (plain errors usually already carry the path)", out)
+	}
+	named := &desc.ParseError{Lang: "desc", Line: 1, Msg: "dev.dram: bad"}
+	if got := InputErr("dev.dram", named); got != error(named) {
+		t.Errorf("InputErr prefixed an error that already names its input: %v", got)
+	}
+	if InputErr("dev.dram", nil) != nil {
+		t.Error("InputErr(nil) != nil")
 	}
 }

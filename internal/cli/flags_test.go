@@ -2,6 +2,7 @@ package cli
 
 import (
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,85 +11,80 @@ import (
 	"drampower/internal/desc"
 )
 
-// withFlagSet swaps the global flag set for one test so the helpers
-// (which register on flag.CommandLine like the binaries do) can be
-// exercised repeatedly.
-func withFlagSet(t *testing.T, fn func()) {
-	t.Helper()
-	old := flag.CommandLine
-	flag.CommandLine = flag.NewFlagSet("test", flag.ContinueOnError)
-	defer func() { flag.CommandLine = old }()
-	fn()
+// newFlagSet returns a flag set for one test of the registration
+// helpers.
+func newFlagSet() *flag.FlagSet {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	return fs
 }
 
 func TestWorkersVar(t *testing.T) {
-	withFlagSet(t, func() {
-		var w int
-		WorkersVar(&w, "the tests")
-		if err := flag.CommandLine.Parse([]string{"-workers", "7"}); err != nil {
-			t.Fatal(err)
-		}
-		if w != 7 {
-			t.Fatalf("workers = %d, want 7", w)
-		}
-	})
+	fs := newFlagSet()
+	var w int
+	WorkersVar(fs, &w, "the tests")
+	if err := fs.Parse([]string{"-workers", "7"}); err != nil {
+		t.Fatal(err)
+	}
+	if w != 7 {
+		t.Fatalf("workers = %d, want 7", w)
+	}
 }
 
-func TestMustFormat(t *testing.T) {
+func TestCheckFormat(t *testing.T) {
 	for _, ok := range []string{"text", "json"} {
-		if out, code := capture(func() { MustFormat("tool", ok) }); code != -1 {
-			t.Fatalf("MustFormat(%q) exited %d: %s", ok, code, out)
+		if err := CheckFormat(ok); err != nil {
+			t.Fatalf("CheckFormat(%q) = %v", ok, err)
 		}
 	}
-	out, code := capture(func() { MustFormat("tool", "xml") })
-	if code != 1 || !strings.Contains(out, "bad -format") {
-		t.Fatalf("MustFormat(xml): code=%d stderr=%q", code, out)
+	err := CheckFormat("xml")
+	if err == nil || err.Error() != `bad -format "xml" (want text or json)` {
+		t.Fatalf("CheckFormat(xml) = %v", err)
 	}
 }
 
 func TestSourceDefaultsToSample(t *testing.T) {
-	withFlagSet(t, func() {
-		s := NewSource("tool", "f", true)
-		if err := flag.CommandLine.Parse(nil); err != nil {
-			t.Fatal(err)
-		}
-		if s.Explicit() {
-			t.Error("no flags given but Explicit() = true")
-		}
-		d := s.Description()
-		want := desc.Sample1GbDDR3()
-		if d.Name != want.Name || s.Label() != want.Name {
-			t.Errorf("default description %q label %q, want sample %q", d.Name, s.Label(), want.Name)
-		}
-	})
+	fs := newFlagSet()
+	s := NewSource(fs, "f", true)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if s.Explicit() {
+		t.Error("no flags given but Explicit() = true")
+	}
+	d, err := s.Description()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := desc.Sample1GbDDR3()
+	if d.Name != want.Name || s.Label() != want.Name {
+		t.Errorf("default description %q label %q, want sample %q", d.Name, s.Label(), want.Name)
+	}
 }
 
 func TestSourceNode(t *testing.T) {
-	withFlagSet(t, func() {
-		s := NewSource("tool", "f", true)
-		if err := flag.CommandLine.Parse([]string{"-node", "55"}); err != nil {
-			t.Fatal(err)
-		}
-		if !s.Explicit() || s.Node() != 55 {
-			t.Fatalf("node flag not picked up: %+v", s)
-		}
-		d := s.Description()
-		if d == nil || s.Label() == "" || !strings.Contains(s.Label(), "55nm") {
-			t.Errorf("node description label = %q", s.Label())
-		}
-	})
+	fs := newFlagSet()
+	s := NewSource(fs, "f", true)
+	if err := fs.Parse([]string{"-node", "55"}); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Explicit() || s.File() != "" {
+		t.Fatalf("node flag not picked up: %+v", s)
+	}
+	d, err := s.Description()
+	if err != nil || d == nil || !strings.Contains(s.Label(), "55nm") {
+		t.Errorf("node description label = %q, err = %v", s.Label(), err)
+	}
 
-	// An off-roadmap node exits with a diagnostic.
-	withFlagSet(t, func() {
-		s := NewSource("tool", "f", true)
-		if err := flag.CommandLine.Parse([]string{"-node", "3"}); err != nil {
-			t.Fatal(err)
-		}
-		out, code := capture(func() { s.Description() })
-		if code != 1 || out == "" {
-			t.Errorf("bad node: code=%d stderr=%q", code, out)
-		}
-	})
+	// An off-roadmap node is an error.
+	fs = newFlagSet()
+	s = NewSource(fs, "f", true)
+	if err := fs.Parse([]string{"-node", "3"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Description(); err == nil {
+		t.Error("bad node: no error")
+	}
 }
 
 func TestSourceFile(t *testing.T) {
@@ -96,40 +92,41 @@ func TestSourceFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(desc.Format(desc.Sample1GbDDR3())), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	withFlagSet(t, func() {
-		s := NewSource("tool", "desc", false)
-		if err := flag.CommandLine.Parse([]string{"-desc", path}); err != nil {
-			t.Fatal(err)
-		}
-		if s.Node() != 0 {
-			t.Error("Node() != 0 without a -node flag registered")
-		}
-		d := s.Description()
-		if d.Name != desc.Sample1GbDDR3().Name || s.Label() != d.Name {
-			t.Errorf("file description %q label %q", d.Name, s.Label())
-		}
-	})
+	fs := newFlagSet()
+	s := NewSource(fs, "desc", false)
+	if err := fs.Parse([]string{"-desc", path}); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Explicit() || s.File() != path {
+		t.Errorf("file flag not picked up: %+v", s)
+	}
+	d, err := s.Description()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Name != desc.Sample1GbDDR3().Name || s.Label() != d.Name {
+		t.Errorf("file description %q label %q", d.Name, s.Label())
+	}
 }
 
 func TestLoadOverlay(t *testing.T) {
-	if ov := LoadOverlay("tool", ""); ov != nil {
-		t.Errorf("empty path: overlay = %+v, want nil", ov)
+	if ov, err := LoadOverlay(""); ov != nil || err != nil {
+		t.Errorf("empty path: overlay = %+v, err = %v, want nil, nil", ov, err)
 	}
 	path := filepath.Join(t.TempDir(), "m.calib")
 	if err := os.WriteFile(path, []byte("Calibration measured\nidd0 = 58mA\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ov := LoadOverlay("tool", path)
-	if ov == nil || ov.Name != "measured" || len(ov.Entries) != 1 {
-		t.Fatalf("overlay = %+v", ov)
+	ov, err := LoadOverlay(path)
+	if err != nil || ov == nil || ov.Name != "measured" || len(ov.Entries) != 1 {
+		t.Fatalf("overlay = %+v, err = %v", ov, err)
 	}
 
 	bad := filepath.Join(t.TempDir(), "bad.calib")
 	if err := os.WriteFile(bad, []byte("bogus = 1mA\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out, code := capture(func() { LoadOverlay("tool", bad) })
-	if code != 1 || !strings.Contains(out, "tool:") {
-		t.Errorf("bad overlay: code=%d stderr=%q", code, out)
+	if _, err := LoadOverlay(bad); err == nil || !strings.Contains(err.Error(), bad) {
+		t.Errorf("bad overlay: err = %v, want one naming the file", err)
 	}
 }

@@ -11,66 +11,61 @@ import (
 // cmd/* binaries, so scheduling and replay hot paths can be profiled
 // without recompiling:
 //
-//	prof := cli.ProfileVars()
-//	flag.Parse()
-//	defer prof.Start(tool)()
+//	prof := cli.ProfileVars(fs)
+//	return cli.Run(fs, args, stderr, func() error { return prof.Run(body) })
 //
-// Start begins CPU profiling when -cpuprofile was given; the returned
-// stop function flushes the CPU profile and writes the -memprofile heap
-// snapshot (after a GC, so it reflects live memory). Both files are in
-// the pprof format `go tool pprof` reads. Error exits through
-// cli.Fatal* bypass the deferred stop — profiles cover successful runs.
+// Run profiles the CPU while body runs when -cpuprofile was given, and
+// after a successful body writes the -memprofile heap snapshot (after a
+// GC, so it reflects live memory). Both files are in the pprof format
+// `go tool pprof` reads.
 type Profiler struct {
 	cpu *string
 	mem *string
-	f   *os.File
 }
 
-// ProfileVars registers the -cpuprofile and -memprofile flags.
-func ProfileVars() *Profiler {
+// ProfileVars registers the -cpuprofile and -memprofile flags on fs.
+func ProfileVars(fs *flag.FlagSet) *Profiler {
 	return &Profiler{
-		cpu: flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)"),
-		mem: flag.String("memprofile", "", "write a heap profile to this file at exit (go tool pprof)"),
+		cpu: fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)"),
+		mem: fs.String("memprofile", "", "write a heap profile to this file at exit (go tool pprof)"),
 	}
 }
 
-// Start begins CPU profiling if requested and returns the function that
-// flushes both profiles; defer it in main after flag.Parse.
-func (p *Profiler) Start(tool string) func() {
+// Run runs body under the requested profiles and returns the first
+// error of body and of writing the profiles. The CPU profile is stopped
+// and its file closed on every path; the heap profile covers successful
+// runs only.
+func (p *Profiler) Run(body func() error) error {
+	var cpu *os.File
 	if *p.cpu != "" {
 		f, err := os.Create(*p.cpu)
 		if err != nil {
-			Fatal(tool, err)
+			return err
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			f.Close()
-			Fatal(tool, err)
+			return err
 		}
-		p.f = f
+		cpu = f
 	}
-	return func() { p.stop(tool) }
-}
-
-func (p *Profiler) stop(tool string) {
-	if p.f != nil {
+	err := body()
+	if cpu != nil {
 		pprof.StopCPUProfile()
-		if err := p.f.Close(); err != nil {
-			Fatal(tool, err)
-		}
-		p.f = nil
-	}
-	if *p.mem != "" {
-		f, err := os.Create(*p.mem)
-		if err != nil {
-			Fatal(tool, err)
-		}
-		runtime.GC() // the heap profile should show live memory, not garbage
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			f.Close()
-			Fatal(tool, err)
-		}
-		if err := f.Close(); err != nil {
-			Fatal(tool, err)
+		if cerr := cpu.Close(); err == nil {
+			err = cerr
 		}
 	}
+	if err != nil || *p.mem == "" {
+		return err
+	}
+	f, err := os.Create(*p.mem)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // the heap profile should show live memory, not garbage
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -3,9 +3,14 @@ package codec
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
 	"math"
 	"strconv"
+	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 )
 
@@ -117,5 +122,45 @@ func TestAppendVarint(t *testing.T) {
 	}
 	if err := quick.Check(roundTrip, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLineScanner pins the line loop: an unterminated last line is a
+// line at a clean end of input, but a line a reader failure cut is never
+// parsed, and the failure is reported at its number.
+func TestLineScanner(t *testing.T) {
+	broke := errors.New("broke")
+	lineOf := func(b []byte, n int) (string, bool, error) {
+		if string(b) == "#" {
+			return "", false, nil // a line without a record
+		}
+		return fmt.Sprintf("%d:%s", n, b), true, nil
+	}
+	for _, tc := range []struct {
+		name  string
+		r     io.Reader
+		lines string
+		err   string // "" for a clean end
+	}{
+		{"clean", strings.NewReader("a\r\n#\n\nc"), "1:a|3:|4:c", ""},
+		{"cut mid-line", io.MultiReader(strings.NewReader("a\nb\nc c"), iotest.ErrReader(broke)), "1:a|2:b", "t: line 3: broke"},
+		{"cut after a newline", io.MultiReader(strings.NewReader("a\n"), iotest.ErrReader(broke)), "1:a", "t: line 2: broke"},
+		{"too long", strings.NewReader("a\n" + strings.Repeat("x", 64) + "\n"), "1:a", "t: line 2: bufio.Scanner: token too long"},
+	} {
+		ls := NewLineScanner(tc.r, "t", 16, 32, lineOf)
+		var got []string
+		for ls.Scan() {
+			got = append(got, ls.Record())
+		}
+		if strings.Join(got, "|") != tc.lines {
+			t.Errorf("%s: records %q, want %s", tc.name, got, tc.lines)
+		}
+		err := ls.Err()
+		if (err == nil) != (tc.err == "") || err != nil && err.Error() != tc.err {
+			t.Errorf("%s: Err() = %v, want %q", tc.name, err, tc.err)
+		}
+		if strings.HasSuffix(tc.err, "broke") && !errors.Is(err, broke) {
+			t.Errorf("%s: errors.Is(Err(), cause) = false", tc.name)
+		}
 	}
 }

@@ -327,8 +327,8 @@ func TestBuildAllocs(t *testing.T) {
 			panic(err)
 		}
 	})
-	if allocs > 30 {
-		t.Errorf("Build allocated %.0f times, want <= 30", allocs)
+	if allocs > 15 {
+		t.Errorf("Build allocated %.0f times, want <= 15", allocs)
 	}
 }
 

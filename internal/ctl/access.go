@@ -82,53 +82,16 @@ const maxLineBytes = 1 << 16
 // lines tokenize in place on the bufio buffer, integers and mnemonics
 // decode without forming strings, and only error paths allocate.
 type Scanner struct {
-	s    *bufio.Scanner
-	line int
-	req  Request
-	err  error
+	*codec.LineScanner[Request]
 }
 
 // NewScanner returns a Scanner reading access-trace text from r.
 func NewScanner(r io.Reader) *Scanner {
-	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, 4096), maxLineBytes)
-	return &Scanner{s: s}
-}
-
-// Scan advances to the next request, skipping blank and comment lines.
-// It returns false at end of input or on the first error; Err
-// disambiguates the two.
-func (sc *Scanner) Scan() bool {
-	if sc.err != nil {
-		return false
-	}
-	for sc.s.Scan() {
-		sc.line++
-		req, ok, err := parseAccessLine(sc.s.Bytes(), sc.line)
-		if err != nil {
-			sc.err = err
-			return false
-		}
-		if ok {
-			sc.req = req
-			return true
-		}
-	}
-	if err := sc.s.Err(); err != nil {
-		sc.err = parseErr(sc.line+1, 0, err.Error(), err)
-	}
-	return false
+	return &Scanner{codec.NewLineScanner(r, "access", 4096, maxLineBytes, parseAccessLine)}
 }
 
 // Request returns the request of the last successful Scan.
-func (sc *Scanner) Request() Request { return sc.req }
-
-// Err returns the first error encountered (a *ParseError), or nil after
-// a clean end of input.
-func (sc *Scanner) Err() error { return sc.err }
-
-// Line returns the 1-based number of the last line read.
-func (sc *Scanner) Line() int { return sc.line }
+func (sc *Scanner) Request() Request { return sc.Record() }
 
 // parseAccessLine decodes one access-trace line. ok is false for blank
 // and comment-only lines.

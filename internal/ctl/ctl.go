@@ -156,6 +156,24 @@ type Options struct {
 	Pool *engine.Pool
 }
 
+// PolicySpec returns the canonical -policy spelling of the page policy:
+// "open", "closed" or "timeout=N". ParsePolicy reads it back.
+func (o Options) PolicySpec() string {
+	if o.Policy == PolicyTimeout {
+		return "timeout=" + strconv.FormatInt(o.PageTimeout, 10)
+	}
+	return o.Policy.String()
+}
+
+// MapSpec returns the address interleave spec in use: Map, or DefaultMap
+// when Map is empty.
+func (o Options) MapSpec() string {
+	if o.Map == "" {
+		return DefaultMap
+	}
+	return o.Map
+}
+
 // Stats summarizes one scheduling run.
 type Stats struct {
 	Requests int64 `json:"requests"`
@@ -275,11 +293,7 @@ func NewController(m *core.Model, opts Options) (*Controller, error) {
 	if opts.Channels < 1 {
 		opts.Channels = 1
 	}
-	spec := opts.Map
-	if spec == "" {
-		spec = DefaultMap
-	}
-	mapper, err := MapperFor(m, opts.Channels, spec)
+	mapper, err := MapperFor(m, opts.Channels, opts.MapSpec())
 	if err != nil {
 		return nil, err
 	}

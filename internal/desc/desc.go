@@ -147,6 +147,23 @@ func ParseOp(s string) (Op, error) {
 	return 0, fmt.Errorf("desc: unknown operation %q", s)
 }
 
+// ParsePattern parses a space-separated op list ("act nop rd pre") with
+// ParseOp; an empty list is an error.
+func ParsePattern(s string) ([]Op, error) {
+	var loop []Op
+	for _, tok := range strings.Fields(s) {
+		op, err := ParseOp(tok)
+		if err != nil {
+			return nil, err
+		}
+		loop = append(loop, op)
+	}
+	if len(loop) == 0 {
+		return nil, fmt.Errorf("empty pattern")
+	}
+	return loop, nil
+}
+
 // BlockRef addresses a block in the floorplan grid by its X (horizontal)
 // and Y (vertical) index; the sample DRAM of the paper numbers blocks 0–6
 // in x and 0–4 in y. The textual form is "x_y", e.g. "0_2".

@@ -1,9 +1,10 @@
 package desc
 
 import (
-	"bufio"
 	"io"
 	"strings"
+
+	"drampower/internal/codec"
 )
 
 // line is one logical input line: its 1-based number and its fields.
@@ -57,51 +58,49 @@ func splitTokens(text string) []token {
 	return toks
 }
 
-// lex splits the input into logical lines of fields. Comments start with
-// '#' or '//' and run to end of line; blank lines are dropped. Tokens of
-// the form "a = b", "a= b" and "a =b" are normalized to the attribute a=b,
-// matching the free-form spacing the paper's excerpts use
-// ("Vertical blocks = A1 P1 P2 P1 A1", "Pattern loop= act nop ..."). Every
-// field keeps the column of its first byte; lexing problems surface as
-// positioned *ParseError values. So does a reader failure, at the line
-// after the last one read (as the trace and access scanners count), with
-// the failure as Err.
+// lex splits the input into logical lines of fields (see lexLine). A
+// reader failure is a positioned *ParseError too, at the line after the
+// last complete one, with the failure as Err.
 func lex(r io.Reader) ([]line, error) {
 	var lines []line
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	num := 0
+	sc := codec.NewLineScanner(r, "desc", 64*1024, 1024*1024, lexLine)
 	for sc.Scan() {
-		num++
-		text := sc.Text()
-		if i := strings.Index(text, "#"); i >= 0 {
-			text = text[:i]
-		}
-		if i := strings.Index(text, "//"); i >= 0 {
-			text = text[:i]
-		}
-		toks := splitTokens(text)
-		if len(toks) == 0 {
-			continue
-		}
-		toks, err := normalizeEquals(toks, num)
-		if err != nil {
-			return nil, err
-		}
-		ln := line{num: num}
-		for _, t := range toks {
-			if k, v, ok := strings.Cut(t.text, "="); ok {
-				ln.fields = append(ln.fields, field{key: k, value: v, col: t.col})
-			} else {
-				ln.fields = append(ln.fields, field{value: t.text, col: t.col})
-			}
-		}
-		lines = append(lines, ln)
+		lines = append(lines, sc.Record())
 	}
-	if err := sc.Err(); err != nil {
-		return nil, &ParseError{Lang: "desc", Line: num + 1, Msg: err.Error(), Err: err}
+	return lines, sc.Err()
+}
+
+// lexLine splits input line num into fields; ok is false for a line
+// without any. Comments start with '#' or '//' and run to end of line.
+// Tokens of the form "a = b", "a= b" and "a =b" are normalized to the
+// attribute a=b, matching the free-form spacing the paper's excerpts use
+// ("Vertical blocks = A1 P1 P2 P1 A1", "Pattern loop= act nop ..."). Every
+// field keeps the column of its first byte; lexing problems surface as
+// positioned *ParseError values.
+func lexLine(b []byte, num int) (ln line, ok bool, err error) {
+	text := string(b)
+	if i := strings.Index(text, "#"); i >= 0 {
+		text = text[:i]
 	}
-	return lines, nil
+	if i := strings.Index(text, "//"); i >= 0 {
+		text = text[:i]
+	}
+	toks := splitTokens(text)
+	if len(toks) == 0 {
+		return line{}, false, nil
+	}
+	if toks, err = normalizeEquals(toks, num); err != nil {
+		return line{}, false, err
+	}
+	ln.num = num
+	for _, t := range toks {
+		if k, v, ok := strings.Cut(t.text, "="); ok {
+			ln.fields = append(ln.fields, field{key: k, value: v, col: t.col})
+		} else {
+			ln.fields = append(ln.fields, field{value: t.text, col: t.col})
+		}
+	}
+	return ln, true, nil
 }
 
 // normalizeEquals joins "a = b" and "a=" "b" and "a" "=b" token triples /

@@ -543,3 +543,21 @@ func TestParseAllocs(t *testing.T) {
 		t.Errorf("Parse allocated %.0f times, want <= 1500", allocs)
 	}
 }
+
+// TestParsePattern pins the op-list parser that the -pattern flag of
+// drampower and the pattern query parameter of /v1/evaluate share,
+// error texts included.
+func TestParsePattern(t *testing.T) {
+	loop, err := ParsePattern(" act nop  READ pre\t")
+	if err != nil || len(loop) != 4 || loop[0] != OpActivate || loop[2] != OpRead || loop[3] != OpPrecharge {
+		t.Fatalf("ParsePattern = %v, %v", loop, err)
+	}
+	for in, want := range map[string]string{
+		"act jump": `desc: unknown operation "jump"`,
+		" \t":      "empty pattern",
+	} {
+		if _, err := ParsePattern(in); err == nil || err.Error() != want {
+			t.Errorf("ParsePattern(%q) error = %v, want %s", in, err, want)
+		}
+	}
+}

@@ -30,7 +30,7 @@ func (e *ValidationError) addf(format string, args ...any) {
 // sensibly, pattern non-empty. It returns nil or a *ValidationError
 // listing every problem.
 func (d *Description) Validate() error {
-	e := &ValidationError{}
+	var e ValidationError // on the stack: a valid description allocates nothing
 
 	fp := &d.Floorplan
 	if fp.BitsPerBitline <= 0 {
@@ -226,7 +226,7 @@ func (d *Description) Validate() error {
 	if len(e.Problems) == 0 {
 		return nil
 	}
-	return e
+	return &ValidationError{Problems: e.Problems}
 }
 
 // blockRefValid reports whether r lies inside the floorplan grid.

@@ -93,21 +93,6 @@ func (g *Grid) IsArray(r desc.BlockRef) bool {
 		desc.IsArrayBlock(g.fp.VerticalBlocks[r.Y])
 }
 
-// ArrayBlocks returns the grid references of all array blocks (banks), in
-// row-major order.
-func (g *Grid) ArrayBlocks() []desc.BlockRef {
-	var out []desc.BlockRef
-	for y := range g.fp.VerticalBlocks {
-		for x := range g.fp.HorizontalBlocks {
-			r := desc.BlockRef{X: x, Y: y}
-			if g.IsArray(r) {
-				out = append(out, r)
-			}
-		}
-	}
-	return out
-}
-
 // SegmentLength computes the routed wire length of a signal segment:
 // inside-form segments take fraction × block extent along their direction,
 // span-form segments take the Manhattan distance between the two block
@@ -239,17 +224,16 @@ func ResolveArray(fp *desc.Floorplan, bankW, bankH units.Length) (*ArrayLayout, 
 	return a, nil
 }
 
-// ArrayBlockExtents finds the grid extents of the first array block and
-// returns its layout; most descriptions have identical banks so this is
-// the canonical per-bank layout.
+// ArrayBlockExtents finds the grid extents of the first array block, in
+// row-major order, and returns its layout; most descriptions have
+// identical banks so this is the canonical per-bank layout.
 func ArrayBlockExtents(g *Grid) (bankW, bankH units.Length, err error) {
-	refs := g.ArrayBlocks()
-	if len(refs) == 0 {
-		return 0, 0, fmt.Errorf("geom: floorplan has no array blocks")
+	for y := range g.fp.VerticalBlocks {
+		for x := range g.fp.HorizontalBlocks {
+			if r := (desc.BlockRef{X: x, Y: y}); g.IsArray(r) {
+				return g.BlockSize(r)
+			}
+		}
 	}
-	w, h, err := g.BlockSize(refs[0])
-	if err != nil {
-		return 0, 0, err
-	}
-	return w, h, nil
+	return 0, 0, fmt.Errorf("geom: floorplan has no array blocks")
 }

@@ -104,19 +104,28 @@ func TestBlockRefOutOfRange(t *testing.T) {
 }
 
 func TestArrayBlocks(t *testing.T) {
-	_, g := sampleGrid(t)
-	refs := g.ArrayBlocks()
+	d, g := sampleGrid(t)
+	var refs []desc.BlockRef
+	for y := range d.Floorplan.VerticalBlocks {
+		for x := range d.Floorplan.HorizontalBlocks {
+			if r := (desc.BlockRef{X: x, Y: y}); g.IsArray(r) {
+				refs = append(refs, r)
+			}
+		}
+	}
 	// 4 bank columns x 2 bank rows = 8 banks, matching Figure 1.
 	if len(refs) != 8 {
 		t.Fatalf("array blocks: got %d, want 8", len(refs))
 	}
 	for _, r := range refs {
-		if !g.IsArray(r) {
-			t.Errorf("block %v not classified as array", r)
-		}
 		if r.Y != 0 && r.Y != 4 {
 			t.Errorf("bank at unexpected row %v", r)
 		}
+	}
+	// ArrayBlockExtents measures the first of them in row-major order.
+	w, h, err := ArrayBlockExtents(g)
+	if bw, bh, berr := g.BlockSize(refs[0]); err != nil || berr != nil || w != bw || h != bh {
+		t.Errorf("ArrayBlockExtents = %v x %v (%v), want the first array block's %v x %v (%v)", w, h, err, bw, bh, berr)
 	}
 }
 

@@ -328,7 +328,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if p := q.Get("pattern"); p != "" {
-		loop, err := parsePattern(p)
+		loop, err := desc.ParsePattern(p)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad pattern: %v", err))
 			return
@@ -347,22 +347,6 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		s.docs.put(sum, docEntry{d: d, ov: ov, key: key})
 	}
 	writeJSON(w, http.StatusOK, EvaluateResponseFor(m, key))
-}
-
-// parsePattern decodes a space-separated op list ("act nop rd pre").
-func parsePattern(s string) ([]desc.Op, error) {
-	var loop []desc.Op
-	for _, tok := range strings.Fields(s) {
-		op, err := desc.ParseOp(tok)
-		if err != nil {
-			return nil, err
-		}
-		loop = append(loop, op)
-	}
-	if len(loop) == 0 {
-		return nil, fmt.Errorf("empty pattern")
-	}
-	return loop, nil
 }
 
 // SweepResponse is the POST /v1/sweep body.
@@ -721,9 +705,9 @@ func ScheduleResponseFor(stats ctl.Stats, res trace.Result, key string, channels
 // refresh_every (tREFI override in slots; 0 resolves from the spec),
 // max_postponed (JEDEC postponement bound; 0 means the default of 8)
 // and refresh=off (disable refresh scheduling for A/B comparisons).
-// The canonical policy spelling is returned for the response. The bool
-// result reports success; on failure the response has been written.
-func scheduleOptions(w http.ResponseWriter, q map[string][]string) (ctl.Options, string, bool) {
+// The bool result reports success; on failure the response has been
+// written.
+func scheduleOptions(w http.ResponseWriter, q map[string][]string) (ctl.Options, bool) {
 	get := func(k string) string {
 		if v := q[k]; len(v) > 0 {
 			return v[0]
@@ -737,11 +721,11 @@ func scheduleOptions(w http.ResponseWriter, q map[string][]string) (ctl.Options,
 	policy, pageTimeout, err := ctl.ParsePolicy(policyStr)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
-		return ctl.Options{}, "", false
+		return ctl.Options{}, false
 	}
 	channels, ok := parseChannels(w, get("channels"))
 	if !ok {
-		return ctl.Options{}, "", false
+		return ctl.Options{}, false
 	}
 	opts := ctl.Options{
 		Policy:      policy,
@@ -758,7 +742,7 @@ func scheduleOptions(w http.ResponseWriter, q map[string][]string) (ctl.Options,
 			if err != nil || n < 0 {
 				writeError(w, http.StatusBadRequest,
 					fmt.Sprintf("bad %s %q (want idle threshold in slots, >= 0)", p.name, v))
-				return ctl.Options{}, "", false
+				return ctl.Options{}, false
 			}
 			*p.dst = n
 		}
@@ -768,7 +752,7 @@ func scheduleOptions(w http.ResponseWriter, q map[string][]string) (ctl.Options,
 		if err != nil || n < 0 {
 			writeError(w, http.StatusBadRequest,
 				fmt.Sprintf("bad refresh_every %q (want tREFI in slots, >= 0)", v))
-			return ctl.Options{}, "", false
+			return ctl.Options{}, false
 		}
 		opts.RefreshEvery = n
 	}
@@ -777,7 +761,7 @@ func scheduleOptions(w http.ResponseWriter, q map[string][]string) (ctl.Options,
 		if err != nil || n < 0 {
 			writeError(w, http.StatusBadRequest,
 				fmt.Sprintf("bad max_postponed %q (want refresh postponement bound, >= 0)", v))
-			return ctl.Options{}, "", false
+			return ctl.Options{}, false
 		}
 		opts.MaxPostponed = n
 	}
@@ -788,12 +772,9 @@ func scheduleOptions(w http.ResponseWriter, q map[string][]string) (ctl.Options,
 	default:
 		writeError(w, http.StatusBadRequest,
 			fmt.Sprintf("bad refresh %q (want on or off)", v))
-		return ctl.Options{}, "", false
+		return ctl.Options{}, false
 	}
-	if policy == ctl.PolicyTimeout {
-		policyStr = fmt.Sprintf("timeout=%d", pageTimeout)
-	}
-	return opts, policyStr, true
+	return opts, true
 }
 
 // countingSink wraps a schedule sink to count the per-channel command
@@ -822,7 +803,7 @@ func (cs countingSink) Consume(ch int, batch []trace.Command) error {
 // derived energy fields are zero. Both halves run on the server's
 // shared worker pool.
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	opts, policyStr, ok := scheduleOptions(w, r.URL.Query())
+	opts, ok := scheduleOptions(w, r.URL.Query())
 	if !ok {
 		return
 	}
@@ -879,7 +860,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	s.scheduleRowHits.Add(stats.RowHits)
 	s.scheduleCommands.Add(stats.Commands)
 	s.scheduledRefreshes.Add(stats.Refreshes)
-	out := ScheduleResponseFor(stats, res, key, opts.Channels, policyStr, ctrl.Mapper().Spec())
+	out := ScheduleResponseFor(stats, res, key, opts.Channels, opts.PolicySpec(), opts.MapSpec())
 	out.Calibrated = m.Calibrated()
 	writeJSON(w, http.StatusOK, out)
 }

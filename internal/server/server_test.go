@@ -157,9 +157,9 @@ func TestEvaluatePatternOverride(t *testing.T) {
 	if out.Pattern != "act nop rd nop pre nop" {
 		t.Fatalf("pattern = %q", out.Pattern)
 	}
-	resp, _ = post(t, hs.URL+"/v1/evaluate?pattern=bogus", "")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad pattern status %d, want 400", resp.StatusCode)
+	resp, body = post(t, hs.URL+"/v1/evaluate?pattern=bogus", "")
+	if resp.StatusCode != http.StatusBadRequest || string(body) != `{"error":"bad pattern: desc: unknown operation \"bogus\""}`+"\n" {
+		t.Fatalf("bad pattern: status %d, body %s, want 400 naming the operation", resp.StatusCode, body)
 	}
 }
 
@@ -215,6 +215,23 @@ func TestDescriptorBodyLimit(t *testing.T) {
 	resp, _ := post(t, hs.URL+"/v1/evaluate", strings.Repeat("x", 1000))
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413", resp.StatusCode)
+	}
+}
+
+// TestTraceBodyLimitCutsMidLine sends trace and access bodies that
+// MaxTraceBytes cuts inside a line. The fragment before the cut is never
+// parsed, so both endpoints answer 413, not a 400 about the fragment
+// ("unknown operation" for "28 pr", "missing address" for "5 w ").
+func TestTraceBodyLimitCutsMidLine(t *testing.T) {
+	for _, tc := range []struct{ path, body, kept string }{
+		{"/v1/trace", "0 act 0 1\n11 rd 0 1\n28 pre 0 1\n", "0 act 0 1\n11 rd 0 1\n28 pr"},
+		{"/v1/schedule", "0 r 0\n5 w 0x40\n", "0 r 0\n5 w "},
+	} {
+		_, hs := newTestServer(t, Options{MaxTraceBytes: int64(len(tc.kept))})
+		resp, body := post(t, hs.URL+tc.path, tc.body)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d (%s), want 413", tc.path, resp.StatusCode, body)
+		}
 	}
 }
 

@@ -472,7 +472,7 @@ type batchSource interface {
 func (sc *Scanner) ScanBatch(dst []Command) int {
 	n := 0
 	for n < len(dst) && sc.Scan() {
-		dst[n] = sc.cmd
+		dst[n] = sc.Record()
 		n++
 	}
 	return n

@@ -67,53 +67,16 @@ const maxLineBytes = 1 << 16
 //	}
 //	if err := sc.Err(); err != nil { ... }
 type Scanner struct {
-	s    *bufio.Scanner
-	line int
-	cmd  Command
-	err  error
+	*codec.LineScanner[Command]
 }
 
 // NewScanner returns a Scanner reading trace text from r.
 func NewScanner(r io.Reader) *Scanner {
-	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, 4096), maxLineBytes)
-	return &Scanner{s: s}
-}
-
-// Scan advances to the next command, skipping blank and comment lines.
-// It returns false at end of input or on the first error; Err
-// disambiguates the two.
-func (sc *Scanner) Scan() bool {
-	if sc.err != nil {
-		return false
-	}
-	for sc.s.Scan() {
-		sc.line++
-		cmd, ok, err := parseLine(sc.s.Bytes(), sc.line)
-		if err != nil {
-			sc.err = err
-			return false
-		}
-		if ok {
-			sc.cmd = cmd
-			return true
-		}
-	}
-	if err := sc.s.Err(); err != nil {
-		sc.err = parseErr(sc.line+1, 0, err.Error(), err)
-	}
-	return false
+	return &Scanner{codec.NewLineScanner(r, "trace", 4096, maxLineBytes, parseLine)}
 }
 
 // Command returns the command of the last successful Scan.
-func (sc *Scanner) Command() Command { return sc.cmd }
-
-// Err returns the first error encountered (a *ParseError), or nil after a
-// clean end of input.
-func (sc *Scanner) Err() error { return sc.err }
-
-// Line returns the 1-based number of the last line read.
-func (sc *Scanner) Line() int { return sc.line }
+func (sc *Scanner) Command() Command { return sc.Record() }
 
 // parseLine decodes one trace line. ok is false for blank and
 // comment-only lines.

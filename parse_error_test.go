@@ -73,6 +73,20 @@ func scanAccess(src AccessSource) error {
 	return src.Err()
 }
 
+// scanAccessN drains an access-trace source like scanAccess and checks
+// that it yielded want requests before its error.
+func scanAccessN(t *testing.T, src AccessSource, want int) error {
+	t.Helper()
+	n := 0
+	for src.Scan() {
+		n++
+	}
+	if n != want {
+		t.Errorf("scanned %d requests before the error, want %d", n, want)
+	}
+	return src.Err()
+}
+
 func parseDesc(src string) error {
 	_, err := ParseString(src)
 	return err
@@ -105,7 +119,8 @@ func dabWith(t *testing.T, tail ...byte) []byte {
 // command trace text and dtb, access trace text and .dab), plus a reader
 // failure behind every reader, the descriptor's included, which must be
 // positioned after the input read before it and stay reachable through
-// errors.Is.
+// errors.Is. A text line the failure cut is never parsed: the failure is
+// reported at that line.
 func TestParseErrorTexts(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -167,6 +182,14 @@ func TestParseErrorTexts(t *testing.T) {
 			cause: errStreamBroke,
 		},
 		{
+			name:  "desc reader failure mid-line",
+			run:   func() error { _, err := Parse(brokenAfter([]byte("Technology\nCellCap 24f"))); return err },
+			pos:   descPos,
+			want:  `desc: line 2: stream broke`,
+			line:  2,
+			cause: errStreamBroke,
+		},
+		{
 			name: "trace unknown operation",
 			run:  func() error { return scanTrace(NewTraceScanner(strings.NewReader("0 act 0 1\n5 bogus 0\n"))) },
 			pos:  tracePos,
@@ -190,6 +213,16 @@ func TestParseErrorTexts(t *testing.T) {
 		{
 			name:  "trace reader failure",
 			run:   func() error { return scanTrace(NewTraceScanner(brokenAfter([]byte("0 act 0 1\n11 rd 0 1\n")))) },
+			pos:   tracePos,
+			want:  `trace: line 3: stream broke`,
+			line:  3,
+			cause: errStreamBroke,
+		},
+		{
+			name: "trace reader failure mid-line",
+			run: func() error {
+				return scanTraceN(t, NewTraceScanner(brokenAfter([]byte("0 act 0 1\n11 rd 0 1\n20 pre 0 1"))), 2)
+			},
 			pos:   tracePos,
 			want:  `trace: line 3: stream broke`,
 			line:  3,
@@ -234,6 +267,14 @@ func TestParseErrorTexts(t *testing.T) {
 		{
 			name:  "access reader failure",
 			run:   func() error { return scanAccess(NewAccessScanner(brokenAfter([]byte("0 r 0x10\n")))) },
+			pos:   accessPos,
+			want:  `access: line 2: stream broke`,
+			line:  2,
+			cause: errStreamBroke,
+		},
+		{
+			name:  "access reader failure mid-line",
+			run:   func() error { return scanAccessN(t, NewAccessScanner(brokenAfter([]byte("0 r 0x10\n5 w 0x2"))), 1) },
 			pos:   accessPos,
 			want:  `access: line 2: stream broke`,
 			line:  2,
