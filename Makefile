@@ -72,9 +72,11 @@ serve-smoke:
 # Short fuzz passes over the hand-written parsers, the pattern
 # evaluator's totals/breakdown split, the timing rulebook (every command
 # placed at its earliest legal slot must issue, and one slot earlier must
-# not) and the scheduler (arbitrary access streams and options must
-# schedule into legal traces); go's fuzzer runs one target per
-# invocation, hence one line each. Override FUZZTIME for a longer hunt.
+# not), the IDD loops the rulebook places on scaled timings (every loop
+# must replay clean and cost what the pattern evaluation reports) and the
+# scheduler (arbitrary access streams and options must schedule into
+# legal traces); go's fuzzer runs one target per invocation, hence one
+# line each. Override FUZZTIME for a longer hunt.
 # Each FuzzScheduleReplay input runs four schedules and three replays,
 # a FuzzRulesTight input issues up to thousands of commands, and the
 # descriptor FuzzParse and FuzzBinaryScanner start from seeds of several
@@ -88,7 +90,8 @@ fuzz-short:
 	$(GO) test -fuzz FuzzOverlay -fuzztime $(FUZZTIME) -run '^$$' ./internal/desc/
 	$(GO) test -fuzz FuzzTraceScanner -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace/
 	$(GO) test -fuzz FuzzBinaryScanner -fuzztime $(FUZZTIME) -fuzzminimizetime 100x -run '^$$' ./internal/trace/
-	$(GO) test -fuzz FuzzRulesTight -fuzztime $(FUZZTIME) -fuzzminimizetime 100x -run '^$$' ./internal/trace/
+	$(GO) test -fuzz FuzzRulesTight -fuzztime $(FUZZTIME) -fuzzminimizetime 100x -run '^$$' ./internal/timing/
+	$(GO) test -fuzz FuzzIDDLoops -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace/
 	$(GO) test -fuzz FuzzAccessScanner -fuzztime $(FUZZTIME) -run '^$$' ./internal/ctl/
 	$(GO) test -fuzz FuzzScheduleReplay -fuzztime $(FUZZTIME) -fuzzminimizetime 100x -run '^$$' ./internal/ctl/
 
@@ -97,12 +100,15 @@ fuzz-short:
 # two-phase and through the fused streaming pipeline — asserting zero
 # timing violations, zero missed tREFI deadlines, and fused/two-phase
 # bit-identity, plus the scheduler golden (864 configurations pinned
-# byte for byte). Part of the regular test pass too; this target runs it
-# uncached and on its own so the refresh-scheduler contract has a named
+# byte for byte), and the paper's IDD loops on every shipped device (each
+# replays clean and costs what the pattern evaluation reports). Part of
+# the regular test pass too; this target runs it uncached and on its own
+# so the refresh-scheduler and loop-placement contracts have a named
 # gate.
 LEGALITY_TESTS = TestScheduledTraceLegalitySweep|TestRefreshSurvivesPowerDown|TestFusedMatchesTwoPhase|TestScheduleParallelMatchesSerial|TestScheduleGolden
 legality:
 	$(GO) test ./internal/ctl -run '$(LEGALITY_TESTS)' -count=1
+	$(GO) test ./internal/trace -run 'TestIDDLoopsReplayClean' -count=1
 
 # The same sweep under the race detector, plus the pipeline's error-path
 # shutdown tests: proves the sharded schedule → replay handoff is
@@ -120,8 +126,8 @@ legality-race:
 # The compiler must keep inlining the hot-path helpers into their
 # callers: dtb's fastVarint into ScanBatch, the codec lexer and integer
 # parsers into both text scanners, and the timing rulebook's queries
-# (all but ActivateAt) and commits into Simulator.Issue and the
-# controller. The table is in the script.
+# (all but ActivateAt), commits and accessors into Simulator.Issue and
+# the controller. The table is in the script.
 inline-check:
 	GO=$(GO) sh tools/inlinecheck.sh
 

@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"time"
 
 	"drampower"
@@ -76,6 +77,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	calib := cli.OverlayVar(fs)
 	return cli.Run(fs, args, stderr, func() error {
 		if err := cli.CheckFormat(*format); err != nil {
+			return err
+		}
+		if _, err := server.ParseChannels(strconv.Itoa(*channels)); err != nil {
 			return err
 		}
 		return prof.Run(func() error {

@@ -51,6 +51,7 @@ func TestRun(t *testing.T) {
 		{"bad-policy", []string{"-policy", "bogus", "testdata/access.txt"}, ""},
 		{"bad-format", []string{"-format", "xml", "testdata/access.txt"}, ""},
 		{"bad-emit", []string{"-emit", "bogus", "testdata/access.txt"}, ""},
+		{"bad-channels", []string{"-channels", "0", "testdata/access.txt"}, ""},
 		{"help", []string{"-h"}, ""},
 		{"flag-error", []string{"-bogus"}, ""},
 	} {

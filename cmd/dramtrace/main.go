@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"time"
 
 	"drampower"
@@ -82,6 +83,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 					return fmt.Errorf("-format binary only applies to -gen output (use -convert binary to re-encode a trace)")
 				}
 			} else if err := cli.CheckFormat(*format); err != nil {
+				return err
+			}
+			if _, err := server.ParseChannels(strconv.Itoa(*channels)); err != nil {
 				return err
 			}
 

@@ -54,6 +54,9 @@ func TestRun(t *testing.T) {
 		{"binary-without-gen", []string{"-format", "binary", "testdata/closed.trace"}, ""},
 		{"bad-gen", []string{"-gen", "bogus"}, ""},
 		{"bad-convert", []string{"-convert", "bogus", "testdata/closed.trace"}, ""},
+		{"bad-channels", []string{"-channels", "-3", "testdata/closed.trace"}, ""},
+		{"too-many-channels", []string{"-channels", "5000", "testdata/closed.trace"}, ""},
+		{"bad-rowadd", []string{"-desc", "testdata/rowadd63.dram", "-gen", "closed", "-n", "9"}, ""},
 		{"help", []string{"-h"}, ""},
 		{"flag-error", []string{"-bogus"}, ""},
 	} {

@@ -1,9 +1,11 @@
 package core
 
 import (
-	"math"
+	"slices"
+	"sync"
 
 	"drampower/internal/desc"
+	"drampower/internal/timing"
 	"drampower/internal/units"
 )
 
@@ -25,141 +27,297 @@ type IDD struct {
 	// IDD5: auto-refresh at the minimum refresh cycle time.
 	IDD5 units.Current
 	// IDD7: interleaved activate-read-precharge across banks at the
-	// four-activate-window limit.
+	// spacing the row timings (tRRD, tFAW, tRC) and the data bus admit.
 	IDD7 units.Current
 }
 
-// slotsFor converts a duration into control-clock slots (at least min).
-func (m *Model) slotsFor(d units.Duration, min int) int {
-	f := m.D.Spec.ControlClock
-	n := int(math.Round(float64(d) * float64(f)))
-	if n < min {
-		n = min
-	}
-	return n
+// The measurement loops are command loops (Section III.B.4) placed by the
+// timing rulebook the trace simulator checks with: every command goes at
+// the earliest slot the rulebook allows, one command per slot because the
+// pattern language holds one op per slot, and a command whose slot is
+// taken moves to the next free slot. A placement hands one period's
+// commands to a Put, at the slots a replay from an idle channel issues
+// them at, and returns the period; each further period repeats them
+// period slots later.
+
+// Put receives one command of a placed loop: its slot, op and bank.
+type Put func(slot int64, op desc.Op, bank int)
+
+// PlaceIDD0 places the IDD0 loop: an activate of one bank, its precharge
+// at tRAS and the next activate at the row cycle (or where tRRD or tFAW
+// binds). It is the IDD7 rotation over one bank, without columns.
+func (m *Model) PlaceIDD0(put Put) int64 {
+	return m.placed(func(p *placer) int64 { return p.rotate(1, false, 0, put) })
 }
 
-// PatternIDD0 returns the IDD0 measurement loop: one activate and one
-// precharge per row cycle time.
-func (m *Model) PatternIDD0() desc.Pattern {
-	n := m.slotsFor(m.D.Spec.RowCycle, 2)
-	loop := make([]desc.Op, n)
-	for i := range loop {
-		loop[i] = desc.OpNop
-	}
-	loop[0] = desc.OpActivate
-	loop[n/2] = desc.OpPrecharge
-	return desc.Pattern{Loop: loop}
+// PlaceIDD4 places the gapless-burst loop of reads (write=false) or
+// writes (write=true): after an activate of bank 0 at slot 0 opens the
+// row (it is not part of the loop), one column command per ColumnAt step,
+// which is the burst.
+func (m *Model) PlaceIDD4(write bool, put Put) int64 {
+	return m.placed(func(p *placer) int64 { return p.idd4(write, put) })
 }
 
-// PatternIDD4 returns the gapless-burst loop for reads (write=false) or
-// writes (write=true): one column command per burst duration.
-func (m *Model) PatternIDD4(write bool) desc.Pattern {
-	n := m.BurstSlots()
-	loop := make([]desc.Op, n)
-	for i := range loop {
-		loop[i] = desc.OpNop
+// PlaceIDD5 places the refresh loop: one all-bank refresh per RefreshAt
+// step, the refresh cycle time (tRFC).
+func (m *Model) PlaceIDD5(put Put) int64 {
+	return m.placed(func(p *placer) int64 { return p.idd5(put) })
+}
+
+// PlaceIDD7 places the bank-interleaved loop: activates rotating over
+// every bank at one uniform spacing, each followed by
+// BurstsPerActivation column bursts to the open row and a precharge after
+// the last burst. writeShare selects the fraction of column commands that
+// are writes; the paper's Figure 10 pattern uses 0.5 ("Idd7 but half of
+// the read operations replaced by write operations"), the plain IDD7 0.
+func (m *Model) PlaceIDD7(writeShare float64, put Put) int64 {
+	return m.placed(func(p *placer) int64 { return p.rotate(p.banks, true, writeShare, put) })
+}
+
+// placer is the scratch state of a placement: the rulebook, the slots
+// taken (bit s&63 of used[s>>6] for slot s) and a rotation's last copy,
+// op and offset per command. Placers are pooled, so a placement
+// allocates nothing once the pool is warm.
+type placer struct {
+	t     timing.Timing
+	banks int
+	r     timing.Rules
+	used  []uint64
+	ops   []desc.Op
+	offs  []int64
+}
+
+var placers = sync.Pool{New: func() any { return new(placer) }}
+
+// placed runs place on a pooled placer for m's device.
+func (m *Model) placed(place func(*placer) int64) int64 {
+	p := placers.Get().(*placer)
+	defer placers.Put(p)
+	p.t, p.banks = timing.For(m.D.Spec), m.D.Spec.Banks()
+	return place(p)
+}
+
+// reset makes p an idle channel with no slot taken.
+func (p *placer) reset() {
+	p.r.Reset(p.t, p.banks)
+	p.used = p.used[:0]
+}
+
+// take marks the first free slot at or after at taken and returns it.
+func (p *placer) take(at int64) int64 {
+	for ; ; at++ {
+		w := int(at >> 6)
+		for w >= len(p.used) {
+			p.used = append(p.used, 0)
+		}
+		if bit := uint64(1) << (at & 63); p.used[w]&bit == 0 {
+			p.used[w] |= bit
+			return at
+		}
 	}
+}
+
+func (p *placer) idd4(write bool, put Put) int64 {
+	p.reset()
+	op := desc.OpRead
 	if write {
-		loop[0] = desc.OpWrite
-	} else {
-		loop[0] = desc.OpRead
+		op = desc.OpWrite
 	}
-	return desc.Pattern{Loop: loop}
+	p.r.Activate(0, 0, p.take(0))
+	at := p.take(p.r.ColumnAt(0))
+	p.r.Column(0, at)
+	put(at, op, 0)
+	return p.r.ColumnAt(0) - at
 }
 
-// PatternIDD5 returns the refresh loop: one all-bank refresh per refresh
-// cycle time (tRFC).
-func (m *Model) PatternIDD5() desc.Pattern {
-	n := m.slotsFor(m.D.Spec.RefreshCycle, 2)
-	loop := make([]desc.Op, n)
-	for i := range loop {
-		loop[i] = desc.OpNop
-	}
-	loop[0] = desc.OpRefresh
-	return desc.Pattern{Loop: loop}
+func (p *placer) idd5(put Put) int64 {
+	p.reset()
+	at := p.take(max(0, p.r.RefreshAt()))
+	p.r.Refresh(at)
+	put(at, desc.OpRefresh, 0)
+	return p.r.RefreshAt() - at
 }
 
-// idd7Group returns the activate spacing of the interleaved pattern in
-// control-clock slots: the largest of the burst occupancy, tRRD, tFAW/4
-// and the same-bank row cycle spread across the banks.
-func (m *Model) idd7Group() int {
-	spec := m.D.Spec
-	group := 1 + m.BurstSlots() + 1
-	if n := m.slotsFor(spec.RowToRowDelay, 1); n > group {
-		group = n
+// rotate places a rotation over banks banks: bank b of copy k is
+// activated at slot (k·banks + b)·spacing, or at the next slot the
+// rulebook allows, given the bursts the spacing fits (when cols is set)
+// and precharged. The spacing is the smallest whose copies settle (see
+// rotation), never below the loop's own act and pre slots plus one burst
+// when it has columns. rotate puts the settled copy and returns its
+// period.
+func (p *placer) rotate(banks int, cols bool, writeShare float64, put Put) int64 {
+	// A burst takes its command slot and its burst slots of the data bus,
+	// counted as at least two, so that the command bus keeps room for the
+	// activates and precharges.
+	burst := max(2, p.t.Burst)
+	bursts := func(spacing int64) int {
+		switch {
+		case !cols:
+			return 0
+		case banks == 1:
+			// One bank cannot hide its tRCD and tRP behind other banks'
+			// bursts, so it runs one burst per activate.
+			return 1
+		}
+		// Round to the nearest burst count: the precharge may overlap the
+		// last burst's tail, so a spacing that fits one and a half bursts
+		// runs two.
+		return int(max(1, (spacing-2+burst/2)/burst))
 	}
-	if spec.FourBankWindow > 0 {
-		if n := m.slotsFor(units.Duration(float64(spec.FourBankWindow)/4), 1); n > group {
-			group = n
+	spacing := int64(2)
+	if cols {
+		spacing += p.t.Burst
+	}
+	for spacing = p.turns(banks, spacing, bursts); !p.rotation(banks, bursts(spacing), spacing, writeShare); {
+		spacing++
+	}
+	perBank := bursts(spacing) + 2
+	for i, op := range p.ops {
+		put(p.offs[i], op, i/perBank)
+	}
+	return int64(banks) * spacing
+}
+
+// turns returns the smallest spacing, from spacing on, at which the
+// rotation's activates keep their turns on an idle channel: bank 0's
+// group (its activate, bursts and precharge) at slot 0, then activate j,
+// on bank j mod banks, legal at slot j·spacing, up to activate
+// max(banks, 4). Every spacing that settles keeps the turns: a settled
+// rotation's activates average one per spacing slots, which tRRD, tFAW
+// and tRC bound, and bank 0's next turn waits for its own group. Where
+// activate j's earliest legal slot q misses its turn, the next spacing is
+// at least q/j, since q only grows with the spacing.
+func (p *placer) turns(banks int, spacing int64, bursts func(int64) int) int64 {
+	r := &p.r
+turns:
+	for {
+		p.reset()
+		r.Activate(0, 0, 0)
+		for range bursts(spacing) {
+			r.Column(0, r.ColumnAt(0))
+		}
+		r.Precharge(0, r.PrechargeAt(0))
+		for j := 1; j <= max(banks, 4); j++ {
+			at, b := int64(j)*spacing, j%banks
+			if q := r.ActivateAt(b); q > at {
+				spacing = (q + int64(j) - 1) / int64(j)
+				continue turns
+			}
+			r.Activate(b, 0, at)
+		}
+		return spacing
+	}
+}
+
+// rotation places copies of a rotation from an idle channel and reports
+// whether it settles: from the second copy on, or from the third if the
+// first, which starts idle, differs, every command lands exactly one
+// period after the same command in the copy before. A rotation repeats
+// for good once enough settled copies chain for tFAW's window of four
+// activates, so rotations over fewer than four banks chain more copies.
+// p.ops and p.offs hold the last copy, at offsets from its first turn.
+func (p *placer) rotation(banks, bursts int, spacing int64, writeShare float64) bool {
+	p.reset()
+	r := &p.r
+	n := banks * (bursts + 2)
+	p.ops = slices.Grow(p.ops[:0], n)[:n]
+	p.offs = slices.Grow(p.offs[:0], n)[:n]
+	ops, offs := p.ops, p.offs
+	chain := (4 + banks - 1) / banks
+	for k, from := 0, 1; k < from+chain; k++ {
+		start := int64(k) * int64(banks) * spacing
+		i, writesOwed := 0, 0.0
+		// settles records the copy's next command, op at slot at, and
+		// reports whether the copy may still settle.
+		settles := func(op desc.Op, at int64) bool {
+			off := at - start
+			if k >= from && offs[i] != off {
+				if k != 1 {
+					return false
+				}
+				from = 2
+			}
+			ops[i], offs[i] = op, off
+			i++
+			return true
+		}
+		for b := range banks {
+			at := p.take(max(start+int64(b)*spacing, r.ActivateAt(b)))
+			r.Activate(b, 0, at)
+			if !settles(desc.OpActivate, at) {
+				return false
+			}
+			col := desc.OpRead
+			if writesOwed += writeShare; writesOwed >= 0.5 {
+				col = desc.OpWrite
+				writesOwed--
+			}
+			for range bursts {
+				at = p.take(r.ColumnAt(b))
+				r.Column(b, at)
+				if !settles(col, at) {
+					return false
+				}
+			}
+			at = p.take(r.PrechargeAt(b))
+			r.Precharge(b, at)
+			if !settles(desc.OpPrecharge, at) {
+				return false
+			}
 		}
 	}
-	banks := spec.Banks()
-	if banks > 0 {
-		if n := (m.slotsFor(spec.RowCycle, 1) + banks - 1) / banks; n > group {
-			group = n
-		}
-	}
-	if group < 3 {
-		group = 3
-	}
-	return group
+	return true
 }
 
 // BurstsPerActivation returns the number of column bursts the interleaved
-// IDD7-style pattern issues per row activation: as many as fit between
-// consecutive activates. Activation rates are pinned by row timings
-// (tRRD, tFAW, tRC) that barely changed across generations, while the per
-// pin bandwidth doubled with every interface — so the bursts per
-// activation grow from 1 (SDR) to several (DDR4/DDR5), which is exactly
-// the shift of power "from the activate and precharge operation to the
-// read and write operation" that Section IV.B describes.
+// IDD7 loop issues per activation: as many as fit between consecutive
+// activates at the spacing the rulebook admits (see PlaceIDD7).
+// Activation rates are pinned by row timings (tRRD, tFAW, tRC) that
+// barely changed across generations, while the per pin bandwidth doubled
+// with every interface — so the bursts per activation grow from 1 (SDR)
+// to several (DDR4/DDR5), which is exactly the shift of power "from the
+// activate and precharge operation to the read and write operation" that
+// Section IV.B describes.
 func (m *Model) BurstsPerActivation() int {
-	// Round to the nearest burst count: the pattern generator may overlap
-	// the last burst with the precharge slot (auto-precharge), so a group
-	// that fits one and a half bursts runs two.
-	slots := m.BurstSlots()
-	n := (m.idd7Group() - 2 + slots/2) / slots
-	if n < 1 {
-		n = 1
-	}
-	return n
+	var n opCounts
+	m.PlaceIDD7(0, n.put)
+	return n[desc.OpRead] / m.D.Spec.Banks()
 }
 
-// PatternIDD7 returns the bank-interleaved loop: activates as fast as the
-// row timings allow, the data bus filled with column bursts to the open
-// row (see BurstsPerActivation), a precharge closing each group.
-// writeShare selects the fraction of column commands that are writes; the
-// paper's Figure 10 pattern uses 0.5 ("Idd7 but half of the read
-// operations replaced by write operations"), the plain IDD7 uses 0.
-func (m *Model) PatternIDD7(writeShare float64) desc.Pattern {
-	spec := m.D.Spec
-	bursts := m.BurstsPerActivation()
-	group := m.idd7Group()
-	banks := spec.Banks()
-	if banks < 1 {
-		banks = 1
-	}
-	loop := make([]desc.Op, banks*group)
-	writesOwed := 0.0
-	for b := 0; b < banks; b++ {
-		g := loop[b*group : (b+1)*group]
-		for i := range g {
-			g[i] = desc.OpNop
-		}
-		g[0] = desc.OpActivate
-		writesOwed += writeShare
-		col := desc.OpRead
-		if writesOwed >= 0.5 {
-			col = desc.OpWrite
-			writesOwed--
-		}
-		for c := 0; c < bursts; c++ {
-			g[1+c*m.BurstSlots()] = col
-		}
-		g[group-1] = desc.OpPrecharge
+// opCounts tallies the ops of a loop.
+type opCounts [desc.NumOps]int
+
+func (n *opCounts) put(_ int64, op desc.Op, _ int) { n[op]++ }
+
+// draw draws a placed loop in the pattern language: one op per slot of
+// its period, from its first command on.
+func draw(place func(Put) int64) desc.Pattern {
+	var slots []int64
+	var ops []desc.Op
+	period := place(func(slot int64, op desc.Op, _ int) {
+		slots, ops = append(slots, slot), append(ops, op)
+	})
+	loop := make([]desc.Op, period)
+	for i, op := range ops {
+		loop[((slots[i]-slots[0])%period+period)%period] = op
 	}
 	return desc.Pattern{Loop: loop}
+}
+
+// PatternIDD0 returns the IDD0 loop PlaceIDD0 places.
+func (m *Model) PatternIDD0() desc.Pattern { return draw(m.PlaceIDD0) }
+
+// PatternIDD4 returns the IDD4 loop PlaceIDD4 places.
+func (m *Model) PatternIDD4(write bool) desc.Pattern {
+	return draw(func(put Put) int64 { return m.PlaceIDD4(write, put) })
+}
+
+// PatternIDD5 returns the IDD5 loop PlaceIDD5 places.
+func (m *Model) PatternIDD5() desc.Pattern { return draw(m.PlaceIDD5) }
+
+// PatternIDD7 returns the IDD7 loop PlaceIDD7 places.
+func (m *Model) PatternIDD7(writeShare float64) desc.Pattern {
+	return draw(func(put Put) int64 { return m.PlaceIDD7(writeShare, put) })
 }
 
 // IDD reports all datasheet currents from the resolved parameter set:
@@ -185,16 +343,18 @@ func (m *Model) IDD() IDD {
 // read/write mix (the paper's Idd4-style energy metric: the row is open,
 // only column and data-path energy counts).
 func (m *Model) EnergyPerBitIDD4() units.Energy {
-	rd := m.totals(m.PatternIDD4(false))
-	wr := m.totals(m.PatternIDD4(true))
-	return units.Energy(0.5 * (float64(rd.EnergyPerBit) + float64(wr.EnergyPerBit)))
+	var rd, wr opCounts
+	erd := m.totals(&rd, m.PlaceIDD4(false, rd.put)).EnergyPerBit
+	ewr := m.totals(&wr, m.PlaceIDD4(true, wr.put)).EnergyPerBit
+	return units.Energy(0.5 * (float64(erd) + float64(ewr)))
 }
 
 // EnergyPerBitIDD7 returns the energy per transferred bit in the
 // interleaved activate/read/write pattern of Figure 10/13 (half reads,
 // half writes), the metric the paper reports in mW/Gbps = pJ/bit.
 func (m *Model) EnergyPerBitIDD7() units.Energy {
-	return m.totals(m.PatternIDD7(0.5)).EnergyPerBit
+	var n opCounts
+	return m.totals(&n, m.PlaceIDD7(0.5, n.put)).EnergyPerBit
 }
 
 // PowerDownFactors describe how much of the background survives in the

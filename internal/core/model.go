@@ -21,13 +21,13 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"drampower/internal/circuits"
 	"drampower/internal/desc"
 	"drampower/internal/geom"
 	"drampower/internal/tech"
+	"drampower/internal/timing"
 	"drampower/internal/units"
 )
 
@@ -310,25 +310,8 @@ func (m *Model) BitsPerBurst() int {
 }
 
 // BurstSlots returns the number of control-clock slots one burst occupies
-// on the data bus: burst length / data bits per control cycle per pin.
-// For a DDR interface clocked at the control clock this is burstLength/2;
-// the result is at least 1.
-func (m *Model) BurstSlots() int {
-	spec := m.D.Spec
-	if spec.ControlClock <= 0 || spec.DataRate <= 0 {
-		return 1
-	}
-	bitsPerSlotPerPin := float64(spec.DataRate) / float64(spec.ControlClock)
-	bl := spec.BurstLength
-	if bl <= 0 {
-		bl = spec.Prefetch()
-	}
-	slots := int(math.Ceil(float64(bl) / bitsPerSlotPerPin))
-	if slots < 1 {
-		slots = 1
-	}
-	return slots
-}
+// on the data bus (see timing.BurstSlots).
+func (m *Model) BurstSlots() int { return timing.BurstSlots(m.D.Spec) }
 
 // DieArea returns the die area of the floorplan.
 func (m *Model) DieArea() units.Area { return m.Grid.DieArea() }

@@ -27,26 +27,41 @@ func TestBuildValidates(t *testing.T) {
 }
 
 // TestBankAddrBitsBound: descriptions up to desc.MaxBankAddrBits bank bits
-// validate and build; wider ones are rejected by name and bound before
-// the bank count can size anything.
+// and desc.MaxAddrBits row and column bits validate and build; wider ones
+// are rejected by name and bound before the field can size anything.
 func TestBankAddrBitsBound(t *testing.T) {
-	for _, bits := range []int{desc.MaxBankAddrBits, 9, 25, 63} {
+	for _, tc := range []struct {
+		field string
+		bits  int
+	}{
+		{"bankadd", desc.MaxBankAddrBits}, {"bankadd", 9}, {"bankadd", 25}, {"bankadd", 63},
+		{"rowadd", desc.MaxAddrBits}, {"rowadd", 31}, {"rowadd", 63}, {"rowadd", 64},
+		{"coladd", desc.MaxAddrBits}, {"coladd", 31}, {"coladd", 63},
+	} {
 		d := desc.Sample1GbDDR3()
-		d.Spec.BankAddrBits = bits
+		bound := desc.MaxAddrBits
+		switch tc.field {
+		case "bankadd":
+			d.Spec.BankAddrBits, bound = tc.bits, desc.MaxBankAddrBits
+		case "rowadd":
+			d.Spec.RowAddrBits = tc.bits
+		case "coladd":
+			d.Spec.ColAddrBits = tc.bits
+		}
 		_, err := Build(d)
-		if bits <= desc.MaxBankAddrBits {
+		if tc.bits <= bound {
 			if err != nil {
-				t.Errorf("bankadd=%d: %v", bits, err)
+				t.Errorf("%s=%d: %v", tc.field, tc.bits, err)
 			}
 			continue
 		}
 		if err == nil {
-			t.Errorf("bankadd=%d built, want a validation error", bits)
+			t.Errorf("%s=%d built, want a validation error", tc.field, tc.bits)
 			continue
 		}
-		for _, want := range []string{fmt.Sprintf("bankadd=%d", bits), fmt.Sprintf("bound of %d", desc.MaxBankAddrBits)} {
+		for _, want := range []string{fmt.Sprintf("%s=%d", tc.field, tc.bits), fmt.Sprintf("bound of %d", bound)} {
 			if !strings.Contains(err.Error(), want) {
-				t.Errorf("bankadd=%d: error %q does not contain %q", bits, err, want)
+				t.Errorf("%s=%d: error %q does not contain %q", tc.field, tc.bits, err, want)
 			}
 		}
 	}

@@ -70,11 +70,11 @@ func (m *Model) CalibrationName() string { return m.calibration }
 func (m *Model) BackgroundPower() units.Power { return m.params.StandbyPower }
 
 // derive fills the resolved parameter set from the charge ledgers and
-// measurement-pattern evaluations (the first pipeline stage). It runs
-// once per Build, after buildLedger; the IDD loop currents are the
-// pattern totals (the Current EvaluatePattern reports) of the
-// measurement loops under the derived set, computed without the
-// breakdown nothing here reads.
+// measurement-loop evaluations (the first pipeline stage). It runs once
+// per Build, after buildLedger; the IDD loop currents are the totals (the
+// Current EvaluatePattern reports) of the placed measurement loops under
+// the derived set, computed from their op counts and periods without
+// drawing the loops or building the breakdown nothing here reads.
 func (m *Model) derive() {
 	m.params.OpEnergy = m.opEnergy
 	m.params.StandbyPower = m.background.Power
@@ -82,11 +82,16 @@ func (m *Model) derive() {
 	m.params.SelfRefreshPower = m.deriveSelfRefreshPower()
 	m.derived = m.params
 
-	m.params.IDD0 = m.totals(m.PatternIDD0()).Current
-	m.params.IDD4R = m.totals(m.PatternIDD4(false)).Current
-	m.params.IDD4W = m.totals(m.PatternIDD4(true)).Current
-	m.params.IDD5 = m.totals(m.PatternIDD5()).Current
-	m.params.IDD7 = m.totals(m.PatternIDD7(0)).Current
+	// One placer places all five loops.
+	m.placed(func(p *placer) int64 {
+		var idd0, idd4r, idd4w, idd5, idd7 opCounts
+		m.params.IDD0 = m.totals(&idd0, p.rotate(1, false, 0, idd0.put)).Current
+		m.params.IDD4R = m.totals(&idd4r, p.idd4(false, idd4r.put)).Current
+		m.params.IDD4W = m.totals(&idd4w, p.idd4(true, idd4w.put)).Current
+		m.params.IDD5 = m.totals(&idd5, p.idd5(idd5.put)).Current
+		m.params.IDD7 = m.totals(&idd7, p.rotate(p.banks, true, 0, idd7.put)).Current
+		return 0
+	})
 	m.derived = m.params
 }
 

@@ -316,19 +316,25 @@ func TestRecomputeReadsLiveLogicBlocks(t *testing.T) {
 	}
 }
 
+// raceEnabled is set in race builds (race_test.go).
+var raceEnabled bool
+
 // TestBuildAllocs pins the allocation count of a model build; the IDD
-// loops and energy-per-bit metrics evaluate totals only, so Build builds
-// no breakdown maps, and the six ops' charge items share one slice and
-// every item name one string.
+// loops are placed by a pooled placer and evaluated from their op counts,
+// so Build draws no loop and builds no breakdown maps, and the six ops'
+// charge items share one slice and every item name one string.
 func TestBuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled placers at random")
+	}
 	d := desc.Sample1GbDDR3()
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := core.Build(d); err != nil {
 			panic(err)
 		}
 	})
-	if allocs > 15 {
-		t.Errorf("Build allocated %.0f times, want <= 15", allocs)
+	if allocs > 10 {
+		t.Errorf("Build allocated %.0f times, want <= 10", allocs)
 	}
 }
 

@@ -337,8 +337,7 @@ type PatternResult struct {
 // PatternPower, which skips the breakdown.
 func (m *Model) EvaluatePattern(p desc.Pattern) *PatternResult {
 	res := &PatternResult{Pattern: p}
-	mix := p.Mix()
-	m.patternTotals(res, mix)
+	mix := m.patternTotals(res, p.Counts(), len(p.Loop))
 	m.patternBreakdown(res, mix)
 	return res
 }
@@ -346,25 +345,27 @@ func (m *Model) EvaluatePattern(p desc.Pattern) *PatternResult {
 // PatternPower returns the average power of the pattern: the Power field
 // of EvaluatePattern, bit for bit, without building the breakdown.
 func (m *Model) PatternPower(p desc.Pattern) units.Power {
-	return m.totals(p).Power
+	n := opCounts(p.Counts())
+	return m.totals(&n, int64(len(p.Loop))).Power
 }
 
-// totals evaluates the pattern's scalar results, leaving the breakdown
-// maps nil.
-func (m *Model) totals(p desc.Pattern) PatternResult {
-	res := PatternResult{Pattern: p}
-	mix := p.Mix()
-	m.patternTotals(&res, mix)
+// totals evaluates the scalar results of a loop of period slots in which
+// each op occurs n[op] times, leaving Pattern and the breakdown maps nil.
+func (m *Model) totals(n *opCounts, period int64) PatternResult {
+	var res PatternResult
+	m.patternTotals(&res, *n, int(period))
 	return res
 }
 
 // patternTotals fills the scalar fields of res (Background, Command,
-// Power, Current, BitsPerLoop, EnergyPerBit) for res.Pattern, whose slot
-// shares are mix. The totals come from the resolved parameter set
-// (possibly calibrated).
-func (m *Model) patternTotals(res *PatternResult, mix [desc.NumOps]float64) {
+// Power, Current, BitsPerLoop, EnergyPerBit) for a loop of period slots
+// in which each op occurs n[op] times, and returns the loop's slot
+// shares. The totals come from the resolved parameter set (possibly
+// calibrated).
+func (m *Model) patternTotals(res *PatternResult, n [desc.NumOps]int, period int) [desc.NumOps]float64 {
 	el := m.D.Electrical
 	fctl := m.D.Spec.ControlClock
+	mix := desc.Shares(n, period)
 	res.Background = m.params.StandbyPower
 	// Iterate in canonical op order: float accumulation must be
 	// deterministic so repeated (and parallel) evaluations are
@@ -379,18 +380,13 @@ func (m *Model) patternTotals(res *PatternResult, mix [desc.NumOps]float64) {
 		res.Current = units.Current(float64(res.Power) / float64(el.Vdd))
 	}
 
-	bits := 0
-	perBurst := m.BitsPerBurst()
-	for _, op := range res.Pattern.Loop {
-		if op == desc.OpRead || op == desc.OpWrite {
-			bits += perBurst
-		}
-	}
+	bits := (n[desc.OpRead] + n[desc.OpWrite]) * m.BitsPerBurst()
 	res.BitsPerLoop = bits
 	if bits > 0 && fctl > 0 {
-		loopTime := float64(len(res.Pattern.Loop)) / float64(fctl)
+		loopTime := float64(period) / float64(fctl)
 		res.EnergyPerBit = units.Energy(float64(res.Power) * loopTime / float64(bits))
 	}
+	return mix
 }
 
 // sharePower is op's average power contribution at the given slot share.

@@ -23,7 +23,7 @@ package ctl
 // randomness or wall-clock time is read, and every placement is the
 // arithmetic earliest legal slot given prior placements. Same input,
 // same options -> byte-identical trace. See DESIGN §12 for the legality
-// argument (every placement asks trace.Rules, the rulebook the Simulator
+// argument (every placement asks timing.Rules, the rulebook the Simulator
 // checks with) and §13 for the refresh scheduler's determinism and
 // retention argument.
 //
@@ -44,6 +44,7 @@ import (
 	"drampower/internal/core"
 	"drampower/internal/desc"
 	"drampower/internal/engine"
+	"drampower/internal/timing"
 	"drampower/internal/trace"
 )
 
@@ -251,10 +252,10 @@ type openLink struct {
 }
 
 // chanState is one channel's scheduler state. Its timing state is the
-// embedded trace.Rules, the rulebook the replay Simulator checks with, so
+// embedded timing.Rules, the rulebook the replay Simulator checks with, so
 // every placement below is legal by the same code that checks it.
 type chanState struct {
-	trace.Rules
+	timing.Rules
 	cmds []trace.Command
 	now  int64 // slot of the last emitted command (-1 when none)
 
@@ -283,7 +284,7 @@ type Controller struct {
 
 	// t is the device timing; its REFI is the resolved refresh interval
 	// the scheduler keeps (0 = refresh off).
-	t       trace.Timing
+	t       timing.Timing
 	maxPost int64 // postponement bound (obligations)
 }
 
@@ -326,7 +327,7 @@ func NewController(m *core.Model, opts Options) (*Controller, error) {
 			return nil, fmt.Errorf("ctl: %s %d slots exceeds the %d-slot horizon", o.name, o.slots, int64(slotHorizon))
 		}
 	}
-	c := &Controller{opts: opts, mapper: mapper, t: trace.TimingFor(m)}
+	c := &Controller{opts: opts, mapper: mapper, t: timing.For(m.D.Spec)}
 	switch {
 	case opts.DisableRefresh:
 		c.t.REFI = 0

@@ -11,6 +11,7 @@ import (
 
 	"drampower/internal/core"
 	"drampower/internal/desc"
+	"drampower/internal/timing"
 	"drampower/internal/trace"
 )
 
@@ -169,7 +170,7 @@ func FuzzScheduleReplay(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	specREFI := trace.TimingFor(m).REFI
+	specREFI := timing.For(m.D.Spec).REFI
 	f.Fuzz(func(t *testing.T, policy uint8, timeout int64, channels uint8, pd, sr, refresh, maxPost int64, data []byte) {
 		opts := Options{
 			Policy: Policy(policy % 3), PageTimeout: timeout, Channels: 1 << (channels % 3),

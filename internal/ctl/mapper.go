@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"drampower/internal/core"
+	"drampower/internal/desc"
 )
 
 // Field names a component of the physical address in an interleave spec.
@@ -81,8 +82,8 @@ type Mapper struct {
 func ParseMap(spec string, chBits, baBits, roBits, coBits int) (*Mapper, error) {
 	widths := [numFields]int{FieldChannel: chBits, FieldBank: baBits, FieldRow: roBits, FieldColumn: coBits}
 	for f, w := range widths {
-		if w < 0 || w > 30 {
-			return nil, fmt.Errorf("ctl: %s width %d outside 0..30", Field(f), w)
+		if w < 0 || w > desc.MaxAddrBits {
+			return nil, fmt.Errorf("ctl: %s width %d outside 0..%d", Field(f), w, desc.MaxAddrBits)
 		}
 	}
 	parts := strings.Split(spec, ":")

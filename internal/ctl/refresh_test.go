@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"drampower/internal/timing"
 	"drampower/internal/trace"
 )
 
@@ -15,7 +16,7 @@ import (
 // `make legality` (and CI) runs on its own.
 func TestScheduledTraceLegalitySweep(t *testing.T) {
 	m := model(t)
-	tREFI := trace.TimingFor(m).REFI
+	tREFI := timing.For(m.D.Spec).REFI
 	if tREFI <= 0 {
 		t.Fatal("sample spec lost its refresh interval")
 	}
@@ -87,7 +88,7 @@ func TestScheduledTraceLegalitySweep(t *testing.T) {
 						if res.Refreshes != stats.Refreshes {
 							t.Fatalf("replay counted %d refreshes, scheduler reported %d", res.Refreshes, stats.Refreshes)
 						}
-						if stats.SelfRefreshes == 0 && res.MaxRefreshInterval > (trace.MaxPostponedRefreshes+1)*tREFI+trace.TimingFor(m).RFC {
+						if stats.SelfRefreshes == 0 && res.MaxRefreshInterval > (trace.MaxPostponedRefreshes+1)*tREFI+timing.For(m.D.Spec).RFC {
 							t.Fatalf("max refresh interval %d slots exceeds the postponement bound", res.MaxRefreshInterval)
 						}
 					})
@@ -103,7 +104,7 @@ func TestScheduledTraceLegalitySweep(t *testing.T) {
 // slide past the postponement bound just because the rank was asleep.
 func TestRefreshSurvivesPowerDown(t *testing.T) {
 	m := model(t)
-	tREFI := trace.TimingFor(m).REFI
+	tREFI := timing.For(m.D.Spec).REFI
 	gap := 12 * tREFI // far beyond the 8-deep postponement window
 	reqs := []Request{
 		{Slot: 0, Addr: 0},
@@ -151,8 +152,8 @@ func TestDisableRefreshReportsMisses(t *testing.T) {
 // refresh count, and an interval at or below tRFC is rejected.
 func TestRefreshEveryOverride(t *testing.T) {
 	m := model(t)
-	tREFI := trace.TimingFor(m).REFI
-	tRFC := trace.TimingFor(m).RFC
+	tREFI := timing.For(m.D.Spec).REFI
+	tRFC := timing.For(m.D.Spec).RFC
 	reqs, err := GenerateAccesses(m, genOpts(600, 0.5, 120))
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +181,7 @@ func TestRefreshEveryOverride(t *testing.T) {
 // the audited worst-case refresh interval on a backlogged stream.
 func TestMaxPostponedBoundsInterval(t *testing.T) {
 	m := model(t)
-	tREFI := trace.TimingFor(m).REFI
+	tREFI := timing.For(m.D.Spec).REFI
 	// Dense arrivals keep every slot contended so the scheduler leans on
 	// postponement; the bound is what separates the two runs.
 	reqs, err := GenerateAccesses(m, genOpts(6000, 0.5, 1))
@@ -195,7 +196,7 @@ func TestMaxPostponedBoundsInterval(t *testing.T) {
 	if tight.MissedRefreshDeadlines != 0 || loose.MissedRefreshDeadlines != 0 {
 		t.Fatalf("missed deadlines: tight %d, loose %d", tight.MissedRefreshDeadlines, loose.MissedRefreshDeadlines)
 	}
-	if tight.MaxRefreshInterval > 2*tREFI+trace.TimingFor(m).RFC {
+	if tight.MaxRefreshInterval > 2*tREFI+timing.For(m.D.Spec).RFC {
 		t.Fatalf("maxPost=1 interval %d exceeds 2*tREFI bound", tight.MaxRefreshInterval)
 	}
 	if tight.MaxRefreshInterval >= loose.MaxRefreshInterval {

@@ -459,6 +459,13 @@ func (s Specification) Banks() int { return 1 << uint(s.BankAddrBits) }
 // device has 5 bank bits (32 banks), so 8 (256 banks) leaves room.
 const MaxBankAddrBits = 8
 
+// MaxAddrBits bounds Specification.RowAddrBits and ColAddrBits in
+// Validate, and every address field of the controller's mapper (package
+// ctl): 2^30 rows or columns keep each row index and page size within an
+// int on every platform, where rowadd=63 made the trace generators draw
+// rows below a negative count. The largest shipped device has 17 row bits.
+const MaxAddrBits = 30
+
 // Electrical is the basic electrical information group of Table I: the four
 // voltage domains of Section III.A plus generator efficiencies and the
 // constant reference-current sink.
@@ -584,14 +591,31 @@ type Pattern struct {
 // Mix returns the fraction of pattern slots occupied by each operation,
 // indexed by Op. A slot holding an invalid op still counts toward the
 // loop length but is not attributed to any operation.
-func (p Pattern) Mix() [NumOps]float64 {
-	var m [NumOps]float64
-	if len(p.Loop) == 0 {
-		return m
-	}
-	inc := 1 / float64(len(p.Loop))
+func (p Pattern) Mix() [NumOps]float64 { return Shares(p.Counts(), len(p.Loop)) }
+
+// Counts returns how often each valid operation occurs in the loop.
+func (p Pattern) Counts() [NumOps]int {
+	var n [NumOps]int
 	for _, op := range p.Loop {
 		if op.Valid() {
+			n[op]++
+		}
+	}
+	return n
+}
+
+// Shares returns the slot shares of a loop of period slots in which each
+// operation op occurs n[op] times. A share adds 1/period once per
+// occurrence rather than multiplying, so a loop's shares are the same
+// float64 values whether they come from its drawn slots or its counts.
+func Shares(n [NumOps]int, period int) [NumOps]float64 {
+	var m [NumOps]float64
+	if period == 0 {
+		return m
+	}
+	inc := 1 / float64(period)
+	for op, k := range n {
+		for range k {
 			m[op] += inc
 		}
 	}

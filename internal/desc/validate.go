@@ -171,6 +171,14 @@ func (d *Description) Validate() error {
 		e.addf("specification: bankadd=%d exceeds the bound of %d bank address bits",
 			s.BankAddrBits, MaxBankAddrBits)
 	}
+	if s.RowAddrBits > MaxAddrBits {
+		e.addf("specification: rowadd=%d exceeds the bound of %d row address bits",
+			s.RowAddrBits, MaxAddrBits)
+	}
+	if s.ColAddrBits > MaxAddrBits {
+		e.addf("specification: coladd=%d exceeds the bound of %d column address bits",
+			s.ColAddrBits, MaxAddrBits)
+	}
 	if s.BurstLength < 0 {
 		e.addf("specification: negative burst length %d", s.BurstLength)
 	}

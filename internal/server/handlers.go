@@ -523,12 +523,26 @@ func TraceResponseFor(res trace.Result, key string, channels int) TraceResponse 
 // type sniffs the encoding from the first byte.
 const TraceBinaryContentType = "application/x-dram-trace"
 
-// maxChannels bounds the channels query parameter. The replayer and the
-// controller build per-channel state before they read the body, so the
-// count alone sets the memory a request takes: 1,048,576 channels took
-// gigabytes. The bound is 128x the largest count any test, example or
-// benchmark uses.
+// maxChannels bounds a channel count. The replayer and the controller
+// build per-channel state before they read their input, so the count
+// alone sets the memory a run takes: 1,048,576 channels took gigabytes.
+// The bound is 128x the largest count any test, example or benchmark
+// uses.
 const maxChannels = 1024
+
+// ParseChannels reads a channel count: a positive integer up to 1,024.
+// Its error is the message /v1/trace and /v1/schedule answer 400 with,
+// and the one dramtrace and dramctl print for their -channels flag.
+func ParseChannels(q string) (int, error) {
+	c, err := strconv.Atoi(q)
+	if err != nil || c < 1 {
+		return 0, fmt.Errorf("bad channels %q (want positive integer)", q)
+	}
+	if c > maxChannels {
+		return 0, fmt.Errorf("channels %d exceeds the limit of %d", c, maxChannels)
+	}
+	return c, nil
+}
 
 // parseChannels reads the channels query parameter (default 1). The bool
 // result reports success; on failure the response has been written.
@@ -536,13 +550,9 @@ func parseChannels(w http.ResponseWriter, q string) (int, bool) {
 	if q == "" {
 		return 1, true
 	}
-	c, err := strconv.Atoi(q)
-	if err != nil || c < 1 {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad channels %q (want positive integer)", q))
-		return 0, false
-	}
-	if c > maxChannels {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("channels %d exceeds the limit of %d", c, maxChannels))
+	c, err := ParseChannels(q)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return 0, false
 	}
 	return c, true

@@ -144,6 +144,30 @@ func TestEvaluateRejectsTooManyBanks(t *testing.T) {
 	}
 }
 
+// TestEvaluateRejectsWideAddresses: row or column address bits beyond
+// desc.MaxAddrBits are a 422 naming the field, not a model whose trace
+// generators would draw rows below a negative count.
+func TestEvaluateRejectsWideAddresses(t *testing.T) {
+	_, hs := newTestServer(t, Options{})
+	for _, tc := range []struct {
+		field string
+		set   func(*desc.Specification)
+	}{
+		{"rowadd=63", func(s *desc.Specification) { s.RowAddrBits = 63 }},
+		{"coladd=63", func(s *desc.Specification) { s.ColAddrBits = 63 }},
+	} {
+		d := desc.Sample1GbDDR3()
+		tc.set(&d.Spec)
+		resp, body := post(t, hs.URL+"/v1/evaluate", desc.Format(d))
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: status %d, want 422: %s", tc.field, resp.StatusCode, body)
+		}
+		if !bytes.Contains(body, []byte(tc.field)) {
+			t.Errorf("error body does not name %s: %s", tc.field, body)
+		}
+	}
+}
+
 func TestEvaluatePatternOverride(t *testing.T) {
 	_, hs := newTestServer(t, Options{})
 	resp, body := post(t, hs.URL+"/v1/evaluate?pattern=act+nop+rd+nop+pre+nop", "")

@@ -1,18 +1,14 @@
-package trace
+package timing
 
-// The timing rulebook: the one copy of the JEDEC timing rules. The
-// Simulator checks every command against it and the controller in
-// internal/ctl places every command with it, so "legal by construction"
-// rests on shared code rather than on a second copy kept in step by hand.
-//
-// Each command kind lists its rules once, in an unexported bounds method
-// that returns one earliest-legal slot per rule. A kind's query (its
-// earliest legal slot) is the max of those bounds, and a rejection names
-// the first bound, in the listed order, that the command's slot is below;
-// the low-power exit window comes first in every list. The Simulator
-// checks the state rules (CKE low, bank open or closed, the open row)
-// before it asks the rulebook, so a command that breaks a state rule and
-// a timing rule at once is rejected for the state rule.
+// The rulebook. Each command kind lists its rules once, in an unexported
+// bounds method that returns one earliest-legal slot per rule. A kind's
+// query (its earliest legal slot) is the max of those bounds, and a
+// rejection names the first bound, in the listed order, that the
+// command's slot is below; the low-power exit window comes first in every
+// list. The trace Simulator checks the state rules (CKE low, bank open or
+// closed, the open row) before it asks the rulebook, so a command that
+// breaks a state rule and a timing rule at once is rejected for the state
+// rule.
 //
 // The bounds come back as multiple results, not as an array: Go keeps
 // arrays in memory, and the queries run once per command on both the
@@ -21,58 +17,7 @@ package trace
 import (
 	"fmt"
 	"math"
-
-	"drampower/internal/core"
-	"drampower/internal/desc"
-	"drampower/internal/units"
 )
-
-// Timing holds a device's timing constraints in control-clock slots.
-type Timing struct {
-	// Row timings: activate to activate on one bank (RC), activate to
-	// column command (RCD), precharge to activate (RP), activate to
-	// precharge (RAS), activate to activate across banks (RRD), and the
-	// window that admits at most four activates (FAW, 0 when unbounded).
-	RC, RCD, RP, RAS, RRD, FAW int64
-	// Burst is the data-bus occupancy of one read or write.
-	Burst int64
-	// RFC is the refresh cycle and REFI the refresh interval (0 when the
-	// spec carries none).
-	RFC, REFI int64
-	// Power-state timings: minimum CKE-low residency (tCKEmin),
-	// power-down exit to first valid command (tXP) and self-refresh exit
-	// to first valid command (tXS).
-	CKE, XP, XS int64
-}
-
-// TimingFor resolves the model's timing constraints to slots.
-func TimingFor(m *core.Model) Timing {
-	spec := m.D.Spec
-	toSlots := func(d units.Duration) int64 {
-		// Guard against float noise pushing an exact multiple (7.5 ns at
-		// 800 MHz = 6.0 slots) over the next integer.
-		return int64(math.Ceil(float64(d)*float64(spec.ControlClock) - 1e-9))
-	}
-	t := Timing{
-		RC:    max(2, toSlots(spec.RowCycle)),
-		RCD:   max(1, toSlots(spec.RowToColumnDelay)),
-		RP:    max(1, toSlots(spec.PrechargeTime)),
-		RRD:   max(1, toSlots(spec.RowToRowDelay)),
-		FAW:   max(0, toSlots(spec.FourBankWindow)),
-		Burst: int64(m.BurstSlots()),
-		RFC:   max(1, toSlots(spec.RefreshCycle)),
-		REFI:  max(0, toSlots(spec.RefreshInterval)),
-	}
-	t.RAS = max(1, t.RC-t.RP)
-	// The description language has no tCKE/tXP/tXS fields, so they are
-	// derived from the row timings, landing on the DDR3-1600 datasheet
-	// ballpark: tCKEmin ~ tRP/2 (4 nCK), tXP ~ tRCD/2 (5 nCK), tXS ~
-	// tRFC + tRP (tRFC + 10 ns). See DESIGN §9.
-	t.CKE = max(3, t.RP/2)
-	t.XP = max(3, (t.RCD+1)/2)
-	t.XS = t.RFC + max(2, t.RP)
-	return t
-}
 
 // farPast is the slot of an event that never happened: adding any timing
 // constant to it stays far before slot 0 without wrapping.
@@ -111,17 +56,26 @@ type Rules struct {
 }
 
 // Reset makes r the rulebook of an idle channel with the given timing
-// and bank count: every bank closed and no command in its history.
+// and bank count: every bank closed and no command in its history. It
+// reuses r's bank slice when that is large enough.
 func (r *Rules) Reset(t Timing, banks int) {
-	*r = Rules{t: t, banks: make([]bankRules, banks), burstBank: -1,
-		busUntil: farPast, refUntil: farPast, lpEnter: farPast, exitUntil: farPast}
+	b := r.banks[:0]
+	if cap(b) < banks {
+		b = make([]bankRules, banks)
+	}
+	*r = Rules{}
+	r.t, r.banks, r.burstBank = t, b[:banks], -1
+	r.busUntil, r.refUntil, r.lpEnter, r.exitUntil = farPast, farPast, farPast, farPast
 	for i := range r.banks {
-		r.banks[i].act, r.banks[i].pre = farPast, farPast
+		r.banks[i] = bankRules{act: farPast, pre: farPast}
 	}
 	for i := range r.acts {
 		r.acts[i] = farPast
 	}
 }
+
+// Timing returns the timing constraints r enforces.
+func (r *Rules) Timing() Timing { return r.t }
 
 // Banks returns the bank count.
 func (r *Rules) Banks() int { return len(r.banks) }
@@ -173,9 +127,6 @@ func (r *Rules) lowPowerBounds() (exit, rfc, bus int64) {
 	return r.exitUntil, r.refUntil, r.busUntil
 }
 
-// exitBounds lists the pdx/srx rule: tCKEmin after the entry.
-func (r *Rules) exitBounds() (cke int64) { return r.lpEnter + r.t.CKE }
-
 // ActivateAt returns the earliest slot an activate on bank is legal at.
 func (r *Rules) ActivateAt(bank int) int64 {
 	exit, rc, rp, rfc, rrd, faw := r.actBounds(bank)
@@ -206,6 +157,10 @@ func (r *Rules) LowPowerAt() int64 {
 	exit, rfc, bus := r.lowPowerBounds()
 	return max(exit, rfc, bus)
 }
+
+// ExitAt returns the earliest slot a pdx or srx is legal at: tCKEmin
+// after the entry, its one rule.
+func (r *Rules) ExitAt() int64 { return r.lpEnter + r.t.CKE }
 
 // Activate records an activate of row in bank at slot.
 func (r *Rules) Activate(bank, row int, slot int64) {
@@ -258,20 +213,35 @@ func (r *Rules) Deadline(post int64) int64 {
 	return r.base + (r.credit+1+post)*r.t.REFI
 }
 
-// overdue returns how many unserved obligations have deadlines at or
+// Overdue returns how many unserved obligations have deadlines at or
 // before slot x under a postponement bound of post (negative when none).
-func (r *Rules) overdue(x, post int64) int64 {
+func (r *Rules) Overdue(x, post int64) int64 {
 	return (x-r.base)/r.t.REFI - post - r.credit
 }
 
-// why names the first rule, in its kind's bounds order, that a command
-// whose slot is below its kind's query breaks. Only rejections call it,
-// so only a rejection formats text.
-func (r *Rules) why(c Command) string {
-	at := c.Slot
-	switch c.Op {
-	case desc.OpActivate:
-		exit, rc, rp, rfc, rrd, faw := r.actBounds(c.Bank)
+// Kind is a class of command as the rulebook sees it: the kinds that
+// share a bounds method share a Kind, and the two exits differ only in
+// the text of their rejection.
+type Kind uint8
+
+// The command kinds.
+const (
+	Activate        Kind = iota // act
+	Column                      // rd, wrt
+	Precharge                   // pre
+	Refresh                     // ref
+	LowPowerEntry               // pde, sre
+	PowerDownExit               // pdx
+	SelfRefreshExit             // srx
+)
+
+// Why names the first rule, in its kind's bounds order, that a command of
+// kind k on bank at slot at breaks, for a slot below its kind's query.
+// Only rejections call it, so only a rejection formats text.
+func (r *Rules) Why(k Kind, bank int, at int64) string {
+	switch k {
+	case Activate:
+		exit, rc, rp, rfc, rrd, faw := r.actBounds(bank)
 		switch {
 		case at < exit:
 			return r.exitWhy()
@@ -286,8 +256,8 @@ func (r *Rules) why(c Command) string {
 		default:
 			return fmt.Sprintf("tFAW: fourth activate at %d", faw-r.t.FAW)
 		}
-	case desc.OpRead, desc.OpWrite:
-		exit, rcd, bus := r.colBounds(c.Bank)
+	case Column:
+		exit, rcd, bus := r.colBounds(bank)
 		switch {
 		case at < exit:
 			return r.exitWhy()
@@ -296,22 +266,22 @@ func (r *Rules) why(c Command) string {
 		default:
 			return fmt.Sprintf("data bus busy until slot %d", bus)
 		}
-	case desc.OpPrecharge:
-		exit, ras, burst := r.preBounds(c.Bank)
+	case Precharge:
+		exit, ras, burst := r.preBounds(bank)
 		switch {
 		case at < exit:
 			return r.exitWhy()
 		case at < ras:
 			return fmt.Sprintf("tRAS: activate at %d", ras-r.t.RAS)
 		default:
-			return fmt.Sprintf("burst on bank %d drains until slot %d", c.Bank, burst)
+			return fmt.Sprintf("burst on bank %d drains until slot %d", bank, burst)
 		}
-	case desc.OpRefresh:
+	case Refresh:
 		if exit, _ := r.refBounds(); at < exit {
 			return r.exitWhy()
 		}
 		return "tRFC: previous refresh in progress"
-	case OpPowerDownEnter, OpSelfRefreshEnter:
+	case LowPowerEntry:
 		exit, rfc, bus := r.lowPowerBounds()
 		switch {
 		case at < exit:
@@ -321,10 +291,10 @@ func (r *Rules) why(c Command) string {
 		default:
 			return fmt.Sprintf("data bus busy until slot %d", bus)
 		}
-	case OpSelfRefreshExit:
-		return fmt.Sprintf("tCKEmin: self-refresh entered at %d, earliest exit %d", r.lpEnter, r.exitBounds())
+	case SelfRefreshExit:
+		return fmt.Sprintf("tCKEmin: self-refresh entered at %d, earliest exit %d", r.lpEnter, r.ExitAt())
 	default:
-		return fmt.Sprintf("tCKEmin: power-down entered at %d, earliest exit %d", r.lpEnter, r.exitBounds())
+		return fmt.Sprintf("tCKEmin: power-down entered at %d, earliest exit %d", r.lpEnter, r.ExitAt())
 	}
 }
 

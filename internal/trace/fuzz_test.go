@@ -9,6 +9,7 @@ import (
 
 	"drampower/internal/core"
 	"drampower/internal/desc"
+	"drampower/internal/units"
 )
 
 // fuzzCap bounds the commands one fuzz input decodes.
@@ -199,5 +200,42 @@ func FuzzBinaryScanner(f *testing.F) {
 		if err := rt.Err(); err != nil {
 			t.Fatalf("re-encoded trace failed to rescan: %v", err)
 		}
+	})
+}
+
+// FuzzIDDLoops places the measurement loops beyond the shipped devices.
+// Fuzz bytes pick the sample's bank address bits in 0..MaxBankAddrBits
+// and scale its tRC, tRCD, tRP, tRRD, tFAW (to zero included), tRFC,
+// control clock and data rate by a quarter to four times. For every
+// description that Build accepts, every loop must replay clean for 8
+// periods and cost what the pattern evaluation reports, within 1e-12
+// relative or, for the longest loops, the rounding of a float64 sum of
+// that many commands.
+func FuzzIDDLoops(f *testing.F) {
+	f.Add([]byte{3, 3, 3, 3, 3, 4, 3, 3, 3})
+	f.Add([]byte{0, 15, 0, 15, 0, 0, 15, 0, 15})
+	f.Add([]byte{8, 0, 15, 0, 15, 16, 0, 15, 0})
+	f.Add([]byte{2, 1, 7, 9, 2, 11, 5, 6, 12})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 9 {
+			return
+		}
+		d := desc.Sample1GbDDR3()
+		s := &d.Spec
+		scale := func(b byte) float64 { return float64(b%16+1) / 4 }
+		s.BankAddrBits = int(data[0]) % (desc.MaxBankAddrBits + 1)
+		s.RowCycle = units.Duration(float64(s.RowCycle) * scale(data[1]))
+		s.RowToColumnDelay = units.Duration(float64(s.RowToColumnDelay) * scale(data[2]))
+		s.PrechargeTime = units.Duration(float64(s.PrechargeTime) * scale(data[3]))
+		s.RowToRowDelay = units.Duration(float64(s.RowToRowDelay) * scale(data[4]))
+		s.FourBankWindow = units.Duration(float64(s.FourBankWindow) * float64(data[5]%17) / 4)
+		s.RefreshCycle = units.Duration(float64(s.RefreshCycle) * scale(data[6]))
+		s.ControlClock = units.Frequency(float64(s.ControlClock) * scale(data[7]))
+		s.DataRate = units.DataRate(float64(s.DataRate) * scale(data[8]))
+		m, err := core.Build(d)
+		if err != nil {
+			return
+		}
+		checkIDDLoops(t, m, 8, func(n int) float64 { return max(1e-12, 0x1p-52*float64(n)) })
 	})
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"drampower/internal/desc"
+	"drampower/internal/timing"
 	"drampower/internal/units"
 )
 
@@ -99,7 +100,7 @@ func TestGoldenResultUnchanged(t *testing.T) {
 
 func TestPowerStateTimingDerivation(t *testing.T) {
 	m := model(t)
-	tm := TimingFor(m)
+	tm := timing.For(m.D.Spec)
 	tCKE, tXP, tXS := tm.CKE, tm.XP, tm.XS
 	// Sample device: tRP 11, tRCD 11, so tCKE = 11/2 = 5, tXP = 12/2 = 6,
 	// tXS = tRFC + 11.
@@ -210,7 +211,7 @@ func TestPowerStateMachine(t *testing.T) {
 		}
 	})
 	t.Run("activate inside tXS window", func(t *testing.T) {
-		tXS := TimingFor(m).XS
+		tXS := timing.For(m.D.Spec).XS
 		expectViolation(t, m, []Command{
 			{Slot: 0, Op: OpSelfRefreshEnter},
 			{Slot: 5, Op: OpSelfRefreshExit},
@@ -219,7 +220,7 @@ func TestPowerStateMachine(t *testing.T) {
 	})
 	t.Run("activate exactly at tXS", func(t *testing.T) {
 		s := New(m)
-		tXS := TimingFor(m).XS
+		tXS := timing.For(m.D.Spec).XS
 		if err := s.Run([]Command{
 			{Slot: 0, Op: OpSelfRefreshEnter},
 			{Slot: 5, Op: OpSelfRefreshExit},
@@ -343,7 +344,7 @@ func TestActiveResidencyTracksOpenBanks(t *testing.T) {
 func TestIssueZeroAllocsPowerStates(t *testing.T) {
 	m := model(t)
 	s := New(m)
-	tCKE, tXP := TimingFor(m).CKE, TimingFor(m).XP
+	tCKE, tXP := timing.For(m.D.Spec).CKE, timing.For(m.D.Spec).XP
 	var cmds []Command
 	slot := int64(0)
 	for len(cmds) < 1200 {

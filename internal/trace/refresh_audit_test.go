@@ -6,6 +6,7 @@ import (
 
 	"drampower/internal/core"
 	"drampower/internal/desc"
+	"drampower/internal/timing"
 	"drampower/internal/units"
 )
 
@@ -37,7 +38,7 @@ func TestRefreshRejectedWhileCKELow(t *testing.T) {
 // hand-built traces with known obligation arithmetic.
 func TestRetentionAuditCounts(t *testing.T) {
 	m := model(t)
-	refi := TimingFor(m).REFI
+	refi := timing.For(m.D.Spec).REFI
 	if refi <= 0 {
 		t.Fatal("sample spec lost its refresh interval")
 	}
@@ -126,7 +127,7 @@ func TestRandomClosedPageOddTFAW(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(m)
-	tFAW := TimingFor(m).FAW
+	tFAW := timing.For(m.D.Spec).FAW
 	if tFAW%4 == 0 {
 		t.Fatalf("tFAW resolved to %d slots — pick a spec value that exercises the rounding", tFAW)
 	}
@@ -148,7 +149,7 @@ func TestRefreshOnlyTightInterval(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(m)
-	if tm := TimingFor(m); tm.REFI >= tm.RFC {
+	if tm := timing.For(m.D.Spec); tm.REFI >= tm.RFC {
 		t.Fatalf("tREFI %d not below tRFC %d — spec no longer exercises the clamp",
 			tm.REFI, tm.RFC)
 	}

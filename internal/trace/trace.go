@@ -1,10 +1,12 @@
 // Package trace implements a cycle-accounted DRAM command-trace simulator
 // on top of the power engine: a bank state machine that enforces the JEDEC
 // timing constraints (tRC, tRCD, tRP, tRAS, tRRD, tFAW, tRFC and data-bus
-// occupancy) and integrates the per-command charges of package core over
-// the trace. It is the substrate that makes the paper's operating patterns
-// (Section III.B.4) well defined: the canned IDD loops are exactly the
-// traces this simulator accepts at the maximum legal rate, and arbitrary
+// occupancy, checked by the rulebook of package timing) and integrates the
+// per-command charges of package core over the trace. It is the substrate
+// that makes the paper's operating patterns (Section III.B.4) well
+// defined: package core places the canned IDD loops with the same
+// rulebook, so every loop replays clean here and costs per period what
+// the pattern evaluation reports (TestIDDLoopsReplayClean), and arbitrary
 // workloads (streaming, random closed-page, mixed) can be evaluated the
 // same way.
 package trace
@@ -14,6 +16,7 @@ import (
 
 	"drampower/internal/core"
 	"drampower/internal/desc"
+	"drampower/internal/timing"
 	"drampower/internal/units"
 )
 
@@ -58,7 +61,7 @@ const MaxPostponedRefreshes = 8
 // TestIssueZeroAllocs).
 type Simulator struct {
 	m   *core.Model
-	r   Rules
+	r   timing.Rules
 	now int64
 
 	// Retention auditor: refresh coverage against the spec's tREFI, over
@@ -88,7 +91,7 @@ type Simulator struct {
 // New creates a simulator for the model.
 func New(m *core.Model) *Simulator {
 	s := &Simulator{m: m, state: StatePrecharged}
-	s.r.Reset(TimingFor(m), m.D.Spec.Banks())
+	s.r.Reset(timing.For(m.D.Spec), m.D.Spec.Banks())
 	for op, e := range m.OpEnergies() {
 		s.opEnergy[op] = float64(e)
 	}
@@ -120,7 +123,7 @@ func (s *Simulator) Now() int64 { return s.now }
 // non-decreasing slot order. On a timing violation the command is rejected
 // with a *TimingError and the simulator state is unchanged. Issue checks
 // the state rules (CKE low, bank open or closed, the open row) itself and
-// the timing rules through the Rules rulebook, state rules first.
+// the timing rules through the timing.Rules rulebook, state rules first.
 //
 // Data-bus contention gates only column commands: at a slot where a
 // previous burst still occupies the data bus (slot < busUntil),
@@ -147,62 +150,62 @@ func (s *Simulator) Issue(c Command) error {
 		return &TimingError{c, fmt.Sprintf("out of order (now at slot %d)", s.now)}
 	}
 	r := &s.r
-	if c.Bank < 0 || c.Bank >= len(r.banks) {
-		return &TimingError{c, fmt.Sprintf("bank %d outside 0..%d", c.Bank, len(r.banks)-1)}
+	if c.Bank < 0 || c.Bank >= r.Banks() {
+		return &TimingError{c, fmt.Sprintf("bank %d outside 0..%d", c.Bank, r.Banks()-1)}
 	}
 	// Row, column and refresh commands need CKE high.
 	if s.state.lowPower() && c.Op != desc.OpNop && c.Op.Valid() {
 		return &TimingError{c, "device in " + s.state.String() + " state"}
 	}
-	b := &r.banks[c.Bank]
+	row, open := r.Row(c.Bank)
 	switch c.Op {
 	case desc.OpActivate:
-		if b.open {
+		if open {
 			return &TimingError{c, "bank already active"}
 		}
 		if c.Slot < r.ActivateAt(c.Bank) {
-			return &TimingError{c, r.why(c)}
+			return &TimingError{c, r.Why(timing.Activate, c.Bank, c.Slot)}
 		}
 		r.Activate(c.Bank, c.Row, c.Slot)
-		if r.open == 1 {
+		if r.OpenBanks() == 1 {
 			s.setState(StateActive, c.Slot)
 		}
 	case desc.OpRead, desc.OpWrite:
-		if !b.open {
+		if !open {
 			return &TimingError{c, "bank not active"}
 		}
-		if b.row != c.Row {
-			return &TimingError{c, fmt.Sprintf("row %d open, access to row %d", b.row, c.Row)}
+		if row != c.Row {
+			return &TimingError{c, fmt.Sprintf("row %d open, access to row %d", row, c.Row)}
 		}
 		if c.Slot < r.ColumnAt(c.Bank) {
-			return &TimingError{c, r.why(c)}
+			return &TimingError{c, r.Why(timing.Column, c.Bank, c.Slot)}
 		}
 		r.Column(c.Bank, c.Slot)
 		s.bits += int64(s.m.BitsPerBurst())
 	case desc.OpPrecharge:
-		if !b.open {
+		if !open {
 			return &TimingError{c, "bank not active"}
 		}
 		if c.Slot < r.PrechargeAt(c.Bank) {
-			return &TimingError{c, r.why(c)}
+			return &TimingError{c, r.Why(timing.Precharge, c.Bank, c.Slot)}
 		}
 		r.Precharge(c.Bank, c.Slot)
-		if r.open == 0 {
+		if r.OpenBanks() == 0 {
 			s.setState(StatePrecharged, c.Slot)
 		}
 	case desc.OpRefresh:
-		for i := range r.banks {
-			if r.banks[i].open {
+		for i := range r.Banks() {
+			if _, open := r.Row(i); open {
 				return &TimingError{c, fmt.Sprintf("bank %d active at refresh", i)}
 			}
 		}
 		if c.Slot < r.RefreshAt() {
-			return &TimingError{c, r.why(c)}
+			return &TimingError{c, r.Why(timing.Refresh, c.Bank, c.Slot)}
 		}
 		// Retention audit: this refresh serves the epoch's next
 		// obligation; landing past that obligation's postponement
 		// deadline is a miss. Pure integer bookkeeping — no allocation.
-		if r.t.REFI > 0 {
+		if r.Timing().REFI > 0 {
 			if g := c.Slot - s.lastRefSlot; g > s.maxRefGap {
 				s.maxRefGap = g
 			}
@@ -217,11 +220,11 @@ func (s *Simulator) Issue(c Command) error {
 		if s.state.lowPower() {
 			return &TimingError{c, "already in " + s.state.String() + " state"}
 		}
-		if r.open > 0 {
-			return &TimingError{c, fmt.Sprintf("%d bank(s) open (precharge power-down/self-refresh require all banks closed)", r.open)}
+		if n := r.OpenBanks(); n > 0 {
+			return &TimingError{c, fmt.Sprintf("%d bank(s) open (precharge power-down/self-refresh require all banks closed)", n)}
 		}
 		if c.Slot < r.LowPowerAt() {
-			return &TimingError{c, r.why(c)}
+			return &TimingError{c, r.Why(timing.LowPowerEntry, c.Bank, c.Slot)}
 		}
 		st := StatePowerDown
 		if c.Op == OpSelfRefreshEnter {
@@ -229,11 +232,11 @@ func (s *Simulator) Issue(c Command) error {
 			// Self-refresh covers retention internally: close the audit
 			// epoch here. Obligations whose deadlines had already passed
 			// unserved are missed; everything not yet due is forgiven.
-			if r.t.REFI > 0 {
+			if r.Timing().REFI > 0 {
 				if g := c.Slot - s.lastRefSlot; g > s.maxRefGap {
 					s.maxRefGap = g
 				}
-				if m := r.overdue(c.Slot-1, MaxPostponedRefreshes); m > 0 {
+				if m := r.Overdue(c.Slot-1, MaxPostponedRefreshes); m > 0 {
 					s.refMissed += m
 				}
 			}
@@ -244,8 +247,8 @@ func (s *Simulator) Issue(c Command) error {
 		if s.state != StatePowerDown {
 			return &TimingError{c, "not in power-down"}
 		}
-		if c.Slot < r.exitBounds() {
-			return &TimingError{c, r.why(c)}
+		if c.Slot < r.ExitAt() {
+			return &TimingError{c, r.Why(timing.PowerDownExit, c.Bank, c.Slot)}
 		}
 		s.setState(StatePrecharged, c.Slot)
 		r.ExitPowerDown(c.Slot)
@@ -253,8 +256,8 @@ func (s *Simulator) Issue(c Command) error {
 		if s.state != StateSelfRefresh {
 			return &TimingError{c, "not in self-refresh"}
 		}
-		if c.Slot < r.exitBounds() {
-			return &TimingError{c, r.why(c)}
+		if c.Slot < r.ExitAt() {
+			return &TimingError{c, r.Why(timing.SelfRefreshExit, c.Bank, c.Slot)}
 		}
 		s.setState(StatePrecharged, c.Slot)
 		// Leaving self-refresh starts a fresh retention epoch (the
@@ -400,13 +403,13 @@ func (s *Simulator) Result(endSlot int64) Result {
 	// but were never served are missed — unless the trace ends parked in
 	// self-refresh, which covers retention on its own.
 	r.Refreshes = s.refCount
-	if s.r.t.REFI > 0 {
+	if s.r.Timing().REFI > 0 {
 		gap, missed := s.maxRefGap, s.refMissed
 		if s.state != StateSelfRefresh {
 			if g := endSlot - s.lastRefSlot; g > gap {
 				gap = g
 			}
-			if m := s.r.overdue(endSlot, MaxPostponedRefreshes); m > 0 {
+			if m := s.r.Overdue(endSlot, MaxPostponedRefreshes); m > 0 {
 				missed += m
 			}
 		}
@@ -438,7 +441,7 @@ func (s *Simulator) Result(endSlot int64) Result {
 	}
 	if endSlot > 0 {
 		burstCmds := s.counts[desc.OpRead] + s.counts[desc.OpWrite]
-		u := float64(burstCmds*s.r.t.Burst) / float64(endSlot)
+		u := float64(burstCmds*s.r.Timing().Burst) / float64(endSlot)
 		if u > 1 {
 			u = 1
 		}

@@ -3,12 +3,16 @@ package trace
 import (
 	"errors"
 	"math"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"drampower/internal/core"
 	"drampower/internal/desc"
+	"drampower/internal/scaling"
+	"drampower/internal/timing"
 )
 
 func model(t *testing.T) *core.Model {
@@ -22,7 +26,7 @@ func model(t *testing.T) *core.Model {
 
 func TestTimingSlotsResolution(t *testing.T) {
 	m := model(t)
-	tm := TimingFor(m)
+	tm := timing.For(m.D.Spec)
 	tRC, tRCD, tRP, tRAS, tRRD, tFAW, burst := tm.RC, tm.RCD, tm.RP, tm.RAS, tm.RRD, tm.FAW, tm.Burst
 	// 800 MHz control clock: tRC 48.75ns -> 39 slots, tRCD/tRP 13.75ns ->
 	// 11, tRAS = 39-11 = 28, tRRD 7.5ns -> 6, tFAW 40ns -> 32, burst 4.
@@ -331,6 +335,103 @@ func TestClosedPageTraceMatchesIDD7Pattern(t *testing.T) {
 	_ = traceMA
 }
 
+// iddLoops are the six measurement loops the cross-layer checks replay:
+// each places its loop through core's Put and draws it as a pattern.
+var iddLoops = []struct {
+	name    string
+	place   func(m *core.Model, put core.Put) int64
+	pattern func(m *core.Model) desc.Pattern
+	opens   bool // an activate of bank 0 at slot 0 opens the loop's row
+}{
+	{"IDD0", (*core.Model).PlaceIDD0, (*core.Model).PatternIDD0, false},
+	{"IDD4R", func(m *core.Model, put core.Put) int64 { return m.PlaceIDD4(false, put) },
+		func(m *core.Model) desc.Pattern { return m.PatternIDD4(false) }, true},
+	{"IDD4W", func(m *core.Model, put core.Put) int64 { return m.PlaceIDD4(true, put) },
+		func(m *core.Model) desc.Pattern { return m.PatternIDD4(true) }, true},
+	{"IDD5", (*core.Model).PlaceIDD5, (*core.Model).PatternIDD5, false},
+	{"IDD7(0)", func(m *core.Model, put core.Put) int64 { return m.PlaceIDD7(0, put) },
+		func(m *core.Model) desc.Pattern { return m.PatternIDD7(0) }, false},
+	{"IDD7(0.5)", func(m *core.Model, put core.Put) int64 { return m.PlaceIDD7(0.5, put) },
+		func(m *core.Model) desc.Pattern { return m.PatternIDD7(0.5) }, false},
+}
+
+// checkIDDLoops replays periods periods of every measurement loop of m
+// on a Simulator. Each must replay clean, and its command energy, less
+// IDD4's opening activate, must be periods times the command energy
+// EvaluatePattern reports for one period of the drawn loop, within the
+// relative tolerance tol gives for the number of commands replayed.
+func checkIDDLoops(t *testing.T, m *core.Model, periods int, tol func(cmds int) float64) {
+	t.Helper()
+	for _, l := range iddLoops {
+		var loop []Command
+		period := l.place(m, func(slot int64, op desc.Op, bank int) {
+			loop = append(loop, Command{Slot: slot, Op: op, Bank: bank})
+		})
+		var cmds []Command
+		if l.opens {
+			cmds = append(cmds, Command{Op: desc.OpActivate})
+		}
+		for k := range int64(periods) {
+			for _, c := range loop {
+				c.Slot += k * period
+				cmds = append(cmds, c)
+			}
+		}
+		slices.SortStableFunc(cmds, func(a, b Command) int { return int(a.Slot - b.Slot) })
+		s := New(m)
+		if err := s.Run(cmds); err != nil {
+			t.Fatalf("%s: %s loop (period %d) rejected: %v", m.D.Name, l.name, period, err)
+		}
+		got := float64(s.Result(s.Now()).CommandEnergy)
+		if l.opens {
+			got -= float64(m.OpEnergy(desc.OpActivate))
+		}
+		p := l.pattern(m)
+		if int64(len(p.Loop)) != period {
+			t.Fatalf("%s: %s pattern has %d slots, placed period %d", m.D.Name, l.name, len(p.Loop), period)
+		}
+		want := float64(periods) * float64(m.EvaluatePattern(p).Command) *
+			float64(period) / float64(m.D.Spec.ControlClock)
+		if math.Abs(got-want) > tol(len(cmds))*math.Abs(want) {
+			t.Errorf("%s: %s: %d periods replay %.17g J of command energy, the pattern evaluation %.17g J",
+				m.D.Name, l.name, periods, got, want)
+		}
+	}
+}
+
+// TestIDDLoopsReplayClean checks that the paper's measurement loops are
+// legal traces on every shipped device (the sample, the testdata
+// descriptions and the scaling roadmap nodes): 50 periods of each replay
+// clean and cost exactly what the pattern evaluation reports.
+func TestIDDLoopsReplayClean(t *testing.T) {
+	ds := []*desc.Description{desc.Sample1GbDDR3()}
+	files, err := filepath.Glob("../../testdata/*.dram")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		d, err := desc.ParseFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds = append(ds, d)
+	}
+	nodes, err := scaling.BuildAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds = append(ds, nodes...); len(ds) != 19 {
+		t.Fatalf("%d shipped devices, want 19", len(ds))
+	}
+	for _, d := range ds {
+		m, err := core.Build(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkIDDLoops(t, m, 50, func(int) float64 { return 1e-12 })
+	}
+}
+
 // The Issue accept path is provably allocation-free: per-op counters and
 // energies are fixed arrays and the activate history is a ring buffer.
 func TestIssueZeroAllocs(t *testing.T) {
@@ -548,7 +649,7 @@ func TestTimingBoundaries(t *testing.T) {
 		if err := s.Issue(Command{Slot: 0, Op: desc.OpRefresh}); err != nil {
 			t.Fatal(err)
 		}
-		tRFC := TimingFor(m).RFC
+		tRFC := timing.For(m.D.Spec).RFC
 		if err := s.Issue(Command{Slot: tRFC - 1, Op: desc.OpActivate, Bank: 0, Row: 1}); err == nil {
 			t.Error("activate one slot inside tRFC accepted")
 		}

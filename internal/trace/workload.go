@@ -5,6 +5,7 @@ import (
 
 	"drampower/internal/core"
 	"drampower/internal/desc"
+	"drampower/internal/timing"
 )
 
 // Workload generators: each produces a timing-legal command trace for the
@@ -17,7 +18,7 @@ import (
 // read share. It produces roughly `bursts` column commands.
 func Streaming(m *core.Model, bursts int, readShare float64, seed int64) []Command {
 	rng := rand.New(rand.NewSource(seed))
-	t := TimingFor(m)
+	t := timing.For(m.D.Spec)
 	banks := m.D.Spec.Banks()
 	tRCD, tRRD, tFAW, burst := t.RCD, t.RRD, t.FAW, t.Burst
 	var cmds []Command
@@ -52,7 +53,7 @@ func Streaming(m *core.Model, bursts int, readShare float64, seed int64) []Comma
 // `accesses` activate/burst/precharge triples.
 func RandomClosedPage(m *core.Model, accesses int, readShare float64, seed int64) []Command {
 	rng := rand.New(rand.NewSource(seed))
-	t := TimingFor(m)
+	t := timing.For(m.D.Spec)
 	banks := m.D.Spec.Banks()
 	tRC, tRCD, tRP, tRAS, tRRD, tFAW, burst := t.RC, t.RCD, t.RP, t.RAS, t.RRD, t.FAW, t.Burst
 
@@ -103,19 +104,13 @@ func RandomClosedPage(m *core.Model, accesses int, readShare float64, seed int64
 }
 
 // RefreshOnly generates the standby-with-refresh trace over the given
-// number of refresh intervals. The spacing is the spec's tREFI, floored
-// at tRFC: a spec whose refresh cycle is as long as (or longer than) its
-// refresh interval would otherwise emit the next ref while the previous
-// one is still in progress, which the simulator rejects.
+// number of refresh intervals. The spacing is the rulebook's tREFI,
+// floored at tRFC: a spec whose refresh cycle is as long as (or longer
+// than) its refresh interval would otherwise emit the next ref while the
+// previous one is still in progress, which the simulator rejects.
 func RefreshOnly(m *core.Model, intervals int) []Command {
-	spec := m.D.Spec
-	perInterval := int64(float64(spec.RefreshInterval) * float64(spec.ControlClock))
-	if perInterval < 1 {
-		perInterval = 1
-	}
-	if tRFC := TimingFor(m).RFC; perInterval < tRFC {
-		perInterval = tRFC
-	}
+	t := timing.For(m.D.Spec)
+	perInterval := max(t.REFI, t.RFC)
 	var cmds []Command
 	for i := 0; i < intervals; i++ {
 		cmds = append(cmds, Command{Slot: int64(i) * perInterval, Op: desc.OpRefresh})
@@ -135,7 +130,7 @@ func RefreshOnly(m *core.Model, intervals int) []Command {
 // the smallest insertable window.
 func WithPowerDown(m *core.Model, cmds []Command, minIdle int64) []Command {
 	s := New(m)
-	t := TimingFor(m)
+	t := timing.For(m.D.Spec)
 	if minIdle < 1 {
 		minIdle = t.CKE + t.XP + 1
 	}

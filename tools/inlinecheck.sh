@@ -49,29 +49,36 @@ internal/ctl/access.go parseAccessLine codec.SkipSpace
 internal/ctl/access.go parseAccessLine codec.ParseUint
 internal/ctl/access.go parseAccessLine codec.EndOfField
 internal/ctl/access.go parseAccessOp codec.EqFold
-internal/trace/trace.go Simulator.Issue (*Rules).ColumnAt
-internal/trace/trace.go Simulator.Issue (*Rules).PrechargeAt
-internal/trace/trace.go Simulator.Issue (*Rules).RefreshAt
-internal/trace/trace.go Simulator.Issue (*Rules).LowPowerAt
-internal/trace/trace.go Simulator.Issue (*Rules).Activate
-internal/trace/trace.go Simulator.Issue (*Rules).Column
-internal/trace/trace.go Simulator.Issue (*Rules).Precharge
-internal/trace/trace.go Simulator.Issue (*Rules).Refresh
-internal/trace/trace.go Simulator.Issue (*Rules).EnterLowPower
-internal/trace/trace.go Simulator.Issue (*Rules).ExitPowerDown
-internal/trace/trace.go Simulator.Issue (*Rules).ExitSelfRefresh
-internal/ctl/ctl.go Controller.firstCommandSlot trace.(*Rules).ColumnAt
-internal/ctl/ctl.go Controller.firstCommandSlot trace.(*Rules).PrechargeAt
-internal/ctl/ctl.go Controller.column trace.(*Rules).ColumnAt
-internal/ctl/ctl.go Controller.column trace.(*Rules).Column
-internal/ctl/ctl.go Controller.precharge trace.(*Rules).PrechargeAt
-internal/ctl/ctl.go Controller.precharge trace.(*Rules).Precharge
-internal/ctl/ctl.go Controller.activate trace.(*Rules).Activate
-internal/ctl/ctl.go Controller.issueRef trace.(*Rules).RefreshAt
-internal/ctl/ctl.go Controller.issueRef trace.(*Rules).Refresh
-internal/ctl/ctl.go Controller.quietSlot trace.(*Rules).LowPowerAt
-internal/ctl/ctl.go Controller.powerDown trace.(*Rules).EnterLowPower
-internal/ctl/ctl.go Controller.powerDown trace.(*Rules).ExitPowerDown
-internal/ctl/ctl.go Controller.fillGap trace.(*Rules).ExitSelfRefresh
+internal/trace/trace.go Simulator.Issue timing.(*Rules).ColumnAt
+internal/trace/trace.go Simulator.Issue timing.(*Rules).PrechargeAt
+internal/trace/trace.go Simulator.Issue timing.(*Rules).RefreshAt
+internal/trace/trace.go Simulator.Issue timing.(*Rules).LowPowerAt
+internal/trace/trace.go Simulator.Issue timing.(*Rules).Activate
+internal/trace/trace.go Simulator.Issue timing.(*Rules).Column
+internal/trace/trace.go Simulator.Issue timing.(*Rules).Precharge
+internal/trace/trace.go Simulator.Issue timing.(*Rules).Refresh
+internal/trace/trace.go Simulator.Issue timing.(*Rules).EnterLowPower
+internal/trace/trace.go Simulator.Issue timing.(*Rules).ExitPowerDown
+internal/trace/trace.go Simulator.Issue timing.(*Rules).ExitSelfRefresh
+internal/trace/trace.go Simulator.Issue timing.(*Rules).Banks
+internal/trace/trace.go Simulator.Issue timing.(*Rules).Row
+internal/trace/trace.go Simulator.Issue timing.(*Rules).OpenBanks
+internal/trace/trace.go Simulator.Issue timing.(*Rules).Timing
+internal/trace/trace.go Simulator.Issue timing.(*Rules).Deadline
+internal/trace/trace.go Simulator.Issue timing.(*Rules).Overdue
+internal/trace/trace.go Simulator.Issue timing.(*Rules).ExitAt
+internal/ctl/ctl.go Controller.firstCommandSlot timing.(*Rules).ColumnAt
+internal/ctl/ctl.go Controller.firstCommandSlot timing.(*Rules).PrechargeAt
+internal/ctl/ctl.go Controller.column timing.(*Rules).ColumnAt
+internal/ctl/ctl.go Controller.column timing.(*Rules).Column
+internal/ctl/ctl.go Controller.precharge timing.(*Rules).PrechargeAt
+internal/ctl/ctl.go Controller.precharge timing.(*Rules).Precharge
+internal/ctl/ctl.go Controller.activate timing.(*Rules).Activate
+internal/ctl/ctl.go Controller.issueRef timing.(*Rules).RefreshAt
+internal/ctl/ctl.go Controller.issueRef timing.(*Rules).Refresh
+internal/ctl/ctl.go Controller.quietSlot timing.(*Rules).LowPowerAt
+internal/ctl/ctl.go Controller.powerDown timing.(*Rules).EnterLowPower
+internal/ctl/ctl.go Controller.powerDown timing.(*Rules).ExitPowerDown
+internal/ctl/ctl.go Controller.fillGap timing.(*Rules).ExitSelfRefresh
 EOF
 exit $status
