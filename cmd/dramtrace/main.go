@@ -181,9 +181,6 @@ func convertTrace(w io.Writer, in io.Reader, out string) error {
 // instead drives the controller front-end: a random access stream with
 // -rowhit row locality, scheduled open-page into a legal trace.
 func generate(w io.Writer, m *drampower.Model, kind string, channels, n int, readShare, rowhit float64, seed, idle int64, binary bool) error {
-	if channels < 1 {
-		channels = 1
-	}
 	if kind == "mixed" {
 		if idle > 0 {
 			return fmt.Errorf("-idle does not apply to -gen mixed (schedule with dramctl -pd-timeout instead)")

@@ -47,7 +47,7 @@ type Put func(slot int64, op desc.Op, bank int)
 // at tRAS and the next activate at the row cycle (or where tRRD or tFAW
 // binds). It is the IDD7 rotation over one bank, without columns.
 func (m *Model) PlaceIDD0(put Put) int64 {
-	return m.placed(func(p *placer) int64 { return p.rotate(1, false, 0, put) })
+	return m.placed(func(p *placer) int64 { return p.idd0(put) })
 }
 
 // PlaceIDD4 places the gapless-burst loop of reads (write=false) or
@@ -71,7 +71,7 @@ func (m *Model) PlaceIDD5(put Put) int64 {
 // are writes; the paper's Figure 10 pattern uses 0.5 ("Idd7 but half of
 // the read operations replaced by write operations"), the plain IDD7 0.
 func (m *Model) PlaceIDD7(writeShare float64, put Put) int64 {
-	return m.placed(func(p *placer) int64 { return p.rotate(p.banks, true, writeShare, put) })
+	return m.placed(func(p *placer) int64 { return p.idd7(writeShare, put) })
 }
 
 // placer is the scratch state of a placement: the rulebook, the slots
@@ -89,11 +89,17 @@ type placer struct {
 
 var placers = sync.Pool{New: func() any { return new(placer) }}
 
+// placer takes a pooled placer for m's device; placers.Put returns it.
+func (m *Model) placer() *placer {
+	p := placers.Get().(*placer)
+	p.t, p.banks = timing.For(m.D.Spec), m.D.Spec.Banks()
+	return p
+}
+
 // placed runs place on a pooled placer for m's device.
 func (m *Model) placed(place func(*placer) int64) int64 {
-	p := placers.Get().(*placer)
+	p := m.placer()
 	defer placers.Put(p)
-	p.t, p.banks = timing.For(m.D.Spec), m.D.Spec.Banks()
 	return place(p)
 }
 
@@ -115,6 +121,12 @@ func (p *placer) take(at int64) int64 {
 			return at
 		}
 	}
+}
+
+func (p *placer) idd0(put Put) int64 { return p.rotate(1, false, 0, put) }
+
+func (p *placer) idd7(writeShare float64, put Put) int64 {
+	return p.rotate(p.banks, true, writeShare, put)
 }
 
 func (p *placer) idd4(write bool, put Put) int64 {

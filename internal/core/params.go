@@ -82,16 +82,16 @@ func (m *Model) derive() {
 	m.params.SelfRefreshPower = m.deriveSelfRefreshPower()
 	m.derived = m.params
 
-	// One placer places all five loops.
-	m.placed(func(p *placer) int64 {
-		var idd0, idd4r, idd4w, idd5, idd7 opCounts
-		m.params.IDD0 = m.totals(&idd0, p.rotate(1, false, 0, idd0.put)).Current
-		m.params.IDD4R = m.totals(&idd4r, p.idd4(false, idd4r.put)).Current
-		m.params.IDD4W = m.totals(&idd4w, p.idd4(true, idd4w.put)).Current
-		m.params.IDD5 = m.totals(&idd5, p.idd5(idd5.put)).Current
-		m.params.IDD7 = m.totals(&idd7, p.rotate(p.banks, true, 0, idd7.put)).Current
-		return 0
-	})
+	// The five loops share one pooled placer: every return to the pool is
+	// a chance for the race detector to drop it (see TestBuildAllocs).
+	p := m.placer()
+	defer placers.Put(p)
+	var idd0, idd4r, idd4w, idd5, idd7 opCounts
+	m.params.IDD0 = m.totals(&idd0, p.idd0(idd0.put)).Current
+	m.params.IDD4R = m.totals(&idd4r, p.idd4(false, idd4r.put)).Current
+	m.params.IDD4W = m.totals(&idd4w, p.idd4(true, idd4w.put)).Current
+	m.params.IDD5 = m.totals(&idd5, p.idd5(idd5.put)).Current
+	m.params.IDD7 = m.totals(&idd7, p.idd7(0, idd7.put)).Current
 	m.derived = m.params
 }
 

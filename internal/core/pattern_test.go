@@ -322,19 +322,21 @@ var raceEnabled bool
 // TestBuildAllocs pins the allocation count of a model build; the IDD
 // loops are placed by a pooled placer and evaluated from their op counts,
 // so Build draws no loop and builds no breakdown maps, and the six ops'
-// charge items share one slice and every item name one string.
+// charge items share one slice and every item name one string. Under the
+// race detector, which drops pooled placers at random, the bound is 15.
 func TestBuildAllocs(t *testing.T) {
+	bound := 10.0
 	if raceEnabled {
-		t.Skip("the race detector drops pooled placers at random")
+		bound = 15
 	}
 	d := desc.Sample1GbDDR3()
-	allocs := testing.AllocsPerRun(20, func() {
+	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := core.Build(d); err != nil {
 			panic(err)
 		}
 	})
-	if allocs > 10 {
-		t.Errorf("Build allocated %.0f times, want <= 10", allocs)
+	if allocs > bound {
+		t.Errorf("Build allocated %.0f times, want <= %.0f", allocs, bound)
 	}
 }
 
