@@ -70,7 +70,10 @@ serve-smoke:
 	$(GO) run ./tools/servesmoke
 
 # Short fuzz passes over the hand-written parsers, the pattern
-# evaluator's totals/breakdown split, the timing rulebook (every command
+# evaluator's totals/breakdown split, every description the parser
+# accepts (it must build within an allocation budget, replay its IDD7
+# loop and a short schedule clean, and build a knob and a scheme variant
+# in reused storage exactly as fresh), the timing rulebook (every command
 # placed at its earliest legal slot must issue, and one slot earlier must
 # not), the IDD loops the rulebook places on scaled timings (every loop
 # must replay clean and cost what the pattern evaluation reports) and the
@@ -79,14 +82,15 @@ serve-smoke:
 # line each. Override FUZZTIME for a longer hunt.
 # Each FuzzScheduleReplay input runs four schedules and three replays,
 # a FuzzRulesTight input issues up to thousands of commands, and the
-# descriptor FuzzParse and FuzzBinaryScanner start from seeds of several
-# kilobytes, so minimizing a new input for the default 60 s would stall a
-# short pass (uncapped, those two ran about 15 inputs in 10 s); their
-# minimization is capped at 100 runs.
+# descriptor FuzzParse, FuzzDescriptorBuild and FuzzBinaryScanner start
+# from seeds of several kilobytes, so minimizing a new input for the
+# default 60 s would stall a short pass (uncapped, FuzzDescriptorBuild
+# ran 7 inputs in 10 s); their minimization is capped at 100 runs.
 fuzz-short:
 	$(GO) test -fuzz 'FuzzParse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x -run '^$$' ./internal/desc/
 	$(GO) test -fuzz 'FuzzParse$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/codec/
 	$(GO) test -fuzz FuzzEvaluatePattern -fuzztime $(FUZZTIME) -run '^$$' ./internal/core/
+	$(GO) test -fuzz FuzzDescriptorBuild -fuzztime $(FUZZTIME) -fuzzminimizetime 100x -run '^$$' ./internal/core/
 	$(GO) test -fuzz FuzzOverlay -fuzztime $(FUZZTIME) -run '^$$' ./internal/desc/
 	$(GO) test -fuzz FuzzTraceScanner -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace/
 	$(GO) test -fuzz FuzzBinaryScanner -fuzztime $(FUZZTIME) -fuzzminimizetime 100x -run '^$$' ./internal/trace/
@@ -116,12 +120,14 @@ legality:
 # that the shared double-buffered ring (engine.Pipeline) under both
 # streaming paths shuts down cleanly, that engine.Run's workers, which
 # both pipelines call every round through engine.Map, claim each job
-# exactly once, and that trace replay's decoder hands each round's slab
-# to the consumer that shards it.
+# exactly once, that trace replay's decoder hands each round's slab to
+# the consumer that shards it, and that concurrent sweeps and scheme
+# comparisons never share the pooled scratch their variants build in.
 legality-race:
 	$(GO) test -race ./internal/ctl -run '$(LEGALITY_TESTS)|TestScheduleInto' -count=1
 	$(GO) test -race ./internal/engine -run 'TestPipeline|TestRun' -count=1
 	$(GO) test -race ./internal/trace -run 'TestReplay|TestMillionCommand' -count=1
+	$(GO) test -race ./internal/sensitivity ./internal/schemes -count=1
 
 # The compiler must keep inlining the hot-path helpers into their
 # callers: dtb's fastVarint into ScanBatch, the codec lexer and integer

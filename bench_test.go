@@ -255,8 +255,9 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkDescriptionClone measures the deep copy every sensitivity and
-// scheme variant starts from.
+// BenchmarkDescriptionClone measures a deep copy into fresh storage. The
+// sensitivity and scheme variants copy into reused storage instead
+// (CloneInto through core.Variant), which allocates nothing.
 func BenchmarkDescriptionClone(b *testing.B) {
 	d := Sample1GbDDR3()
 	b.ReportAllocs()

@@ -40,7 +40,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"time"
 
 	"drampower"
@@ -79,7 +78,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		if err := cli.CheckFormat(*format); err != nil {
 			return err
 		}
-		if _, err := server.ParseChannels(strconv.Itoa(*channels)); err != nil {
+		if err := server.CheckChannels(*channels); err != nil {
 			return err
 		}
 		return prof.Run(func() error {

@@ -32,6 +32,7 @@ func TestRun(t *testing.T) {
 		{"bad-pattern", []string{"-pattern", "act jump"}, ""},
 		{"bad-desc", []string{"-f", "testdata/bad.dram"}, ""},
 		{"missing-desc", []string{"-f", "testdata/missing.dram"}, ""},
+		{"long-trc", []string{"-f", "testdata/trc10ms.dram"}, ""},
 		{"help", []string{"-h"}, ""},
 		{"flag-error", []string{"-bogus"}, ""},
 	} {

@@ -46,7 +46,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"time"
 
 	"drampower"
@@ -85,7 +84,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			} else if err := cli.CheckFormat(*format); err != nil {
 				return err
 			}
-			if _, err := server.ParseChannels(strconv.Itoa(*channels)); err != nil {
+			if err := server.CheckChannels(*channels); err != nil {
 				return err
 			}
 

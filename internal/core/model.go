@@ -21,13 +21,13 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"drampower/internal/circuits"
 	"drampower/internal/desc"
 	"drampower/internal/geom"
 	"drampower/internal/tech"
-	"drampower/internal/timing"
 	"drampower/internal/units"
 )
 
@@ -41,6 +41,12 @@ type Model struct {
 
 	// Segments are the resolved signaling floorplan wires.
 	Segments []ResolvedSegment
+
+	// names holds the charge and background item names, the segments'
+	// then the logic blocks' (see itemNames), and slab the six ledger
+	// lists; a build into the model's storage reuses both (see build).
+	names []string
+	slab  []circuits.ChargeItem
 
 	// ledger holds the immutable per-op charge lists precomputed by
 	// Build, indexed by desc.Op. Charges serves O(1) reads from it; the
@@ -100,34 +106,63 @@ func Build(d *desc.Description) (*Model, error) {
 // BuildCalibrated resolves a description into a model and applies a
 // calibration overlay to the resolved parameter set — the full
 // derive → overlay → seal pipeline. A nil or empty overlay is a strict
-// no-op: the model is bit-identical to Build's.
+// no-op: the model is bit-identical to Build's. Build and
+// BuildCalibrated run the one build path on fresh storage, and no later
+// build writes into a model they return, so the model is immutable and
+// may be shared (the server caches it).
 func BuildCalibrated(d *desc.Description, ov *desc.Overlay) (*Model, error) {
+	s := newStorage()
+	if err := s.m.build(d, ov); err != nil {
+		return nil, err
+	}
+	return &s.m, nil
+}
+
+// storage holds a model with the grid and array layout it points to, so
+// that a fresh model is one allocation.
+type storage struct {
+	m Model
+	g geom.Grid
+	a geom.ArrayLayout
+}
+
+func newStorage() *storage {
+	s := new(storage)
+	s.m.Grid, s.m.Array = &s.g, &s.a
+	return s
+}
+
+// build resolves d into m: the one build path, which BuildCalibrated runs
+// on fresh storage and Variant on pooled scratch. The grid, the array
+// layout, the segments, the item names (kept while unchanged), the ledger
+// slab and the background items go into the storage an earlier build
+// left in m, where it fits; every other field starts from zero.
+func (m *Model) build(d *desc.Description, ov *desc.Overlay) error {
 	if err := d.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	g, err := geom.NewGrid(&d.Floorplan)
+	*m = Model{
+		D: d, Grid: m.Grid, Array: m.Array, P: tech.Params{T: &d.Technology},
+		Segments: m.Segments[:0], names: m.names, slab: m.slab,
+		background: Background{Items: m.background.Items},
+	}
+	if err := m.Grid.Resolve(&d.Floorplan); err != nil {
+		return err
+	}
+	w, h, err := geom.ArrayBlockExtents(m.Grid)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	w, h, err := geom.ArrayBlockExtents(g)
-	if err != nil {
-		return nil, err
+	if err := m.Array.Resolve(&d.Floorplan, w, h); err != nil {
+		return err
 	}
-	a, err := geom.ResolveArray(&d.Floorplan, w, h)
-	if err != nil {
-		return nil, err
+	m.names = itemNames(m.names, d)
+	if err := m.resolveSegments(m.names[:len(d.Signals)]); err != nil {
+		return err
 	}
-	m := &Model{D: d, Grid: g, Array: a, P: tech.Params{T: &d.Technology}}
-	names := itemNames(d)
-	if err := m.resolveSegments(names[:len(d.Signals)]); err != nil {
-		return nil, err
-	}
-	m.buildLedger(names[len(d.Signals):])
+	m.buildLedger(m.names[len(d.Signals):])
 	m.derive()
-	if err := m.applyOverlay(ov); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return m.applyOverlay(ov)
 }
 
 // ledgerScratch is the number of charge items buildLedger gathers on the
@@ -139,9 +174,9 @@ const ledgerScratch = 128
 // this, Charges, OpEnergy, Background, EvaluatePattern and the trace
 // simulator read cached immutable state instead of re-deriving the
 // charge-event lists on every call. The six ops' items are gathered in a
-// stack array and copied once into one slice of their exact length; each
-// op's list is a capacity-capped window of it, so an append to one op's
-// items cannot reach the next op's.
+// stack array and copied once into the model's slab; each op's list is a
+// capacity-capped window of it, so an append to one op's items cannot
+// reach the next op's.
 func (m *Model) buildLedger(logicNames []string) {
 	var scratch [ledgerScratch]circuits.ChargeItem
 	items := scratch[:0]
@@ -150,16 +185,15 @@ func (m *Model) buildLedger(logicNames []string) {
 		items = m.appendCharges(items, op, logicNames)
 		end[op] = len(items)
 	}
-	slab := make([]circuits.ChargeItem, len(items))
-	copy(slab, items)
+	m.slab = append(m.slab[:0], items...)
 	start := 0
 	for _, op := range desc.AllOps {
 		oc := &m.ledger[op]
-		*oc = OpCharges{Op: op, Items: slab[start:end[op]:end[op]]}
+		*oc = OpCharges{Op: op, Items: m.slab[start:end[op]:end[op]]}
 		m.opEnergy[op] = oc.EnergyFromVdd(m.D.Electrical)
 		start = end[op]
 	}
-	m.background = m.computeBackground(logicNames)
+	m.background = m.computeBackground(m.background.Items[:0], logicNames)
 }
 
 // OpEnergy returns the resolved Vdd-referred energy one occurrence of op
@@ -193,7 +227,7 @@ const (
 func (m *Model) resolveSegments(wireNames []string) error {
 	d := m.D
 	serial := map[string]int{} // bus prefix -> accumulated widening
-	m.Segments = make([]ResolvedSegment, 0, len(d.Signals))
+	m.Segments = slices.Grow(m.Segments[:0], len(d.Signals))
 	for i := range d.Signals {
 		s := &d.Signals[i]
 		l, err := m.Grid.SegmentLength(s)
@@ -229,8 +263,9 @@ func (m *Model) resolveSegments(wireNames []string) error {
 
 // itemNames returns the charge and background item names of d's signal
 // segments ("wire <name>"), then of its logic blocks ("logic <name>"), in
-// description order. All of them are slices of one string.
-func itemNames(d *desc.Description) []string {
+// description order, all of them slices of one string. It returns names
+// itself when they are these names already.
+func itemNames(names []string, d *desc.Description) []string {
 	ns := len(d.Signals)
 	part := func(i int) (prefix, name string) {
 		if i < ns {
@@ -238,7 +273,16 @@ func itemNames(d *desc.Description) []string {
 		}
 		return logicPrefix, d.LogicBlocks[i-ns].Name
 	}
-	names := make([]string, ns+len(d.LogicBlocks))
+	same := len(names) == ns+len(d.LogicBlocks)
+	for i := 0; same && i < len(names); i++ {
+		prefix, name := part(i)
+		n := names[i]
+		same = len(n) == len(prefix)+len(name) && n[:len(prefix)] == prefix && n[len(prefix):] == name
+	}
+	if same {
+		return names
+	}
+	names = make([]string, ns+len(d.LogicBlocks))
 	size := 0
 	for i := range names {
 		prefix, name := part(i)
@@ -310,8 +354,8 @@ func (m *Model) BitsPerBurst() int {
 }
 
 // BurstSlots returns the number of control-clock slots one burst occupies
-// on the data bus (see timing.BurstSlots).
-func (m *Model) BurstSlots() int { return timing.BurstSlots(m.D.Spec) }
+// on the data bus (see desc.Specification.BurstSlots).
+func (m *Model) BurstSlots() int { return int(m.D.Spec.BurstSlots()) }
 
 // DieArea returns the die area of the floorplan.
 func (m *Model) DieArea() units.Area { return m.Grid.DieArea() }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"drampower/internal/desc"
+	"drampower/internal/units"
 )
 
 func build(t *testing.T) *Model {
@@ -62,6 +63,66 @@ func TestBankAddrBitsBound(t *testing.T) {
 		for _, want := range []string{fmt.Sprintf("%s=%d", tc.field, tc.bits), fmt.Sprintf("bound of %d", bound)} {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("%s=%d: error %q does not contain %q", tc.field, tc.bits, err, want)
+			}
+		}
+	}
+}
+
+// TestTimingSlotsBound: every duration the timing rules convert, and a
+// burst's data-bus slots, build up to their bound in control-clock slots
+// and are rejected by name and bound one slot beyond it, before they can
+// size the IDD loops. The last row is the sample with tRC = tRFC = 10 ms,
+// 8,000,000 slots, which built in 144 ms without the bound.
+func TestTimingSlotsBound(t *testing.T) {
+	field := func(s *desc.Specification, key string) *units.Duration {
+		return map[string]*units.Duration{
+			"tRC": &s.RowCycle, "tRCD": &s.RowToColumnDelay, "tRP": &s.PrechargeTime,
+			"tRRD": &s.RowToRowDelay, "tFAW": &s.FourBankWindow, "tRFC": &s.RefreshCycle,
+			"tREFI": &s.RefreshInterval,
+		}[key]
+	}
+	type row struct {
+		key   string
+		slots float64
+		bound float64
+	}
+	var rows []row
+	for _, key := range []string{"tRC", "tRCD", "tRP", "tRRD", "tFAW", "tRFC"} {
+		rows = append(rows, row{key, desc.MaxTimingSlots, desc.MaxTimingSlots},
+			row{key, desc.MaxTimingSlots + 1, desc.MaxTimingSlots})
+	}
+	rows = append(rows,
+		row{"tREFI", desc.MaxRefreshIntervalSlots, desc.MaxRefreshIntervalSlots},
+		row{"tREFI", desc.MaxRefreshIntervalSlots + 1, desc.MaxRefreshIntervalSlots},
+		row{"burst", desc.MaxTimingSlots, desc.MaxTimingSlots},
+		row{"burst", desc.MaxTimingSlots + 1, desc.MaxTimingSlots},
+		row{"tRC", 8e6, desc.MaxTimingSlots})
+	for _, tc := range rows {
+		d := desc.Sample1GbDDR3()
+		s := &d.Spec
+		if tc.key == "burst" {
+			// Two data bits per pin per control-clock slot.
+			s.BurstLength = int(2*tc.slots) - 1
+		} else {
+			*field(s, tc.key) = units.Duration(tc.slots / float64(s.ControlClock))
+		}
+		if tc.slots == 8e6 {
+			s.RefreshCycle = s.RowCycle
+		}
+		_, err := Build(d)
+		if tc.slots <= tc.bound {
+			if err != nil {
+				t.Errorf("%s at %.0f slots: %v", tc.key, tc.slots, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s at %.0f slots built, want a validation error", tc.key, tc.slots)
+			continue
+		}
+		for _, want := range []string{tc.key, fmt.Sprintf("bound of %.0f control-clock slots (%.0f slots)", tc.bound, tc.slots)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s at %.0f slots: error %q does not contain %q", tc.key, tc.slots, err, want)
 			}
 		}
 	}

@@ -73,8 +73,9 @@ func (m *Model) BackgroundPower() units.Power { return m.params.StandbyPower }
 // measurement-loop evaluations (the first pipeline stage). It runs once
 // per Build, after buildLedger; the IDD loop currents are the totals (the
 // Current EvaluatePattern reports) of the placed measurement loops under
-// the derived set, computed from their op counts and periods without
-// drawing the loops or building the breakdown nothing here reads.
+// the derived set, computed from their op counts and periods (see
+// Model.loops) without drawing the loops or building the breakdown
+// nothing here reads.
 func (m *Model) derive() {
 	m.params.OpEnergy = m.opEnergy
 	m.params.StandbyPower = m.background.Power
@@ -82,16 +83,12 @@ func (m *Model) derive() {
 	m.params.SelfRefreshPower = m.deriveSelfRefreshPower()
 	m.derived = m.params
 
-	// The five loops share one pooled placer: every return to the pool is
-	// a chance for the race detector to drop it (see TestBuildAllocs).
-	p := m.placer()
-	defer placers.Put(p)
-	var idd0, idd4r, idd4w, idd5, idd7 opCounts
-	m.params.IDD0 = m.totals(&idd0, p.idd0(idd0.put)).Current
-	m.params.IDD4R = m.totals(&idd4r, p.idd4(false, idd4r.put)).Current
-	m.params.IDD4W = m.totals(&idd4w, p.idd4(true, idd4w.put)).Current
-	m.params.IDD5 = m.totals(&idd5, p.idd5(idd5.put)).Current
-	m.params.IDD7 = m.totals(&idd7, p.idd7(0, idd7.put)).Current
+	l := m.loops()
+	m.params.IDD0 = m.totals(&l[loopIDD0]).Current
+	m.params.IDD4R = m.totals(&l[loopIDD4R]).Current
+	m.params.IDD4W = m.totals(&l[loopIDD4W]).Current
+	m.params.IDD5 = m.totals(&l[loopIDD5]).Current
+	m.params.IDD7 = m.totals(&l[loopIDD7]).Current
 	m.derived = m.params
 }
 

@@ -95,7 +95,7 @@ func (m *Model) computeCharges(op desc.Op) *OpCharges {
 
 // liveLogicNames returns the item names of the description's logic blocks
 // as they are now, for the recompute escape hatches.
-func (m *Model) liveLogicNames() []string { return itemNames(m.D)[len(m.D.Signals):] }
+func (m *Model) liveLogicNames() []string { return itemNames(nil, m.D)[len(m.D.Signals):] }
 
 // appendCharges appends the charge-event list of one occurrence of op to
 // dst (steps 2–3 of the Figure 4 program flow): the circuit items first,
@@ -237,12 +237,14 @@ func (m *Model) Background() Background { return m.background }
 
 // RecomputeBackground rebuilds the background ledger from the current
 // description state, bypassing the Build-time cache.
-func (m *Model) RecomputeBackground() Background { return m.computeBackground(m.liveLogicNames()) }
+func (m *Model) RecomputeBackground() Background {
+	return m.computeBackground(nil, m.liveLogicNames())
+}
 
 // computeBackground builds the background ledger, naming the logic items
 // from logicNames (see appendCharges). The items are gathered in a stack
-// array and copied once into a slice of their exact length.
-func (m *Model) computeBackground(logicNames []string) Background {
+// array and copied once into dst's storage.
+func (m *Model) computeBackground(dst []BackgroundItem, logicNames []string) Background {
 	var scratch [32]BackgroundItem
 	items := scratch[:0]
 	var total units.Power
@@ -290,8 +292,7 @@ func (m *Model) computeBackground(logicNames []string) Background {
 	}
 	bg := Background{Power: total}
 	if len(items) > 0 {
-		bg.Items = make([]BackgroundItem, len(items))
-		copy(bg.Items, items)
+		bg.Items = append(dst, items...)
 	}
 	return bg
 }
@@ -345,15 +346,14 @@ func (m *Model) EvaluatePattern(p desc.Pattern) *PatternResult {
 // PatternPower returns the average power of the pattern: the Power field
 // of EvaluatePattern, bit for bit, without building the breakdown.
 func (m *Model) PatternPower(p desc.Pattern) units.Power {
-	n := opCounts(p.Counts())
-	return m.totals(&n, int64(len(p.Loop))).Power
+	return m.totals(&loop{opCounts(p.Counts()), int64(len(p.Loop))}).Power
 }
 
-// totals evaluates the scalar results of a loop of period slots in which
-// each op occurs n[op] times, leaving Pattern and the breakdown maps nil.
-func (m *Model) totals(n *opCounts, period int64) PatternResult {
+// totals evaluates the scalar results of a loop, leaving Pattern and the
+// breakdown maps nil.
+func (m *Model) totals(l *loop) PatternResult {
 	var res PatternResult
-	m.patternTotals(&res, *n, int(period))
+	m.patternTotals(&res, l.n, int(l.period))
 	return res
 }
 

@@ -96,3 +96,41 @@ func TestCloneAllocs(t *testing.T) {
 		t.Errorf("Clone allocated %.0f times, want <= 15", allocs)
 	}
 }
+
+// TestCloneIntoReusesStorage copies descriptions of different shapes
+// into one value in turn: each copy must equal a fresh clone of its
+// source, leave its source intact when mutated, and keep nothing of the
+// description copied before it, no map entry included. A copy into a
+// value that already holds the same shape allocates nothing.
+func TestCloneIntoReusesStorage(t *testing.T) {
+	var ds []*Description
+	for _, name := range []string{"ddr5_16gb_x16_18nm", "sdr_128mb_x16_170nm", "ddr2_1gb_x16_75nm"} {
+		d, err := ParseFile("../../testdata/" + name + ".dram")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds = append(ds, d)
+	}
+	empty := Sample1GbDDR3()
+	empty.Signals, empty.LogicBlocks = nil, nil
+	ds = append(ds, Sample1GbDDR3(), empty, ds[0], Sample1GbDDR3())
+
+	var dst Description
+	for i, src := range ds {
+		text := Format(src)
+		src.CloneInto(&dst)
+		if !reflect.DeepEqual(&dst, src.Clone()) || !reflect.DeepEqual(&dst, src) {
+			t.Fatalf("copy %d (%s) differs from a fresh clone of its source", i, src.Name)
+		}
+		mutateAll(&dst)
+		if Format(src) != text {
+			t.Fatalf("copy %d (%s): mutating the copy changed its source", i, src.Name)
+		}
+	}
+
+	src := Sample1GbDDR3()
+	src.CloneInto(&dst)
+	if allocs := testing.AllocsPerRun(100, func() { src.CloneInto(&dst) }); allocs != 0 {
+		t.Errorf("CloneInto a warm copy allocated %.0f times, want 0", allocs)
+	}
+}

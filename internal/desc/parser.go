@@ -560,19 +560,22 @@ func (p *parser) technology(ln line) error {
 
 // timingParams lists the attributes of the Timing directive in canonical
 // order: the parser checks them in this order, so a line with several bad
-// values always reports the same one, and Format writes them in it.
+// values always reports the same one, Format writes them in it, and
+// Validate bounds each in control-clock slots by its maxSlots (0: no
+// bound, for CL, which no timing rule reads).
 var timingParams = []struct {
-	key   string
-	field func(*Specification) *units.Duration
+	key      string
+	field    func(*Specification) *units.Duration
+	maxSlots float64
 }{
-	{"tRC", func(s *Specification) *units.Duration { return &s.RowCycle }},
-	{"tRCD", func(s *Specification) *units.Duration { return &s.RowToColumnDelay }},
-	{"tRP", func(s *Specification) *units.Duration { return &s.PrechargeTime }},
-	{"CL", func(s *Specification) *units.Duration { return &s.CASLatency }},
-	{"tFAW", func(s *Specification) *units.Duration { return &s.FourBankWindow }},
-	{"tRRD", func(s *Specification) *units.Duration { return &s.RowToRowDelay }},
-	{"tREFI", func(s *Specification) *units.Duration { return &s.RefreshInterval }},
-	{"tRFC", func(s *Specification) *units.Duration { return &s.RefreshCycle }},
+	{"tRC", func(s *Specification) *units.Duration { return &s.RowCycle }, MaxTimingSlots},
+	{"tRCD", func(s *Specification) *units.Duration { return &s.RowToColumnDelay }, MaxTimingSlots},
+	{"tRP", func(s *Specification) *units.Duration { return &s.PrechargeTime }, MaxTimingSlots},
+	{"CL", func(s *Specification) *units.Duration { return &s.CASLatency }, 0},
+	{"tFAW", func(s *Specification) *units.Duration { return &s.FourBankWindow }, MaxTimingSlots},
+	{"tRRD", func(s *Specification) *units.Duration { return &s.RowToRowDelay }, MaxTimingSlots},
+	{"tREFI", func(s *Specification) *units.Duration { return &s.RefreshInterval }, MaxRefreshIntervalSlots},
+	{"tRFC", func(s *Specification) *units.Duration { return &s.RefreshCycle }, MaxTimingSlots},
 }
 
 func (p *parser) specification(ln line) error {

@@ -2,6 +2,8 @@ package desc
 
 import (
 	"fmt"
+
+	"drampower/internal/units"
 )
 
 // ValidationError collects every problem found in a description so a user
@@ -181,6 +183,19 @@ func (d *Description) Validate() error {
 	}
 	if s.BurstLength < 0 {
 		e.addf("specification: negative burst length %d", s.BurstLength)
+	}
+	// The timing rules work in control-clock slots, and the IDD loops
+	// are placed one bit per slot.
+	for _, tp := range timingParams {
+		v := *tp.field(s)
+		if n := s.Slots(v); tp.maxSlots > 0 && !(n <= tp.maxSlots) {
+			e.addf("specification: %s=%s exceeds the bound of %.0f control-clock slots (%.0f slots)",
+				tp.key, units.FormatSI(float64(v), "s"), tp.maxSlots, n)
+		}
+	}
+	if n := s.BurstSlots(); !(n <= MaxTimingSlots) {
+		e.addf("specification: a burst of length=%d at datarate=%s exceeds the bound of %d control-clock slots (%.0f slots)",
+			s.BurstLength, rateStr(s.DataRate), MaxTimingSlots, n)
 	}
 
 	el := &d.Electrical

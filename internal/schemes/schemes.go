@@ -4,6 +4,11 @@
 // bit in the interleaved (IDD7-style) pattern together with the die-area
 // impact — the two axes the paper insists must be judged together ("the
 // detailed description ... allows also quantifying the die size impact").
+//
+// Each scheme variant is built by core.Variant: in pooled scratch storage
+// that the next variant reuses, so a variant allocates nothing, and with
+// the IDD loops placed once for the device, since no scheme changes its
+// timing or bank count.
 package schemes
 
 import (
@@ -23,7 +28,7 @@ type Scheme struct {
 	Source string
 	// Notes summarizes the paper's feasibility judgement.
 	Notes string
-	// Apply transforms a clone of the baseline description.
+	// Apply transforms a copy of the baseline description.
 	Apply func(d *desc.Description)
 }
 
@@ -203,11 +208,10 @@ type Result struct {
 // EvaluateOpts runs the baseline and every scheme on the given
 // description and returns the results, baseline first. The baseline is
 // built first (its figures feed every delta); the schemes then evaluate
-// on the worker pool (Workers: 1 runs serially), each on its own deep
-// clone of the baseline description, so any worker count produces the
-// same results.
+// on the worker pool (Workers: 1 runs serially), each on its own copy of
+// the baseline description (see core.Variant), so any worker count
+// produces the same results.
 func EvaluateOpts(base *desc.Description, opts engine.Options) ([]Result, error) {
-	// Build never mutates its input; only the scheme variants need clones.
 	baseModel, err := core.Build(base)
 	if err != nil {
 		return nil, fmt.Errorf("schemes: baseline: %w", err)
@@ -217,25 +221,26 @@ func EvaluateOpts(base *desc.Description, opts engine.Options) ([]Result, error)
 	if baseE <= 0 || baseA <= 0 {
 		return nil, fmt.Errorf("schemes: degenerate baseline (E=%g, A=%g)", baseE, baseA)
 	}
-	variants, err := engine.Map(All(), func(_ int, s Scheme) (Result, error) {
-		d := base.Clone()
-		s.Apply(d)
-		m, err := core.Build(d)
+	variants, err := engine.Map(All(), func(_ int, s Scheme) (r Result, err error) {
+		err = core.Variant(base, nil, s.Apply, func(m *core.Model) error {
+			e := float64(m.EnergyPerBitIDD7())
+			a := float64(m.DieArea()) / 1e-6
+			r = Result{
+				Name:           s.Name,
+				Source:         s.Source,
+				Notes:          s.Notes,
+				EnergyPerBit:   units.Energy(e),
+				EnergyDeltaPct: 100 * (e - baseE) / baseE,
+				DieAreaMM2:     a,
+				AreaDeltaPct:   100 * (a - baseA) / baseA,
+				IDD7:           m.IDD().IDD7,
+			}
+			return nil
+		})
 		if err != nil {
 			return Result{}, fmt.Errorf("schemes: %s: %w", s.Name, err)
 		}
-		e := float64(m.EnergyPerBitIDD7())
-		a := float64(m.DieArea()) / 1e-6
-		return Result{
-			Name:           s.Name,
-			Source:         s.Source,
-			Notes:          s.Notes,
-			EnergyPerBit:   units.Energy(e),
-			EnergyDeltaPct: 100 * (e - baseE) / baseE,
-			DieAreaMM2:     a,
-			AreaDeltaPct:   100 * (a - baseA) / baseA,
-			IDD7:           m.IDD().IDD7,
-		}, nil
+		return r, nil
 	}, opts)
 	if err != nil {
 		return nil, err

@@ -180,3 +180,28 @@ func TestActivationFractionValidated(t *testing.T) {
 		t.Errorf("activation fraction 0.5 should validate: %v", err)
 	}
 }
+
+// raceEnabled is set in race builds (race_test.go).
+var raceEnabled bool
+
+// TestEvaluateAllocs pins the allocations of one serial comparison on the
+// sample: the baseline build, the scheme list and the results. The
+// scheme variants allocate nothing: each builds in pooled scratch
+// storage and takes its IDD loops from the pooled placer's memo. Under
+// the race detector, which drops pooled objects at random, the bound is
+// looser.
+func TestEvaluateAllocs(t *testing.T) {
+	bound := 25.0
+	if raceEnabled {
+		bound = 120
+	}
+	d := desc.Sample1GbDDR3()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := EvaluateOpts(d, engine.Options{Workers: 1}); err != nil {
+			panic(err)
+		}
+	})
+	if allocs > bound {
+		t.Errorf("EvaluateOpts allocated %.0f times, want <= %.0f", allocs, bound)
+	}
+}

@@ -4,6 +4,10 @@
 // recorded, ranking the parameters by their impact — "not only to learn
 // where power can be saved but also which parameters need to be
 // understood well to have an accurate model".
+//
+// Each variant is built by core.Variant: in pooled scratch storage that
+// the next variant reuses, so a variant allocates nothing, and with the
+// IDD loops placed once for the device, since no knob changes its timing.
 package sensitivity
 
 import (
@@ -18,7 +22,7 @@ import (
 )
 
 // Parameter is one knob of the sweep: a named, dimensionless scaling
-// applied to a clone of the description.
+// applied to a copy of the description.
 type Parameter struct {
 	// Name follows the paper's labels ("Internal voltage Vint",
 	// "Specific wire capacitance", "Number of logic gates", ...).
@@ -233,14 +237,13 @@ func ChartRows(all []Result) []Result {
 // and null its sensitivity, which is the physically honest reading of
 // "this value was measured". A nil or empty overlay sweeps the plain
 // description. Each parameter's up/down pair is one job: the jobs only
-// read the shared base description (every variant works on its own deep
-// clone), so any worker count produces the same results.
+// read the shared base description (each variant copies it into its own
+// scratch, see core.Variant), so any worker count produces the same
+// results.
 func SweepCalibratedOpts(d *desc.Description, ov *desc.Overlay, opts engine.Options) ([]Result, error) {
 	if sweepInline(opts) {
 		opts = engine.Options{Workers: 1}
 	}
-	// Build never mutates its input, so the base model reads d itself;
-	// only the variants, which Apply mutates, need a clone.
 	base, err := core.BuildCalibrated(d, ov)
 	if err != nil {
 		return nil, err
@@ -256,14 +259,15 @@ func SweepCalibratedOpts(d *desc.Description, ov *desc.Overlay, opts engine.Opti
 		return nil, fmt.Errorf("sensitivity: base power is %g", basePower)
 	}
 
-	eval := func(p Parameter, factor float64) (float64, error) {
-		c := d.Clone()
-		p.Apply(c, factor)
-		m, err := core.BuildCalibrated(c, ov)
+	eval := func(p Parameter, factor float64) (power float64, err error) {
+		err = core.Variant(d, ov, func(c *desc.Description) { p.Apply(c, factor) }, func(m *core.Model) error {
+			power = float64(m.PatternPower(pattern))
+			return nil
+		})
 		if err != nil {
 			return 0, fmt.Errorf("sensitivity: %s x%g: %w", p.Name, factor, err)
 		}
-		return float64(m.PatternPower(pattern)), nil
+		return power, nil
 	}
 
 	results, err := engine.Map(Registry(), func(_ int, p Parameter) (Result, error) {

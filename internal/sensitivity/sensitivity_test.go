@@ -242,18 +242,27 @@ func TestSweepDoesNotMutateInput(t *testing.T) {
 	}
 }
 
+// raceEnabled is set in race builds (race_test.go).
+var raceEnabled bool
+
 // TestSweepAllocs pins the allocations of one serial sweep of the sample:
-// the base build, then a description clone and a model build for each of
-// the two variants of every registry parameter.
+// the base build, its IDD7 pattern, the registry and the results. The
+// variants allocate nothing: each builds in pooled scratch storage and
+// takes its IDD loops from the pooled placer's memo. Under the race
+// detector, which drops pooled objects at random, the bound is looser.
 func TestSweepAllocs(t *testing.T) {
+	bound := 80.0
+	if raceEnabled {
+		bound = 600
+	}
 	d := desc.Sample1GbDDR3()
-	allocs := testing.AllocsPerRun(5, func() {
+	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := SweepOpts(d, engine.Options{Workers: 1}); err != nil {
 			panic(err)
 		}
 	})
-	if allocs > 2000 {
-		t.Errorf("SweepOpts allocated %.0f times, want <= 2000", allocs)
+	if allocs > bound {
+		t.Errorf("SweepOpts allocated %.0f times, want <= %.0f", allocs, bound)
 	}
 }
 

@@ -531,17 +531,32 @@ const TraceBinaryContentType = "application/x-dram-trace"
 const maxChannels = 1024
 
 // ParseChannels reads a channel count: a positive integer up to 1,024.
-// Its error is the message /v1/trace and /v1/schedule answer 400 with,
-// and the one dramtrace and dramctl print for their -channels flag.
+// Its error is the message /v1/trace and /v1/schedule answer 400 with.
 func ParseChannels(q string) (int, error) {
 	c, err := strconv.Atoi(q)
-	if err != nil || c < 1 {
-		return 0, fmt.Errorf("bad channels %q (want positive integer)", q)
+	if err != nil {
+		c = 0
 	}
-	if c > maxChannels {
-		return 0, fmt.Errorf("channels %d exceeds the limit of %d", c, maxChannels)
+	if err := checkChannels(c, q); err != nil {
+		return 0, err
 	}
 	return c, nil
+}
+
+// CheckChannels checks a parsed channel count as ParseChannels checks
+// the count's decimal form, with the same messages; dramtrace and dramctl
+// print them for their -channels flag.
+func CheckChannels(c int) error { return checkChannels(c, strconv.Itoa(c)) }
+
+// checkChannels checks channel count c, written text in the input.
+func checkChannels(c int, text string) error {
+	if c < 1 {
+		return fmt.Errorf("bad channels %q (want positive integer)", text)
+	}
+	if c > maxChannels {
+		return fmt.Errorf("channels %d exceeds the limit of %d", c, maxChannels)
+	}
+	return nil
 }
 
 // parseChannels reads the channels query parameter (default 1). The bool

@@ -7,9 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -146,7 +148,9 @@ func TestEvaluateRejectsTooManyBanks(t *testing.T) {
 
 // TestEvaluateRejectsWideAddresses: row or column address bits beyond
 // desc.MaxAddrBits are a 422 naming the field, not a model whose trace
-// generators would draw rows below a negative count.
+// generators would draw rows below a negative count. So is a row cycle
+// beyond desc.MaxTimingSlots, not a build that places loops of millions
+// of slots.
 func TestEvaluateRejectsWideAddresses(t *testing.T) {
 	_, hs := newTestServer(t, Options{})
 	for _, tc := range []struct {
@@ -155,6 +159,7 @@ func TestEvaluateRejectsWideAddresses(t *testing.T) {
 	}{
 		{"rowadd=63", func(s *desc.Specification) { s.RowAddrBits = 63 }},
 		{"coladd=63", func(s *desc.Specification) { s.ColAddrBits = 63 }},
+		{"tRC=10ms", func(s *desc.Specification) { s.RowCycle, s.RefreshCycle = 10e-3, 10e-3 }},
 	} {
 		d := desc.Sample1GbDDR3()
 		tc.set(&d.Spec)
@@ -312,6 +317,34 @@ func TestChannelsBound(t *testing.T) {
 		}
 		if tc.status == http.StatusBadRequest && !strings.Contains(string(body), "limit of 1024") {
 			t.Errorf("%s: error %s does not name the bound", tc.path, body)
+		}
+	}
+}
+
+// TestCheckChannelsMatchesParse: the integer check the CLIs call answers
+// every count exactly as ParseChannels answers its decimal form, and
+// ParseChannels keeps quoting the query text as written.
+func TestCheckChannelsMatchesParse(t *testing.T) {
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	for _, c := range []int{math.MinInt, -3, 0, 1, 8, 1024, 1025, math.MaxInt} {
+		_, perr := ParseChannels(strconv.Itoa(c))
+		if got, want := errText(CheckChannels(c)), errText(perr); got != want {
+			t.Errorf("CheckChannels(%d) = %q, ParseChannels = %q", c, got, want)
+		}
+	}
+	for q, want := range map[string]string{
+		"-03":                  `bad channels "-03" (want positive integer)`,
+		"x":                    `bad channels "x" (want positive integer)`,
+		"99999999999999999999": `bad channels "99999999999999999999" (want positive integer)`,
+		"01025":                `channels 1025 exceeds the limit of 1024`,
+	} {
+		if _, err := ParseChannels(q); errText(err) != want {
+			t.Errorf("ParseChannels(%q) = %v, want %q", q, err, want)
 		}
 	}
 }

@@ -9,8 +9,6 @@
 package timing
 
 import (
-	"math"
-
 	"drampower/internal/desc"
 	"drampower/internal/units"
 )
@@ -33,22 +31,18 @@ type Timing struct {
 	CKE, XP, XS int64
 }
 
-// For resolves a specification's timing constraints to slots. It is the
-// only duration-to-slot conversion: a duration takes the slots it needs,
-// rounded up.
+// For resolves a specification's timing constraints to slots with the
+// one duration-to-slot conversion, desc.Specification.Slots: a duration
+// takes the slots it needs, rounded up.
 func For(spec desc.Specification) Timing {
-	toSlots := func(d units.Duration) int64 {
-		// Guard against float noise pushing an exact multiple (7.5 ns at
-		// 800 MHz = 6.0 slots) over the next integer.
-		return int64(math.Ceil(float64(d)*float64(spec.ControlClock) - 1e-9))
-	}
+	toSlots := func(d units.Duration) int64 { return int64(spec.Slots(d)) }
 	t := Timing{
 		RC:    max(2, toSlots(spec.RowCycle)),
 		RCD:   max(1, toSlots(spec.RowToColumnDelay)),
 		RP:    max(1, toSlots(spec.PrechargeTime)),
 		RRD:   max(1, toSlots(spec.RowToRowDelay)),
 		FAW:   max(0, toSlots(spec.FourBankWindow)),
-		Burst: int64(BurstSlots(spec)),
+		Burst: int64(spec.BurstSlots()),
 		RFC:   max(1, toSlots(spec.RefreshCycle)),
 		REFI:  max(0, toSlots(spec.RefreshInterval)),
 	}
@@ -61,20 +55,4 @@ func For(spec desc.Specification) Timing {
 	t.XP = max(3, (t.RCD+1)/2)
 	t.XS = t.RFC + max(2, t.RP)
 	return t
-}
-
-// BurstSlots returns the number of control-clock slots one burst occupies
-// on the data bus: burst length / data bits per control cycle per pin.
-// For a DDR interface clocked at the control clock this is burstLength/2;
-// the result is at least 1.
-func BurstSlots(spec desc.Specification) int {
-	if spec.ControlClock <= 0 || spec.DataRate <= 0 {
-		return 1
-	}
-	bitsPerSlotPerPin := float64(spec.DataRate) / float64(spec.ControlClock)
-	bl := spec.BurstLength
-	if bl <= 0 {
-		bl = spec.Prefetch()
-	}
-	return max(1, int(math.Ceil(float64(bl)/bitsPerSlotPerPin)))
 }
