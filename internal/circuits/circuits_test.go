@@ -14,16 +14,16 @@ import (
 func setup(t *testing.T) (tech.Params, *desc.Description, *geom.ArrayLayout) {
 	t.Helper()
 	d := desc.Sample1GbDDR3()
-	g, err := geom.NewGrid(&d.Floorplan)
-	if err != nil {
+	g := new(geom.Grid)
+	if err := g.Resolve(&d.Floorplan); err != nil {
 		t.Fatal(err)
 	}
 	w, h, err := geom.ArrayBlockExtents(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := geom.ResolveArray(&d.Floorplan, w, h)
-	if err != nil {
+	a := new(geom.ArrayLayout)
+	if err := a.Resolve(&d.Floorplan, w, h); err != nil {
 		t.Fatal(err)
 	}
 	return tech.Params{T: &d.Technology}, d, a

@@ -12,8 +12,8 @@ import (
 func sampleGrid(t *testing.T) (*desc.Description, *Grid) {
 	t.Helper()
 	d := desc.Sample1GbDDR3()
-	g, err := NewGrid(&d.Floorplan)
-	if err != nil {
+	g := new(Grid)
+	if err := g.Resolve(&d.Floorplan); err != nil {
 		t.Fatal(err)
 	}
 	return d, g
@@ -40,12 +40,12 @@ func TestGridDimensions(t *testing.T) {
 func TestGridMissingSize(t *testing.T) {
 	d := desc.Sample1GbDDR3()
 	delete(d.Floorplan.BlockWidth, "R1")
-	if _, err := NewGrid(&d.Floorplan); err == nil {
+	if err := new(Grid).Resolve(&d.Floorplan); err == nil {
 		t.Error("expected error for missing block size")
 	}
 	d = desc.Sample1GbDDR3()
 	delete(d.Floorplan.BlockHeight, "P2")
-	if _, err := NewGrid(&d.Floorplan); err == nil {
+	if err := new(Grid).Resolve(&d.Floorplan); err == nil {
 		t.Error("expected error for missing block height")
 	}
 }
@@ -193,8 +193,8 @@ func TestResolveArraySample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := ResolveArray(&d.Floorplan, w, h)
-	if err != nil {
+	a := new(ArrayLayout)
+	if err := a.Resolve(&d.Floorplan, w, h); err != nil {
 		t.Fatal(err)
 	}
 	// Along bitlines (vertical, 1700um): sub-array = 512*165nm = 84.48um;
@@ -234,8 +234,8 @@ func TestResolveArraySample(t *testing.T) {
 func TestResolveArrayHorizontalBitlines(t *testing.T) {
 	d := desc.Sample1GbDDR3()
 	d.Floorplan.BitlineDir = desc.Horizontal
-	a, err := ResolveArray(&d.Floorplan, units.Micrometers(1900), units.Micrometers(1700))
-	if err != nil {
+	a := new(ArrayLayout)
+	if err := a.Resolve(&d.Floorplan, units.Micrometers(1900), units.Micrometers(1700)); err != nil {
 		t.Fatal(err)
 	}
 	// Axes swap: bitlines now run along the 1900um extent.
@@ -252,12 +252,12 @@ func TestResolveArrayHorizontalBitlines(t *testing.T) {
 func TestResolveArrayErrors(t *testing.T) {
 	d := desc.Sample1GbDDR3()
 	d.Floorplan.WordlinePitch = 0
-	if _, err := ResolveArray(&d.Floorplan, 1, 1); err == nil {
+	if err := new(ArrayLayout).Resolve(&d.Floorplan, 1, 1); err == nil {
 		t.Error("expected error for zero pitch")
 	}
 	d = desc.Sample1GbDDR3()
 	d.Floorplan.BitsPerBitline = 0
-	if _, err := ResolveArray(&d.Floorplan, 1, 1); err == nil {
+	if err := new(ArrayLayout).Resolve(&d.Floorplan, 1, 1); err == nil {
 		t.Error("expected error for zero bits per bitline")
 	}
 }
@@ -265,8 +265,8 @@ func TestResolveArrayErrors(t *testing.T) {
 func TestResolveArrayTinyBank(t *testing.T) {
 	// A bank smaller than one sub-array still resolves to one sub-array.
 	d := desc.Sample1GbDDR3()
-	a, err := ResolveArray(&d.Floorplan, units.Micrometers(10), units.Micrometers(10))
-	if err != nil {
+	a := new(ArrayLayout)
+	if err := a.Resolve(&d.Floorplan, units.Micrometers(10), units.Micrometers(10)); err != nil {
 		t.Fatal(err)
 	}
 	if a.SubarraysAlongBL != 1 || a.SubarraysAlongWL != 1 {
@@ -296,8 +296,8 @@ func TestPropGridSums(t *testing.T) {
 			fp.BlockHeight[n] = units.Length(h)
 			sumH += h
 		}
-		g, err := NewGrid(&fp)
-		if err != nil {
+		g := new(Grid)
+		if err := g.Resolve(&fp); err != nil {
 			return false
 		}
 		return math.Abs(float64(g.Width)-sumW) < 1e-12 &&

@@ -165,7 +165,7 @@ func (dv Device) Build() *desc.Description {
 
 	subsBL := (rowsPerBank + bitsPerBL - 1) / bitsPerBL
 	subsWL := (pageBits + bitsPerLWL - 1) / bitsPerLWL
-	// Exact fence-post extents plus a hair of slack so ResolveArray's
+	// Exact fence-post extents plus a hair of slack so ArrayLayout.Resolve's
 	// floor division recovers the same sub-array counts.
 	bankH := units.Length(float64(rowsPerBank)*float64(wlPitch) +
 		float64(subsBL+1)*float64(blsaStripe) + 1e-9)
