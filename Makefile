@@ -130,8 +130,10 @@ legality-race:
 	$(GO) test -race ./internal/sensitivity ./internal/schemes -count=1
 
 # The compiler must keep inlining the hot-path helpers into their
-# callers: dtb's fastVarint into ScanBatch, the codec lexer and integer
-# parsers into both text scanners, and the timing rulebook's queries
+# callers: codec's FastVarint into dtb's ScanBatch, the slab's Refill check,
+# FastVarint, the word load, WordVarint and Unzigzag into the .dab
+# scanner's Scan, the codec lexer and integer parsers into both text
+# scanners, and the timing rulebook's queries
 # (all but ActivateAt), commits and accessors into Simulator.Issue and
 # the controller. The table is in the script.
 inline-check:

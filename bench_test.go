@@ -769,6 +769,81 @@ func BenchmarkScheduleScanAccess(b *testing.B) {
 	b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "req/s")
 }
 
+// schedShapeRequests is an access stream of perfbench's schedule-replay
+// shape on the sample device: 320,000 requests at row-hit 0.7, read share
+// 0.7 and gap 4 over four channels, with the address mapper they were
+// generated for.
+func schedShapeRequests(b *testing.B) ([]ctl.Request, *ctl.Mapper) {
+	b.Helper()
+	m, err := Build(Sample1GbDDR3())
+	if err != nil {
+		b.Fatal(err)
+	}
+	const channels = 4
+	reqs, err := ctl.GenerateAccesses(m, ctl.GenOptions{
+		N: 320_000, RowHit: 0.7, ReadShare: 0.7, Gap: 4, Seed: 1, Channels: channels,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	mp, err := ctl.MapperFor(m, channels, ctl.DefaultMap)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return reqs, mp
+}
+
+// BenchmarkScheduleScanAccessBinary measures .dab ingestion alone at
+// schedule-replay's shape: BinaryScanner.Scan request by request, as the
+// scheduling pipeline's producer calls it. Slot deltas take one byte and
+// nearly every address delta four, so a record is ~6 bytes.
+func BenchmarkScheduleScanAccessBinary(b *testing.B) {
+	reqs, _ := schedShapeRequests(b)
+	var buf bytes.Buffer
+	if err := ctl.WriteBinaryAccessTrace(&buf, reqs); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc := ctl.NewBinaryScanner(bytes.NewReader(data))
+		n := 0
+		for sc.Scan() {
+			n++
+		}
+		if err := sc.Err(); err != nil || n != len(reqs) {
+			b.Fatalf("scanned %d/%d requests: %v", n, len(reqs), err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(reqs)), "ns/req")
+}
+
+// BenchmarkScheduleMap measures Mapper.Map alone over the same stream:
+// the range check and field extraction the scheduler runs per request.
+func BenchmarkScheduleMap(b *testing.B) {
+	reqs, mp := schedShapeRequests(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink ctl.Coord
+	for i := 0; i < b.N; i++ {
+		for _, q := range reqs {
+			co, err := mp.Map(q.Addr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sink.Row ^= co.Row
+			sink.Col ^= co.Col
+		}
+	}
+	mapSink = sink
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(reqs)), "ns/req")
+}
+
+// mapSink keeps BenchmarkScheduleMap's results live.
+var mapSink ctl.Coord
+
 func min(a, b int) int {
 	if a < b {
 		return a

@@ -33,6 +33,7 @@ func TestRun(t *testing.T) {
 		{"bad-desc", []string{"-f", "testdata/bad.dram"}, ""},
 		{"missing-desc", []string{"-f", "testdata/missing.dram"}, ""},
 		{"long-trc", []string{"-f", "testdata/trc10ms.dram"}, ""},
+		{"nan-toggle", []string{"-f", "testdata/nan-toggle.dram"}, ""},
 		{"help", []string{"-h"}, ""},
 		{"flag-error", []string{"-bogus"}, ""},
 	} {

@@ -413,7 +413,11 @@ type (
 	// AccessScanner streams the access-trace text format (<slot> <r|w>
 	// <addr>, '#' comments).
 	AccessScanner = ctl.Scanner
-	// BinaryAccessScanner streams the .dab binary access-trace encoding.
+	// BinaryAccessScanner streams the .dab binary access-trace encoding,
+	// decoding out of one fixed buffer (the slab dtb's scanner reads
+	// through too), so it allocates nothing after construction. A reader
+	// failure is reported after the complete requests buffered before it,
+	// at the ordinal of the first request it cut.
 	BinaryAccessScanner = ctl.BinaryScanner
 	// AccessSource is a request stream: the common interface of the two
 	// access scanners that the controller consumes.

@@ -125,6 +125,48 @@ func TestAppendVarint(t *testing.T) {
 	}
 }
 
+// TestVarintDecoders checks the three varint readers of the binary
+// decoders against encoding/binary on values of every bit length, each
+// followed by junk bytes: Uvarint decodes any encoding and reports one
+// cut short as size 0, FastVarint only those of one or two bytes and
+// WordVarint only those of at most eight, each returning size 0 for a
+// longer one. A tenth byte above 1 overflows 64 bits, continuation bit or
+// not.
+func TestVarintDecoders(t *testing.T) {
+	rng := uint64(1)
+	for bitLen := 0; bitLen <= 64; bitLen++ {
+		for k := 0; k < 16; k++ {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			var u uint64
+			if bitLen > 0 {
+				u = rng>>(64-bitLen) | 1<<(bitLen-1)
+			}
+			enc := binary.AppendUvarint(nil, u)
+			b := binary.LittleEndian.AppendUint64(append([]byte(nil), enc...), rng|0x8080808080808080)
+			n := len(enc)
+			if got, size := Uvarint(b); got != u || size != n {
+				t.Errorf("Uvarint(% x) = %d, %d; want %d, %d", enc, got, size, u, n)
+			}
+			if _, size := Uvarint(enc[:n-1]); size != 0 {
+				t.Errorf("Uvarint of % x cut to %d bytes: size %d, want 0", enc, n-1, size)
+			}
+			if got, size := FastVarint(b, 0); (n <= 2 && (got != u || size != n)) || (n > 2 && size != 0) {
+				t.Errorf("FastVarint(% x) = %d, %d", enc, got, size)
+			}
+			got, size := WordVarint(binary.LittleEndian.Uint64(b))
+			if (n <= 8 && (got != u || size != n)) || (n > 8 && size != 0) {
+				t.Errorf("WordVarint(% x) = %d, %d", enc, got, size)
+			}
+		}
+	}
+	for _, last := range []byte{0x02, 0x7F, 0x80, 0xFF} {
+		b := append(bytes.Repeat([]byte{0xFF}, 9), last, 0x00)
+		if _, size := Uvarint(b); size != -10 {
+			t.Errorf("Uvarint with tenth byte %#x: size %d, want -10", last, size)
+		}
+	}
+}
+
 // TestLineScanner pins the line loop: an unterminated last line is a
 // line at a clean end of input, but a line a reader failure cut is never
 // parsed, and the failure is reported at its number.

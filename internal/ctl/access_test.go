@@ -3,9 +3,11 @@ package ctl
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -223,6 +225,98 @@ func TestBinaryScannerErrors(t *testing.T) {
 	bw := NewBinaryWriter(io.Discard)
 	if err := bw.Write(Request{Slot: -1}); err == nil {
 		t.Fatal("negative slot encoded")
+	}
+}
+
+// A reader failure ends a .dab stream only after the complete requests
+// buffered before it: Scan, at either read granularity, decodes them all
+// and then reports the failure at the ordinal of the first request it
+// cut, whether it struck inside the header, between requests or inside
+// one, and before or after refills.
+func TestBinaryReaderFailure(t *testing.T) {
+	errBroke := errors.New("stream broke")
+	long, err := GenerateAccesses(model(t), GenOptions{N: 3000, RowHit: 0.7, ReadShare: 0.7, Gap: 4, Seed: 5, Channels: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every fifth request jumps to the far end of the slot and address
+	// ranges and the next one jumps back, so the stream also carries
+	// records of the longest encoding, 21 bytes, across refills.
+	for i := 0; i < len(long); i += 5 {
+		long[i].Slot, long[i].Addr = math.MaxInt64-long[i].Slot, math.MaxInt64-long[i].Addr
+	}
+	short := long[:2]
+	encode := func(reqs []Request) []byte {
+		var buf bytes.Buffer
+		if err := WriteBinaryAccessTrace(&buf, reqs); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	empty, shortBin, longBin := encode(nil), encode(short), encode(long)
+	if len(longBin) < 2*accessBufSize {
+		t.Fatalf("encoded trace is %d bytes; want > %d to cross refill boundaries", len(longBin), 2*accessBufSize)
+	}
+	cases := []struct {
+		name string
+		data []byte    // what the reader yields before it fails
+		want []Request // the complete requests in data
+	}{
+		{"inside the header", empty[:3], nil},
+		{"after the header", empty, nil},
+		{"between requests", shortBin, short},
+		{"inside a request", shortBin[:len(shortBin)-1], short[:1]},
+		{"after refills", longBin, long},
+		{"inside a request after refills", longBin[:len(longBin)-1], long[:len(long)-1]},
+	}
+	readers := map[string]func([]byte) io.Reader{
+		"whole": func(b []byte) io.Reader {
+			return io.MultiReader(bytes.NewReader(b), iotest.ErrReader(errBroke))
+		},
+		"one byte": func(b []byte) io.Reader {
+			return iotest.OneByteReader(io.MultiReader(bytes.NewReader(b), iotest.ErrReader(errBroke)))
+		},
+	}
+	for _, tc := range cases {
+		wantErr := fmt.Sprintf("access: line %d: stream broke", len(tc.want)+1)
+		for rname, reader := range readers {
+			sc := NewBinaryScanner(reader(tc.data))
+			var got []Request
+			for sc.Scan() {
+				got = append(got, sc.Request())
+			}
+			if err := sc.Err(); err == nil || err.Error() != wantErr || !errors.Is(err, errBroke) {
+				t.Errorf("%s, %s reads: error %v, want %s wrapping the reader's", tc.name, rname, err, wantErr)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("%s, %s reads: %d requests, want the %d complete ones", tc.name, rname, len(got), len(tc.want))
+			}
+		}
+	}
+}
+
+// TestBinaryScannerZeroAllocs pins the .dab accept path: after
+// construction, Scan decodes out of the scanner's one buffer and
+// allocates nothing, refills included.
+func TestBinaryScannerZeroAllocs(t *testing.T) {
+	reqs, err := GenerateAccesses(model(t), GenOptions{N: 2000, RowHit: 0.7, ReadShare: 0.7, Gap: 4, Seed: 1, Channels: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bin bytes.Buffer
+	if err := WriteBinaryAccessTrace(&bin, reqs); err != nil {
+		t.Fatal(err)
+	}
+	sc := NewBinaryScanner(bytes.NewReader(bin.Bytes()))
+	n := 0
+	avg := testing.AllocsPerRun(len(reqs)-1, func() {
+		if !sc.Scan() {
+			t.Fatalf("stream ended after %d requests: %v", n, sc.Err())
+		}
+		n++
+	})
+	if avg != 0 {
+		t.Fatalf(".dab scan path allocates %.3f allocs/op", avg)
 	}
 }
 

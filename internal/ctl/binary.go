@@ -17,7 +17,7 @@ package ctl
 
 import (
 	"bufio"
-	"errors"
+	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -38,28 +38,21 @@ const accessFlagWrite = 0x01
 const accessFlagReserved = ^byte(accessFlagWrite)
 
 // BinaryWriter encodes requests into the .dab format. The header is
-// written lazily on the first request (or by Flush for an empty trace).
+// written on creation, so flushing a fresh writer produces a valid empty
+// trace.
 type BinaryWriter struct {
 	w        *bufio.Writer
-	buf      []byte
+	buf      [maxAccessRecordBytes]byte
 	lastSlot int64
 	lastAddr int64
-	started  bool
 	err      error
 }
 
 // NewBinaryWriter returns a BinaryWriter emitting to w.
 func NewBinaryWriter(w io.Writer) *BinaryWriter {
-	return &BinaryWriter{w: bufio.NewWriter(w), buf: make([]byte, 0, 24)}
-}
-
-func (bw *BinaryWriter) start() error {
-	if bw.started {
-		return nil
-	}
-	bw.started = true
-	_, err := bw.w.Write(accessMagic[:])
-	return err
+	bw := &BinaryWriter{w: bufio.NewWriter(w)}
+	_, bw.err = bw.w.Write(accessMagic[:])
+	return bw
 }
 
 // Write encodes one request. Requests may arrive in any slot/address
@@ -68,10 +61,6 @@ func (bw *BinaryWriter) start() error {
 func (bw *BinaryWriter) Write(r Request) error {
 	if bw.err != nil {
 		return bw.err
-	}
-	if err := bw.start(); err != nil {
-		bw.err = err
-		return err
 	}
 	if r.Slot < 0 || r.Addr < 0 {
 		bw.err = fmt.Errorf("ctl: negative slot or address in request %v", r)
@@ -84,7 +73,6 @@ func (bw *BinaryWriter) Write(r Request) error {
 	b := append(bw.buf[:0], flags)
 	b = codec.AppendVarint(b, r.Slot-bw.lastSlot)
 	b = codec.AppendVarint(b, r.Addr-bw.lastAddr)
-	bw.buf = b
 	bw.lastSlot, bw.lastAddr = r.Slot, r.Addr
 	if _, err := bw.w.Write(b); err != nil {
 		bw.err = err
@@ -93,21 +81,12 @@ func (bw *BinaryWriter) Write(r Request) error {
 	return nil
 }
 
-// Flush writes any buffered output (and the header, if no request was
-// ever written) to the underlying writer.
+// Flush writes any buffered output to the underlying writer.
 func (bw *BinaryWriter) Flush() error {
-	if bw.err != nil {
-		return bw.err
+	if bw.err == nil {
+		bw.err = bw.w.Flush()
 	}
-	if err := bw.start(); err != nil {
-		bw.err = err
-		return err
-	}
-	if err := bw.w.Flush(); err != nil {
-		bw.err = err
-		return err
-	}
-	return nil
+	return bw.err
 }
 
 // WriteBinaryAccessTrace encodes requests as a complete .dab stream.
@@ -121,112 +100,122 @@ func WriteBinaryAccessTrace(w io.Writer, reqs []Request) error {
 	return bw.Flush()
 }
 
-// BinaryScanner decodes a .dab stream. Errors are positioned by request
-// ordinal (reported in ParseError.Line, Col zero), matching the text
-// scanner's contract closely enough that callers handle both uniformly.
+// maxAccessRecordBytes bounds one encoded request: the flags byte and
+// two 10-byte varints.
+const maxAccessRecordBytes = 1 + 2*10
+
+// accessBufSize is the BinaryScanner's read buffer. Requests average ~6
+// bytes, so one refill covers hundreds of requests.
+const accessBufSize = 4 << 10
+
+// dabFormat is .dab as the codec's slab reads it.
+var dabFormat = codec.Format{
+	Lang: "access", Magic: string(accessMagic[:4]), Version: accessMagic[4], MaxRecord: maxAccessRecordBytes,
+	Short:      func(int) (string, error) { return "truncated access-trace header", io.ErrUnexpectedEOF },
+	BadMagic:   func(magic []byte) string { return fmt.Sprintf("bad access-trace magic % x", magic) },
+	BadVersion: func(v byte) string { return fmt.Sprintf("unsupported access-trace version %d", v) },
+}
+
+// BinaryScanner decodes a .dab stream out of the fixed buffer of a
+// codec.Slab, allocating nothing after construction. Errors are
+// positioned by request ordinal (reported in ParseError.Line, Col zero),
+// matching the text scanner's contract closely enough that callers
+// handle both uniformly. A reader failure is reported after the complete
+// requests buffered before it, at the ordinal of the first request it
+// cut.
 type BinaryScanner struct {
-	r        *bufio.Reader
-	req      Request
-	lastSlot int64
-	lastAddr int64
-	n        int // requests decoded so far
-	started  bool
-	err      error
+	s       codec.Slab
+	req     Request // the last request, which the next one's deltas build on
+	n       int64   // requests decoded so far
+	started bool
+	err     error
 }
 
 // NewBinaryScanner returns a BinaryScanner reading a .dab stream from r.
 // The header is validated on the first Scan.
 func NewBinaryScanner(r io.Reader) *BinaryScanner {
-	return &BinaryScanner{r: bufio.NewReader(r)}
+	return &BinaryScanner{s: codec.NewSlab(r, accessBufSize, &dabFormat)}
 }
 
 func (bs *BinaryScanner) fail(msg string, err error) bool {
-	bs.err = parseErr(bs.n+1, 0, msg, err)
+	bs.err = bs.s.Error(bs.n, msg, err)
 	return false
 }
 
 // Scan advances to the next request; false at end of stream or error.
+// While a longest record is buffered, the slot delta is read with
+// codec.FastVarint and the address delta with codec.WordVarint, inlined
+// and without a bound check per byte; a longer delta, and any delta at
+// the buffer's end, is read with the checked codec.Uvarint.
 func (bs *BinaryScanner) Scan() bool {
 	if bs.err != nil {
 		return false
 	}
 	if !bs.started {
 		bs.started = true
-		var hdr [5]byte
-		if _, err := io.ReadFull(bs.r, hdr[:]); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return bs.fail("truncated access-trace header", io.ErrUnexpectedEOF)
-			}
-			return bs.fail(err.Error(), err)
-		}
-		if hdr != accessMagic {
-			if hdr[0] != AccessBinaryMagicByte || hdr[1] != 'D' || hdr[2] != 'A' || hdr[3] != 'B' {
-				return bs.fail(fmt.Sprintf("bad access-trace magic % x", hdr[:4]), nil)
-			}
-			return bs.fail(fmt.Sprintf("unsupported access-trace version %d", hdr[4]), nil)
+		if bs.err = bs.s.Header(); bs.err != nil {
+			return false
 		}
 	}
-	flags, err := bs.r.ReadByte()
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return false // clean end of stream
-		}
-		return bs.fail(err.Error(), err)
+	s := &bs.s
+	s.Refill()
+	b, i, end := s.Buf, s.Pos, s.End
+	if i == end {
+		bs.err = s.Failure(bs.n) // nil at a clean end of stream
+		return false
 	}
+	flags := b[i]
 	if flags&accessFlagReserved != 0 {
 		return bs.fail(fmt.Sprintf("reserved flag bits %#02x set", flags&accessFlagReserved), nil)
 	}
-	dSlot, ok := bs.varint()
-	if !ok {
-		return false
+	fast := end-i >= maxAccessRecordBytes
+	i++
+	var ds, da uint64
+	var n1, n2 int
+	if fast {
+		ds, n1 = codec.FastVarint(b, i)
 	}
-	dAddr, ok := bs.varint()
-	if !ok {
-		return false
+	if n1 == 0 {
+		if ds, n1 = codec.Uvarint(b[i:end]); n1 <= 0 {
+			return bs.failVarint(n1)
+		}
 	}
-	slot := bs.lastSlot + dSlot
-	addr := bs.lastAddr + dAddr
+	i += n1
+	if fast {
+		da, n2 = codec.WordVarint(binary.LittleEndian.Uint64(b[i:]))
+	}
+	if n2 == 0 {
+		if da, n2 = codec.Uvarint(b[i:end]); n2 <= 0 {
+			return bs.failVarint(n2)
+		}
+	}
+	i += n2
+	slot := bs.req.Slot + codec.Unzigzag(ds)
+	addr := bs.req.Addr + codec.Unzigzag(da)
 	if slot < 0 {
 		return bs.fail(fmt.Sprintf("negative slot %d", slot), nil)
 	}
 	if addr < 0 {
 		return bs.fail(fmt.Sprintf("negative address %d", addr), nil)
 	}
-	bs.lastSlot, bs.lastAddr = slot, addr
+	s.Pos = i
 	bs.req = Request{Slot: slot, Write: flags&accessFlagWrite != 0, Addr: addr}
 	bs.n++
 	return true
 }
 
-// varint decodes one zigzag varint, recording a positioned error on
-// truncation or overlong encodings.
-func (bs *BinaryScanner) varint() (int64, bool) {
-	var u uint64
-	var shift uint
-	for {
-		c, err := bs.r.ReadByte()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				bs.fail("truncated request record", io.ErrUnexpectedEOF)
-				return 0, false
-			}
-			bs.fail(err.Error(), err)
-			return 0, false
-		}
-		if shift == 63 && c > 1 {
-			bs.fail("varint overflows 64 bits", nil)
-			return 0, false
-		}
-		u |= uint64(c&0x7f) << shift
-		if c&0x80 == 0 {
-			return codec.Unzigzag(u), true
-		}
-		shift += 7
-		if shift > 63 {
-			bs.fail("varint longer than 10 bytes", nil)
-			return 0, false
-		}
+// failVarint reports a varint that codec.Uvarint could not decode (size
+// 0: it ran into the end of the buffered bytes; negative: it overflows).
+// One cut short after a reader failure was cut by it, and the failure is
+// the error.
+func (bs *BinaryScanner) failVarint(size int) bool {
+	if size < 0 {
+		return bs.fail("varint overflows 64 bits", nil)
 	}
+	if bs.err = bs.s.Failure(bs.n); bs.err == nil {
+		return bs.fail("truncated request record", io.ErrUnexpectedEOF)
+	}
+	return false
 }
 
 // Request returns the request of the last successful Scan.

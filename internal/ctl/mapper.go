@@ -12,6 +12,7 @@ package ctl
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"drampower/internal/core"
@@ -31,19 +32,15 @@ const (
 	numFields
 )
 
+// fieldNames are the spec mnemonics, indexed by Field.
+var fieldNames = [numFields]string{"ch", "ba", "ro", "co"}
+
 // String returns the spec mnemonic of the field.
 func (f Field) String() string {
-	switch f {
-	case FieldChannel:
-		return "ch"
-	case FieldBank:
-		return "ba"
-	case FieldRow:
-		return "ro"
-	case FieldColumn:
-		return "co"
+	if f < 0 || f >= numFields {
+		return "??"
 	}
-	return "??"
+	return fieldNames[f]
 }
 
 // DefaultMap is the default interleave spec: row above bank above channel
@@ -72,6 +69,15 @@ type Mapper struct {
 	order [numFields]Field
 	bits  [numFields]int // width per field, indexed by Field
 	spec  string
+	// Map's precomputed extraction, indexed by Field: a field is
+	// addr>>shift&mask. The widths may sum past 63 bits (4 fields of
+	// desc.MaxAddrBits), so a shift is capped at 63, where a non-negative
+	// address has no bits left, as the field consumed after them all
+	// would find.
+	shift [numFields]uint8
+	mask  [numFields]uint64
+	max   uint64 // the largest address: 2^width-1, or MaxInt64 past 63 bits
+	width int    // the sum of the field widths
 }
 
 // ParseMap builds a mapper from an interleave spec string: the four field
@@ -93,17 +99,8 @@ func ParseMap(spec string, chBits, baBits, roBits, coBits int) (*Mapper, error) 
 	m := &Mapper{bits: widths, spec: spec}
 	var seen [numFields]bool
 	for i, p := range parts {
-		var f Field
-		switch p {
-		case "ch":
-			f = FieldChannel
-		case "ba":
-			f = FieldBank
-		case "ro":
-			f = FieldRow
-		case "co":
-			f = FieldColumn
-		default:
+		f := Field(slices.Index(fieldNames[:], p))
+		if f < 0 {
 			return nil, fmt.Errorf("ctl: bad address map field %q (want ch, ba, ro or co)", p)
 		}
 		if seen[f] {
@@ -112,6 +109,13 @@ func ParseMap(spec string, chBits, baBits, roBits, coBits int) (*Mapper, error) 
 		seen[f] = true
 		m.order[i] = f
 	}
+	shift := 0
+	for i := numFields - 1; i >= 0; i-- {
+		f := m.order[i]
+		m.shift[f], m.mask[f] = uint8(min(shift, 63)), 1<<m.bits[f]-1
+		shift += m.bits[f]
+	}
+	m.width, m.max = shift, 1<<min(shift, 63)-1
 	return m, nil
 }
 
@@ -150,13 +154,7 @@ func MapperFor(m *core.Model, channels int, spec string) (*Mapper, error) {
 }
 
 // AddressBits is the total width of the flat address space.
-func (m *Mapper) AddressBits() int {
-	t := 0
-	for _, w := range m.bits {
-		t += w
-	}
-	return t
-}
+func (m *Mapper) AddressBits() int { return m.width }
 
 // Spec returns the interleave spec the mapper was built from.
 func (m *Mapper) Spec() string { return m.spec }
@@ -165,27 +163,19 @@ func (m *Mapper) Spec() string { return m.spec }
 // are rejected, so a trace that overruns the device is a scheduling
 // error rather than a silent wrap.
 func (m *Mapper) Map(addr int64) (Coord, error) {
-	if addr < 0 {
-		return Coord{}, fmt.Errorf("ctl: negative address %d", addr)
-	}
-	rest := addr
-	var vals [numFields]int
-	// Fields are consumed least significant first: the spec lists them
-	// MSB -> LSB, so walk the order backwards.
-	for i := int(numFields) - 1; i >= 0; i-- {
-		f := m.order[i]
-		w := uint(m.bits[f])
-		vals[f] = int(rest & (1<<w - 1))
-		rest >>= w
-	}
-	if rest != 0 {
+	if uint64(addr) > m.max { // a negative address wraps above MaxInt64
+		if addr < 0 {
+			return Coord{}, fmt.Errorf("ctl: negative address %d", addr)
+		}
 		return Coord{}, fmt.Errorf("ctl: address %#x outside the %d-bit space", addr, m.AddressBits())
 	}
+	a := uint64(addr)
+	// Each shift is at most 63 already; the & 63 tells the compiler so.
 	return Coord{
-		Channel: vals[FieldChannel],
-		Bank:    vals[FieldBank],
-		Row:     vals[FieldRow],
-		Col:     vals[FieldColumn],
+		Channel: int(a >> (m.shift[FieldChannel] & 63) & m.mask[FieldChannel]),
+		Bank:    int(a >> (m.shift[FieldBank] & 63) & m.mask[FieldBank]),
+		Row:     int(a >> (m.shift[FieldRow] & 63) & m.mask[FieldRow]),
+		Col:     int(a >> (m.shift[FieldColumn] & 63) & m.mask[FieldColumn]),
 	}, nil
 }
 

@@ -1,6 +1,8 @@
 package ctl
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -130,6 +132,70 @@ func TestMapperErrors(t *testing.T) {
 	}
 	if _, err := ParseMap(DefaultMap, 31, 3, 13, 7); err == nil {
 		t.Error("31-bit width accepted")
+	}
+}
+
+// refMap is the field-by-field loop Map ran before its shifts and masks
+// were precomputed, kept as the reference: fields are consumed least
+// significant first, each taking its width off the rest.
+func refMap(order [numFields]Field, bits [numFields]int, addr int64) (Coord, error) {
+	if addr < 0 {
+		return Coord{}, fmt.Errorf("ctl: negative address %d", addr)
+	}
+	rest := addr
+	var vals [numFields]int
+	total := 0
+	for i := int(numFields) - 1; i >= 0; i-- {
+		f := order[i]
+		w := uint(bits[f])
+		vals[f] = int(rest & (1<<w - 1))
+		rest >>= w
+		total += bits[f]
+	}
+	if rest != 0 {
+		return Coord{}, fmt.Errorf("ctl: address %#x outside the %d-bit space", addr, total)
+	}
+	return Coord{Channel: vals[FieldChannel], Bank: vals[FieldBank], Row: vals[FieldRow], Col: vals[FieldColumn]}, nil
+}
+
+// TestMapMatchesReference checks Map against refMap over every field order
+// and every assignment of the widths {0, 1, 13, 30} to the four fields,
+// whose sums run from 0 to 120 bits, past the 63 an address holds: the
+// coordinates and the error texts must be the reference's, at the edges
+// of the space, just past them, at the int64 extremes and at random
+// addresses.
+func TestMapMatchesReference(t *testing.T) {
+	widths := []int{0, 1, 13, 30}
+	rng := uint64(0x5eed)
+	for _, spec := range specs() {
+		var order [numFields]Field
+		for i, p := range strings.Split(spec, ":") {
+			order[i] = map[string]Field{"ch": FieldChannel, "ba": FieldBank, "ro": FieldRow, "co": FieldColumn}[p]
+		}
+		for k := 0; k < 256; k++ {
+			bits := [numFields]int{widths[k&3], widths[k>>2&3], widths[k>>4&3], widths[k>>6&3]}
+			mp, err := ParseMap(spec, bits[FieldChannel], bits[FieldBank], bits[FieldRow], bits[FieldColumn])
+			if err != nil {
+				t.Fatalf("%s %v: %v", spec, bits, err)
+			}
+			total := mp.AddressBits()
+			addrs := []int64{0, 1, -1, math.MinInt64, math.MaxInt64, math.MaxInt64 - 1}
+			if total < 63 {
+				top := int64(1) << total
+				addrs = append(addrs, top-1, top, top+1, top<<1-1)
+			}
+			for j := 0; j < 8; j++ {
+				r := int64(splitmix64(&rng) >> 1)
+				addrs = append(addrs, r, r>>(r&63), -r)
+			}
+			for _, addr := range addrs {
+				got, gotErr := mp.Map(addr)
+				want, wantErr := refMap(order, bits, addr)
+				if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+					t.Fatalf("%s %v: Map(%#x) = %+v, %v; the reference gives %+v, %v", spec, bits, addr, got, gotErr, want, wantErr)
+				}
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package desc
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"reflect"
@@ -482,6 +483,36 @@ func TestValidateCatchesProblems(t *testing.T) {
 	for _, want := range []string{"BitsPerBL", "Vpp", "pattern", "fraction"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("problems missing %q:\n%s", want, joined)
+		}
+	}
+}
+
+// TestRejectsNonFiniteToggle: a toggle rate that is not a finite number
+// fails to parse at its attribute, and Validate, which a description
+// built in Go reaches without the parser, names the segment or logic
+// block that carries it.
+func TestRejectsNonFiniteToggle(t *testing.T) {
+	for _, v := range []string{"NaN", "Inf", "-Inf", "1e308:1e-308"} {
+		src := "LogicBlock name=ctrl gates=15000 nmos=0.5um pmos=1.0um pergate=4 density=25% wiring=40% toggle=" + v + "\n"
+		var pe *ParseError
+		if _, err := ParseString(src); !errors.As(err, &pe) || pe.Line != 1 || pe.Col == 0 || !strings.Contains(pe.Msg, "toggle") {
+			t.Errorf("toggle=%s: parse error %v, want one positioned at the toggle attribute", v, err)
+		}
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, tc := range []struct {
+			set  func(d *Description)
+			want string
+		}{
+			{func(d *Description) { d.Signals[0].Toggle = v }, "signal " + Sample1GbDDR3().Signals[0].Name + ": toggle rate"},
+			{func(d *Description) { d.LogicBlocks[0].Toggle = v }, "logic block clocktree: toggle rate"},
+		} {
+			d := Sample1GbDDR3()
+			tc.set(d)
+			err := d.Validate()
+			if err == nil || !strings.Contains(err.Error(), tc.want+" "+fmt.Sprint(v)+" is not finite") {
+				t.Errorf("toggle %g: Validate = %v, want a problem %q", v, err, tc.want)
+			}
 		}
 	}
 }

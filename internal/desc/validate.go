@@ -2,6 +2,7 @@ package desc
 
 import (
 	"fmt"
+	"math"
 
 	"drampower/internal/units"
 )
@@ -121,6 +122,9 @@ func (d *Description) Validate() error {
 		if s.ActiveFrac < 0 || s.ActiveFrac > 1 {
 			e.addf("signal %s: active fraction %g outside [0,1]", s.Name, s.ActiveFrac)
 		}
+		if math.IsNaN(s.Toggle) || math.IsInf(s.Toggle, 0) {
+			e.addf("signal %s: toggle rate %g is not finite", s.Name, s.Toggle)
+		}
 		_ = i
 	}
 
@@ -237,7 +241,10 @@ func (d *Description) Validate() error {
 		if b.WiringDensity < 0 || b.WiringDensity > 1 {
 			e.addf("logic block %s: wiring density %g outside [0,1]", b.Name, b.WiringDensity)
 		}
-		if b.Toggle < 0 {
+		switch {
+		case math.IsNaN(b.Toggle) || math.IsInf(b.Toggle, 0):
+			e.addf("logic block %s: toggle rate %g is not finite", b.Name, b.Toggle)
+		case b.Toggle < 0:
 			e.addf("logic block %s: negative toggle rate %g", b.Name, b.Toggle)
 		}
 	}

@@ -173,6 +173,35 @@ func TestEvaluateRejectsWideAddresses(t *testing.T) {
 	}
 }
 
+// TestEvaluateRejectsNonFiniteToggle: a segment toggle rate that is not a
+// finite number, written out or a ratio whose quotient overflows, is a
+// positioned 400 naming the attribute, not a model whose energies are
+// NaN and fail to encode as a 500.
+func TestEvaluateRejectsNonFiniteToggle(t *testing.T) {
+	_, hs := newTestServer(t, Options{})
+	sample := desc.Format(desc.Sample1GbDDR3())
+	for _, v := range []string{"NaN", "Inf", "-Inf", "1e308:1e-308"} {
+		var text strings.Builder
+		for _, line := range strings.SplitAfter(sample, "\n") {
+			if strings.HasPrefix(line, "Clk0 ") {
+				line = strings.TrimSuffix(line, "\n") + " toggle=" + v + "\n"
+			}
+			text.WriteString(line)
+		}
+		resp, body := post(t, hs.URL+"/v1/evaluate", text.String())
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("toggle=%s: status %d, want 400: %s", v, resp.StatusCode, body)
+		}
+		var e errorResponse
+		if err := json.Unmarshal(body, &e); err != nil {
+			t.Fatal(err)
+		}
+		if e.Line == 0 || !strings.Contains(e.Error, "toggle") {
+			t.Errorf("toggle=%s: error not positioned at the attribute: %+v", v, e)
+		}
+	}
+}
+
 func TestEvaluatePatternOverride(t *testing.T) {
 	_, hs := newTestServer(t, Options{})
 	resp, body := post(t, hs.URL+"/v1/evaluate?pattern=act+nop+rd+nop+pre+nop", "")

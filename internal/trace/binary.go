@@ -64,111 +64,52 @@ const (
 	opMask       = 0x0F
 )
 
+// dtbFormat is dtb as the codec's slab reads it.
+var dtbFormat = codec.Format{
+	Lang: "trace", Magic: string(dtbMagic[:]), Version: dtbVersion, MaxRecord: maxBinCmdBytes,
+	Short: func(have int) (string, error) {
+		return fmt.Sprintf("truncated dtb header (%d bytes, want %d: not a binary trace?)", have, binHeaderLen), nil
+	},
+	BadMagic: func(magic []byte) string { return fmt.Sprintf("bad magic %q (not a dtb binary trace)", magic) },
+	BadVersion: func(v byte) string {
+		return fmt.Sprintf("unsupported dtb version %d (this reader speaks %d)", v, dtbVersion)
+	},
+}
+
 // BinaryScanner streams commands from a dtb-encoded trace. It mirrors the
 // text Scanner's interface (Scan/Command/Err) and allocation discipline:
 // after construction the accept path performs no heap allocations —
-// commands decode straight out of a fixed refill buffer. Errors are
-// *ParseError like the text scanner's; for binary input Line carries the
-// 1-based ordinal of the offending command and Col is zero. A reader
-// failure is reported after the complete commands buffered before it, at
-// the ordinal of the first command it cut.
+// commands decode straight out of the fixed buffer of a codec.Slab.
+// Errors are *ParseError like the text scanner's; for binary input Line
+// carries the 1-based ordinal of the offending command and Col is zero. A
+// reader failure is reported after the complete commands buffered before
+// it, at the ordinal of the first command it cut.
 type BinaryScanner struct {
-	r        io.Reader
-	buf      []byte
-	pos, end int
-	eof      bool  // the reader ended or failed: no more reads
-	readErr  error // the reader's failure, pending until the buffer drains
-	started  bool  // header consumed
-	prev     int64
-	n        int64 // commands decoded so far
-	cmd      Command
-	err      error
+	s       codec.Slab
+	started bool // header consumed
+	prev    int64
+	n       int64 // commands decoded so far
+	cmd     Command
+	err     error
 }
 
 // NewBinaryScanner returns a BinaryScanner reading a dtb trace from r.
 // The header is validated on the first Scan.
 func NewBinaryScanner(r io.Reader) *BinaryScanner {
-	return &BinaryScanner{r: r, buf: make([]byte, binBufSize)}
+	return &BinaryScanner{s: codec.NewSlab(r, binBufSize, &dtbFormat)}
 }
 
 // fail records a positioned decode error at the current command ordinal.
 func (sc *BinaryScanner) fail(format string, args ...any) bool {
-	sc.err = parseErr(int(sc.n+1), 0, fmt.Sprintf(format, args...), nil)
+	sc.err = sc.s.Error(sc.n, fmt.Sprintf(format, args...), nil)
 	return false
-}
-
-// failRead reports the pending reader failure at the ordinal of the
-// first command it cut, the one after the last decoded.
-func (sc *BinaryScanner) failRead() bool {
-	sc.err = parseErr(int(sc.n+1), 0, sc.readErr.Error(), sc.readErr)
-	return false
-}
-
-// fill slides the unread bytes to the front of the buffer and reads until
-// it holds at least maxBinCmdBytes or the input ends or fails. A failure
-// is kept pending in readErr: the commands already buffered still decode.
-func (sc *BinaryScanner) fill() {
-	if sc.pos > 0 {
-		copy(sc.buf, sc.buf[sc.pos:sc.end])
-		sc.end -= sc.pos
-		sc.pos = 0
-	}
-	for sc.end-sc.pos < maxBinCmdBytes && !sc.eof {
-		n, err := sc.r.Read(sc.buf[sc.end:])
-		sc.end += n
-		if err != nil {
-			sc.eof = true
-			if err != io.EOF {
-				sc.readErr = err
-			}
-			return
-		}
-	}
 }
 
 // readHeader consumes and validates the magic + version header.
 func (sc *BinaryScanner) readHeader() bool {
-	sc.fill()
-	if sc.end-sc.pos < binHeaderLen {
-		if sc.readErr != nil {
-			return sc.failRead()
-		}
-		return sc.fail("truncated dtb header (%d bytes, want %d: not a binary trace?)", sc.end-sc.pos, binHeaderLen)
-	}
-	h := sc.buf[sc.pos : sc.pos+binHeaderLen]
-	if h[0] != dtbMagic[0] || h[1] != dtbMagic[1] || h[2] != dtbMagic[2] || h[3] != dtbMagic[3] {
-		return sc.fail("bad magic %q (not a dtb binary trace)", string(h[:len(dtbMagic)]))
-	}
-	if h[4] != dtbVersion {
-		return sc.fail("unsupported dtb version %d (this reader speaks %d)", h[4], dtbVersion)
-	}
-	sc.pos += binHeaderLen
-	sc.started = true
-	return true
-}
-
-// binVarint decodes one zigzag varint from b starting at i, never reading
-// at or past end. ok is false on truncation or a >10-byte (overflowing)
-// encoding.
-func binVarint(b []byte, i, end int) (v int64, next int, ok bool) {
-	var u uint64
-	var shift uint
-	for i < end {
-		c := b[i]
-		i++
-		if shift == 63 && c > 1 {
-			return 0, i, false // would overflow uint64
-		}
-		u |= uint64(c&0x7F) << shift
-		if c < 0x80 {
-			return codec.Unzigzag(u), i, true
-		}
-		shift += 7
-		if shift > 63 {
-			return 0, i, false
-		}
-	}
-	return 0, i, false
+	sc.err = sc.s.Header()
+	sc.started = sc.err == nil
+	return sc.started
 }
 
 // Scan advances to the next command. It returns false at end of input or
@@ -180,9 +121,7 @@ func (sc *BinaryScanner) Scan() bool {
 	if !sc.started && !sc.readHeader() {
 		return false
 	}
-	if sc.end-sc.pos < maxBinCmdBytes && !sc.eof {
-		sc.fill()
-	}
+	sc.s.Refill()
 	return sc.decode()
 }
 
@@ -191,14 +130,11 @@ func (sc *BinaryScanner) Scan() bool {
 // Once the buffered commands are decoded, a pending reader failure is
 // the error.
 func (sc *BinaryScanner) decode() bool {
-	i, end := sc.pos, sc.end
+	b, i, end := sc.s.Buf, sc.s.Pos, sc.s.End
 	if i == end {
-		if sc.readErr != nil {
-			return sc.failRead()
-		}
-		return false // clean end of input
+		sc.err = sc.s.Failure(sc.n) // nil at a clean end of input
+		return false
 	}
-	b := sc.buf
 	h := b[i]
 	i++
 	if h&flagReserved != 0 {
@@ -208,10 +144,12 @@ func (sc *BinaryScanner) decode() bool {
 	if int(op) >= numTraceOps {
 		return sc.fail("op %d out of range (want 0..%d)", op, numTraceOps-1)
 	}
-	delta, i, ok := binVarint(b, i, end)
-	if !ok {
-		return sc.failVarint(i, "slot delta")
+	u, sz := codec.Uvarint(b[i:end])
+	if sz <= 0 {
+		return sc.failVarint(sz, "slot delta")
 	}
+	i += sz
+	delta := codec.Unzigzag(u)
 	slot := sc.prev + delta
 	if (delta > 0 && slot < sc.prev) || (delta < 0 && slot > sc.prev) {
 		return sc.fail("slot overflow (delta %d from slot %d)", delta, sc.prev)
@@ -221,87 +159,55 @@ func (sc *BinaryScanner) decode() bool {
 	}
 	var bank, row int64
 	if h&flagBank != 0 {
-		if bank, i, ok = binVarint(b, i, end); !ok {
-			return sc.failVarint(i, "bank")
+		if u, sz = codec.Uvarint(b[i:end]); sz <= 0 {
+			return sc.failVarint(sz, "bank")
 		}
+		i += sz
+		bank = codec.Unzigzag(u)
 	}
 	if h&flagRow != 0 {
-		if row, i, ok = binVarint(b, i, end); !ok {
-			return sc.failVarint(i, "row")
+		if u, sz = codec.Uvarint(b[i:end]); sz <= 0 {
+			return sc.failVarint(sz, "row")
 		}
+		i += sz
+		row = codec.Unzigzag(u)
 	}
-	sc.pos = i
+	sc.s.Pos = i
 	sc.prev = slot
 	sc.n++
 	sc.cmd = Command{Slot: slot, Op: op, Bank: int(bank), Row: int(row)}
 	return true
 }
 
-// failVarint reports the named field's varint that binVarint could not
-// decode, stopping before next. One that ran into the end of the buffered
-// bytes after a reader failure was cut by it, and the failure is the
-// error.
-func (sc *BinaryScanner) failVarint(next int, field string) bool {
-	if next == sc.end && sc.readErr != nil {
-		return sc.failRead()
+// failVarint reports the named field's varint that codec.Uvarint could not
+// decode (size 0: it ran into the end of the buffered bytes; negative: it
+// overflows). One cut short after a reader failure was cut by it, and the
+// failure is the error.
+func (sc *BinaryScanner) failVarint(size int, field string) bool {
+	if size == 0 {
+		if sc.err = sc.s.Failure(sc.n); sc.err != nil {
+			return false
+		}
 	}
 	return sc.fail("truncated or overlong %s", field)
-}
-
-// fastVarint decodes a one- or two-byte varint from b at i (the caller
-// guarantees at least 10 readable bytes from i); size is 0 for a longer
-// encoding, which slowVarint decodes. It inlines into ScanBatch, where
-// such values are nearly every field: slot deltas, banks, and rows
-// below 8192.
-func fastVarint(b []byte, i int) (u uint64, size int) {
-	c := b[i]
-	if c < 0x80 {
-		return uint64(c), 1
-	}
-	if d := b[i+1]; d < 0x80 {
-		return uint64(c&0x7F) | uint64(d)<<7, 2
-	}
-	return 0, 0
-}
-
-// slowVarint decodes any varint from b at i (the caller guarantees at
-// least 10 readable bytes from i); size is 0 on an overlong or
-// overflowing encoding. It stays out of line so that ScanBatch's loop
-// carries only fastVarint's two inlined cases.
-//
-//go:noinline
-func slowVarint(b []byte, i int) (u uint64, size int) {
-	var shift uint
-	for k, c := range b[i : i+10] {
-		if k == 9 && c > 1 {
-			return 0, 0 // would overflow uint64
-		}
-		u |= uint64(c&0x7F) << shift
-		if c < 0x80 {
-			return u, k + 1
-		}
-		shift += 7
-	}
-	return 0, 0
 }
 
 // ScanBatch decodes up to len(dst) commands into dst and returns how many
 // it produced. A short count means the input ended or errored (check Err)
 // — it never means "try again". This is the replay pipeline's fast path:
 // while a whole command is guaranteed buffered, it decodes in a tight
-// loop on locals; buffer boundaries, truncation and malformed input fall
-// back to Scan, which re-decodes and positions the error.
+// loop on locals (so a varint, at most 10 bytes, ends before the
+// buffered bytes do); buffer boundaries, truncation and malformed input
+// fall back to Scan, which re-decodes and positions the error.
 func (sc *BinaryScanner) ScanBatch(dst []Command) int {
 	if sc.err != nil || (!sc.started && !sc.readHeader()) {
 		return 0
 	}
 	n := 0
 	for n < len(dst) {
-		if sc.end-sc.pos < maxBinCmdBytes && !sc.eof {
-			sc.fill()
-		}
-		b := sc.buf
-		i, end, prev := sc.pos, sc.end, sc.prev
+		sc.s.Refill()
+		b := sc.s.Buf
+		i, end, prev := sc.s.Pos, sc.s.End, sc.prev
 		first := n
 		for n < len(dst) && end-i >= maxBinCmdBytes {
 			h := b[i]
@@ -309,9 +215,9 @@ func (sc *BinaryScanner) ScanBatch(dst []Command) int {
 			if h&flagReserved != 0 || int(op) >= numTraceOps {
 				break // Scan reports the error
 			}
-			u, sz := fastVarint(b, i+1)
+			u, sz := codec.FastVarint(b, i+1)
 			if sz == 0 {
-				if u, sz = slowVarint(b, i+1); sz == 0 {
+				if u, sz = codec.Uvarint(b[i+1:]); sz <= 0 {
 					break
 				}
 			}
@@ -325,8 +231,8 @@ func (sc *BinaryScanner) ScanBatch(dst []Command) int {
 			}
 			var bank, row int64
 			if h&flagBank != 0 {
-				if u, sz = fastVarint(b, j); sz == 0 {
-					if u, sz = slowVarint(b, j); sz == 0 {
+				if u, sz = codec.FastVarint(b, j); sz == 0 {
+					if u, sz = codec.Uvarint(b[j:]); sz <= 0 {
 						break
 					}
 				}
@@ -334,8 +240,8 @@ func (sc *BinaryScanner) ScanBatch(dst []Command) int {
 				bank = codec.Unzigzag(u)
 			}
 			if h&flagRow != 0 {
-				if u, sz = fastVarint(b, j); sz == 0 {
-					if u, sz = slowVarint(b, j); sz == 0 {
+				if u, sz = codec.FastVarint(b, j); sz == 0 {
+					if u, sz = codec.Uvarint(b[j:]); sz <= 0 {
 						break
 					}
 				}
@@ -346,7 +252,7 @@ func (sc *BinaryScanner) ScanBatch(dst []Command) int {
 			n++
 			i, prev = j, slot
 		}
-		sc.pos, sc.prev, sc.n = i, prev, sc.n+int64(n-first)
+		sc.s.Pos, sc.prev, sc.n = i, prev, sc.n+int64(n-first)
 		if n == len(dst) {
 			return n
 		}

@@ -333,31 +333,36 @@ func ParseCapacitancePerLength(s string) (CapacitancePerLength, error) {
 }
 
 // ParseFraction parses "25%", "0.25" or "1:8"-style ratios into a plain
-// float64 fraction (0.25, 0.25, 0.125 respectively).
+// fraction. A result that is not finite, a NaN or an infinity written
+// out or a ratio whose quotient overflows, is an error: no fraction of
+// the model can be one.
 func ParseFraction(s string) (float64, error) {
 	s = strings.TrimSpace(s)
 	if strings.Contains(s, ":") {
 		parts := strings.SplitN(s, ":", 2)
 		a, err1 := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
 		b, err2 := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
-		if err1 != nil || err2 != nil || b == 0 {
+		if err1 != nil || err2 != nil || b == 0 || !finite(a/b) {
 			return 0, fmt.Errorf("units: bad ratio %q", s)
 		}
 		return a / b, nil
 	}
 	if strings.HasSuffix(s, "%") {
 		v, err := strconv.ParseFloat(strings.TrimSuffix(s, "%"), 64)
-		if err != nil {
+		if err != nil || !finite(v) {
 			return 0, fmt.Errorf("units: bad percentage %q", s)
 		}
 		return v / 100, nil
 	}
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
+	if err != nil || !finite(v) {
 		return 0, fmt.Errorf("units: bad fraction %q", s)
 	}
 	return v, nil
 }
+
+// finite reports whether v is neither a NaN nor an infinity.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // FormatSI renders v with an engineering SI prefix and the given unit
 // symbol, e.g. FormatSI(8e-14, "F") == "80fF".

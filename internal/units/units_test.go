@@ -127,9 +127,25 @@ func TestParseFraction(t *testing.T) {
 		}
 		approx(t, got, c.want, 1e-12, "ParseFraction("+c.in+")")
 	}
-	for _, in := range []string{"", "x%", "1:0", "a:b"} {
-		if _, err := ParseFraction(in); err == nil {
-			t.Errorf("ParseFraction(%q): expected error", in)
+	for _, c := range []struct{ in, want string }{
+		{"", `units: bad fraction ""`},
+		{"x%", `units: bad percentage "x%"`},
+		{"1:0", `units: bad ratio "1:0"`},
+		{"a:b", `units: bad ratio "a:b"`},
+		// Not finite: written out, as a percentage, or a ratio whose
+		// quotient overflows or is undefined.
+		{"NaN", `units: bad fraction "NaN"`},
+		{"Inf", `units: bad fraction "Inf"`},
+		{"-Inf", `units: bad fraction "-Inf"`},
+		{"+infinity", `units: bad fraction "+infinity"`},
+		{"NaN%", `units: bad percentage "NaN%"`},
+		{"Inf%", `units: bad percentage "Inf%"`},
+		{"1e308:1e-308", `units: bad ratio "1e308:1e-308"`},
+		{"NaN:1", `units: bad ratio "NaN:1"`},
+		{"Inf:2", `units: bad ratio "Inf:2"`},
+	} {
+		if v, err := ParseFraction(c.in); err == nil || err.Error() != c.want {
+			t.Errorf("ParseFraction(%q) = %g, %v; want error %s", c.in, v, err, c.want)
 		}
 	}
 }

@@ -40,7 +40,12 @@ while read -r file fn callee; do
 		status=1
 	fi
 done <<'EOF'
-internal/trace/binary.go BinaryScanner.ScanBatch fastVarint
+internal/trace/binary.go BinaryScanner.ScanBatch codec.FastVarint
+internal/ctl/binary.go BinaryScanner.Scan codec.(*Slab).Refill
+internal/ctl/binary.go BinaryScanner.Scan codec.FastVarint
+internal/ctl/binary.go BinaryScanner.Scan binary.littleEndian.Uint64
+internal/ctl/binary.go BinaryScanner.Scan codec.WordVarint
+internal/ctl/binary.go BinaryScanner.Scan codec.Unzigzag
 internal/trace/scanner.go parseLine codec.SkipSpace
 internal/trace/scanner.go parseLine codec.ParseInt
 internal/trace/scanner.go parseLine codec.EndOfField
