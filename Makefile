@@ -120,12 +120,13 @@ legality:
 # that the shared double-buffered ring (engine.Pipeline) under both
 # streaming paths shuts down cleanly, that engine.Run's workers, which
 # both pipelines call every round through engine.Map, claim each job
-# exactly once, that trace replay's decoder hands each round's slab to
+# exactly once at one P and at two (the default worker count follows
+# GOMAXPROCS), that trace replay's decoder hands each round's slab to
 # the consumer that shards it, and that concurrent sweeps and scheme
 # comparisons never share the pooled scratch their variants build in.
 legality-race:
 	$(GO) test -race ./internal/ctl -run '$(LEGALITY_TESTS)|TestScheduleInto' -count=1
-	$(GO) test -race ./internal/engine -run 'TestPipeline|TestRun' -count=1
+	$(GO) test -race -cpu 1,2 ./internal/engine -run 'TestPipeline|TestRun' -count=1
 	$(GO) test -race ./internal/trace -run 'TestReplay|TestMillionCommand' -count=1
 	$(GO) test -race ./internal/sensitivity ./internal/schemes -count=1
 

@@ -317,12 +317,14 @@ func BenchmarkSweepSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepParallel measures the same sweep on the batch engine with
-// one worker per CPU. The results are identical to the serial sweep, and
-// the wall time only improves when the runner actually has spare CPUs:
-// with GOMAXPROCS == 1 this coincides with BenchmarkSweepSerial. Read the
-// numbers against the env block benchjson records in BENCH_trace.json
-// (go version, GOMAXPROCS, CPU count) before drawing scaling conclusions.
+// BenchmarkSweepParallel measures the same sweep on the batch engine at
+// its default worker count, runtime.GOMAXPROCS(0). The results are
+// identical to the serial sweep, and the wall time only improves when the
+// runner actually has spare CPUs: with GOMAXPROCS == 1 the engine runs the
+// jobs serially, so this coincides with BenchmarkSweepSerial, allocations
+// included. Read the numbers against the env block benchjson records in
+// BENCH_trace.json (go version, GOMAXPROCS, CPU count) before drawing
+// scaling conclusions.
 func BenchmarkSweepParallel(b *testing.B) {
 	d := Sample1GbDDR3()
 	b.ResetTimer()

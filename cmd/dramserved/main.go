@@ -53,7 +53,7 @@ func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writ
 	maxBody := fs.Int64("max-body", 1<<20, "descriptor request body limit (bytes)")
 	maxTrace := fs.Int64("max-trace", 256<<20, "trace upload limit (bytes)")
 	var workers int
-	cli.WorkersVar(fs, &workers, "the shared evaluation pool")
+	cli.WorkersVar(fs, &workers, "each request's batch evaluations")
 	quiet := fs.Bool("quiet", false, "disable the JSON access log on stderr")
 	calib := cli.OverlayVar(fs)
 	return cli.Run(fs, args, stderr, func() error {

@@ -227,8 +227,8 @@ type (
 )
 
 // BatchOptions configures the shared batch-evaluation engine behind the
-// analyses: Workers is the worker-pool size (<= 0 means one worker per
-// CPU, 1 is the serial run). Results are deterministic — ordered by job,
+// analyses: Workers is the worker count (<= 0 means runtime.GOMAXPROCS(0),
+// 1 is the serial run). Results are deterministic — ordered by job,
 // independent of the worker count.
 type BatchOptions = engine.Options
 
@@ -566,15 +566,15 @@ type (
 	// model cache, bounded admission queue and built-in metrics.
 	Server = server.Server
 	// ServerOptions configures cache size, admission limits, timeouts,
-	// body limits, worker pool and access logging; the zero value
+	// body limits, per-request workers and access logging; the zero value
 	// serves with production defaults.
 	ServerOptions = server.Options
 )
 
 // NewServer creates the HTTP model-evaluation service. Mount it with
-// Handler(), run it with Serve(ctx, listener, drainTimeout), and release
-// its worker pool with Close(). Responses are bit-identical to the
-// corresponding direct library calls.
+// Handler() or run it with Serve(ctx, listener, drainTimeout); it holds
+// no workers between requests, so Close() releases nothing. Responses
+// are bit-identical to the corresponding direct library calls.
 func NewServer(opts ServerOptions) *Server { return server.New(opts) }
 
 // ModelKey derives the server's model-cache key for a description: the

@@ -145,16 +145,11 @@ type Options struct {
 	DisableRefresh bool
 
 	// Workers bounds the per-channel scheduling parallelism (engine
-	// semantics: <= 0 selects one worker per CPU, 1 schedules serially).
+	// semantics: <= 0 selects runtime.GOMAXPROCS(0), 1 schedules
+	// serially).
 	// The worker count never changes the output: per-channel state is
 	// independent and stats merge in channel order.
 	Workers int
-
-	// Pool, when set, runs the channel jobs on a shared long-lived
-	// engine pool instead of per-call goroutines (see
-	// engine.Options.Pool); the dramserved server threads its pool
-	// through here so concurrent requests share one bounded worker set.
-	Pool *engine.Pool
 }
 
 // PolicySpec returns the canonical -policy spelling of the page policy:
@@ -704,7 +699,7 @@ func (c *Controller) runChannel(ch *chanState, reqs []mappedReq) {
 
 // engineOpts is the batch-engine configuration for the channel jobs.
 func (c *Controller) engineOpts() engine.Options {
-	return engine.Options{Workers: c.opts.Workers, Pool: c.opts.Pool}
+	return engine.Options{Workers: c.opts.Workers}
 }
 
 // flushRefreshDebt retires the end-of-trace refresh debt: every channel

@@ -517,6 +517,85 @@ func TestRejectsNonFiniteToggle(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNaN sets each checked float field of the sample to
+// NaN, as a description built in Go can (the parser rejects NaN), and
+// expects a problem naming that field.
+func TestValidateRejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	inside := -1
+	for i, s := range Sample1GbDDR3().Signals {
+		if s.Inside != nil {
+			inside = i
+			break
+		}
+	}
+	if inside < 0 {
+		t.Fatal("the sample has no inside-form segment")
+	}
+	sig := func(i int) string { return "signal " + Sample1GbDDR3().Signals[i].Name + ": " }
+	for _, tc := range []struct {
+		set  func(d *Description)
+		want string
+	}{
+		{func(d *Description) { d.Floorplan.WordlinePitch = units.Length(nan) }, "floorplan: wordline pitch"},
+		{func(d *Description) { d.Floorplan.BitlinePitch = units.Length(nan) }, "floorplan: bitline pitch"},
+		{func(d *Description) { d.Floorplan.BLSAStripeWidth = units.Length(nan) }, "floorplan: BLSA stripe width"},
+		{func(d *Description) { d.Floorplan.LWDStripeWidth = units.Length(nan) }, "floorplan: LWD stripe width"},
+		{func(d *Description) { d.Floorplan.ActivationFraction = nan }, "floorplan: activation fraction"},
+		{func(d *Description) { d.Signals[inside].Fraction = nan }, sig(inside) + "fraction"},
+		{func(d *Description) { d.Signals[0].ActiveFrac = nan }, sig(0) + "active fraction"},
+		{func(d *Description) { d.Signals[0].Toggle = nan }, sig(0) + "toggle rate"},
+		{func(d *Description) { d.Technology.GateOxideLogic = units.Length(nan) }, "technology: gate oxide logic"},
+		{func(d *Description) { d.Technology.GateOxideHV = units.Length(nan) }, "technology: gate oxide HV"},
+		{func(d *Description) { d.Technology.GateOxideCell = units.Length(nan) }, "technology: gate oxide cell"},
+		{func(d *Description) { d.Technology.MinGateLengthLogic = units.Length(nan) }, "technology: min gate length logic"},
+		{func(d *Description) { d.Technology.MinGateLengthHV = units.Length(nan) }, "technology: min gate length HV"},
+		{func(d *Description) { d.Technology.CellAccessLength = units.Length(nan) }, "technology: cell access length"},
+		{func(d *Description) { d.Technology.CellAccessWidth = units.Length(nan) }, "technology: cell access width"},
+		{func(d *Description) { d.Technology.BitlineCap = units.Capacitance(nan) }, "technology: bitline capacitance"},
+		{func(d *Description) { d.Technology.CellCap = units.Capacitance(nan) }, "technology: cell capacitance"},
+		{func(d *Description) { d.Technology.WireCapMWL = units.CapacitancePerLength(nan) }, "technology: wire cap master wordline"},
+		{func(d *Description) { d.Technology.WireCapLWL = units.CapacitancePerLength(nan) }, "technology: wire cap local wordline"},
+		{func(d *Description) { d.Technology.WireCapSignal = units.CapacitancePerLength(nan) }, "technology: wire cap signal"},
+		{func(d *Description) { d.Technology.BitlineToWLShare = nan }, "technology: bitline-to-wordline share"},
+		{func(d *Description) { d.Spec.DataRate = units.DataRate(nan) }, "specification: data rate"},
+		{func(d *Description) { d.Spec.ControlClock = units.Frequency(nan) }, "specification: control clock"},
+		{func(d *Description) { d.Spec.DataClock = units.Frequency(nan) }, "specification: data clock"},
+		{func(d *Description) { d.Spec.RowCycle = units.Duration(nan) }, "specification: row cycle time"},
+		{func(d *Description) { d.Spec.RowToColumnDelay = units.Duration(nan) }, "specification: tRCD="},
+		{func(d *Description) { d.Spec.RefreshInterval = units.Duration(nan) }, "specification: tREFI="},
+		{func(d *Description) { d.Electrical.Vdd = units.Voltage(nan) }, "electrical: Vdd"},
+		{func(d *Description) { d.Electrical.Vint = units.Voltage(nan) }, "electrical: all domain voltages"},
+		{func(d *Description) { d.Electrical.Vbl = units.Voltage(nan) }, "electrical: all domain voltages"},
+		{func(d *Description) { d.Electrical.Vpp = units.Voltage(nan) }, "electrical: all domain voltages"},
+		{func(d *Description) { d.Electrical.EffInt = nan }, "electrical: Vint generator efficiency"},
+		{func(d *Description) { d.Electrical.EffBl = nan }, "electrical: Vbl generator efficiency"},
+		{func(d *Description) { d.Electrical.EffPp = nan }, "electrical: Vpp generator efficiency"},
+		{func(d *Description) { d.Electrical.ConstantCurrent = units.Current(nan) }, "electrical: negative constant current"},
+		{func(d *Description) { d.LogicBlocks[0].AvgNMOSWidth = units.Length(nan) }, "logic block clocktree: device widths"},
+		{func(d *Description) { d.LogicBlocks[0].AvgPMOSWidth = units.Length(nan) }, "logic block clocktree: device widths"},
+		{func(d *Description) { d.LogicBlocks[0].TransistorsPerGate = nan }, "logic block clocktree: transistors per gate"},
+		{func(d *Description) { d.LogicBlocks[0].GateDensity = nan }, "logic block clocktree: gate density"},
+		{func(d *Description) { d.LogicBlocks[0].WiringDensity = nan }, "logic block clocktree: wiring density"},
+		{func(d *Description) { d.LogicBlocks[0].Toggle = nan }, "logic block clocktree: toggle rate"},
+	} {
+		d := Sample1GbDDR3()
+		tc.set(d)
+		var ve *ValidationError
+		if err := d.Validate(); !errors.As(err, &ve) {
+			t.Errorf("%s NaN: Validate = %v, want a *ValidationError", tc.want, err)
+			continue
+		}
+		found := false
+		for _, p := range ve.Problems {
+			found = found || strings.HasPrefix(p, tc.want)
+		}
+		if !found {
+			t.Errorf("%s NaN: problems %q name no %q", tc.want, ve.Problems, tc.want)
+		}
+	}
+}
+
 func TestValidateSpanNeedsBothEnds(t *testing.T) {
 	d := Sample1GbDDR3()
 	d.Signals[1].Start = nil // had span form; now end only

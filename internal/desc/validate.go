@@ -31,7 +31,8 @@ func (e *ValidationError) addf(format string, args ...any) {
 // Validate checks the description for internal consistency: required
 // parameters present, block references resolvable, voltages ordered
 // sensibly, pattern non-empty. It returns nil or a *ValidationError
-// listing every problem.
+// listing every problem. Each float check is written so that a NaN fails
+// it (!(v > 0), not v <= 0).
 func (d *Description) Validate() error {
 	var e ValidationError // on the stack: a valid description allocates nothing
 
@@ -45,19 +46,19 @@ func (d *Description) Validate() error {
 	if fp.BlocksPerCSL <= 0 {
 		e.addf("floorplan: blocks per CSL must be positive, got %d", fp.BlocksPerCSL)
 	}
-	if fp.WordlinePitch <= 0 {
+	if !(fp.WordlinePitch > 0) {
 		e.addf("floorplan: wordline pitch must be positive, got %v", fp.WordlinePitch)
 	}
-	if fp.BitlinePitch <= 0 {
+	if !(fp.BitlinePitch > 0) {
 		e.addf("floorplan: bitline pitch must be positive, got %v", fp.BitlinePitch)
 	}
-	if fp.BLSAStripeWidth <= 0 {
+	if !(fp.BLSAStripeWidth > 0) {
 		e.addf("floorplan: BLSA stripe width must be positive, got %v", fp.BLSAStripeWidth)
 	}
-	if fp.LWDStripeWidth <= 0 {
+	if !(fp.LWDStripeWidth > 0) {
 		e.addf("floorplan: LWD stripe width must be positive, got %v", fp.LWDStripeWidth)
 	}
-	if fp.ActivationFraction < 0 || fp.ActivationFraction > 1 {
+	if !(fp.ActivationFraction >= 0 && fp.ActivationFraction <= 1) {
 		e.addf("floorplan: activation fraction %g outside [0,1]", fp.ActivationFraction)
 	}
 	if len(fp.HorizontalBlocks) == 0 {
@@ -93,7 +94,7 @@ func (d *Description) Validate() error {
 		case hasInside && hasSpan:
 			e.addf("signal %s: both inside-form and span-form given", s.Name)
 		case hasInside:
-			if s.Fraction <= 0 || s.Fraction > 1 {
+			if !(s.Fraction > 0 && s.Fraction <= 1) {
 				e.addf("signal %s: fraction %g outside (0,1]", s.Name, s.Fraction)
 			}
 			if !d.blockRefValid(*s.Inside) {
@@ -119,7 +120,7 @@ func (d *Description) Validate() error {
 		if s.Wires < 0 {
 			e.addf("signal %s: negative wire count %d", s.Name, s.Wires)
 		}
-		if s.ActiveFrac < 0 || s.ActiveFrac > 1 {
+		if !(s.ActiveFrac >= 0 && s.ActiveFrac <= 1) {
 			e.addf("signal %s: active fraction %g outside [0,1]", s.Name, s.ActiveFrac)
 		}
 		if math.IsNaN(s.Toggle) || math.IsInf(s.Toggle, 0) {
@@ -130,7 +131,7 @@ func (d *Description) Validate() error {
 
 	t := &d.Technology
 	checkPos := func(what string, v float64) {
-		if v <= 0 {
+		if !(v > 0) {
 			e.addf("technology: %s must be positive, got %g", what, v)
 		}
 	}
@@ -146,7 +147,7 @@ func (d *Description) Validate() error {
 	checkPos("wire cap master wordline", float64(t.WireCapMWL))
 	checkPos("wire cap local wordline", float64(t.WireCapLWL))
 	checkPos("wire cap signal", float64(t.WireCapSignal))
-	if t.BitlineToWLShare < 0 || t.BitlineToWLShare > 1 {
+	if !(t.BitlineToWLShare >= 0 && t.BitlineToWLShare <= 1) {
 		e.addf("technology: bitline-to-wordline share %g outside [0,1]", t.BitlineToWLShare)
 	}
 	if t.BitsPerCSL <= 0 {
@@ -157,16 +158,16 @@ func (d *Description) Validate() error {
 	if s.IOWidth <= 0 {
 		e.addf("specification: IO width must be positive, got %d", s.IOWidth)
 	}
-	if s.DataRate <= 0 {
+	if !(s.DataRate > 0) {
 		e.addf("specification: data rate must be positive, got %v", s.DataRate)
 	}
-	if s.ControlClock <= 0 {
+	if !(s.ControlClock > 0) {
 		e.addf("specification: control clock must be positive, got %v", s.ControlClock)
 	}
-	if s.DataClock <= 0 {
+	if !(s.DataClock > 0) {
 		e.addf("specification: data clock must be positive, got %v", s.DataClock)
 	}
-	if s.RowCycle <= 0 {
+	if !(s.RowCycle > 0) {
 		e.addf("specification: row cycle time (tRC) must be positive, got %v", s.RowCycle)
 	}
 	if s.BankAddrBits < 0 || s.RowAddrBits <= 0 || s.ColAddrBits <= 0 {
@@ -203,10 +204,10 @@ func (d *Description) Validate() error {
 	}
 
 	el := &d.Electrical
-	if el.Vdd <= 0 {
+	if !(el.Vdd > 0) {
 		e.addf("electrical: Vdd must be positive, got %v", el.Vdd)
 	}
-	if el.Vint <= 0 || el.Vbl <= 0 || el.Vpp <= 0 {
+	if !(el.Vint > 0 && el.Vbl > 0 && el.Vpp > 0) {
 		e.addf("electrical: all domain voltages must be positive (Vint=%v Vbl=%v Vpp=%v)",
 			el.Vint, el.Vbl, el.Vpp)
 	}
@@ -217,11 +218,11 @@ func (d *Description) Validate() error {
 		name string
 		v    float64
 	}{{"Vint", el.EffInt}, {"Vbl", el.EffBl}, {"Vpp", el.EffPp}} {
-		if eff.v <= 0 || eff.v > 1 {
+		if !(eff.v > 0 && eff.v <= 1) {
 			e.addf("electrical: %s generator efficiency %g outside (0,1]", eff.name, eff.v)
 		}
 	}
-	if el.ConstantCurrent < 0 {
+	if !(el.ConstantCurrent >= 0) {
 		e.addf("electrical: negative constant current %v", el.ConstantCurrent)
 	}
 
@@ -229,16 +230,16 @@ func (d *Description) Validate() error {
 		if b.Gates <= 0 {
 			e.addf("logic block %s: gate count must be positive, got %d", b.Name, b.Gates)
 		}
-		if b.AvgNMOSWidth <= 0 || b.AvgPMOSWidth <= 0 {
+		if !(b.AvgNMOSWidth > 0 && b.AvgPMOSWidth > 0) {
 			e.addf("logic block %s: device widths must be positive", b.Name)
 		}
-		if b.TransistorsPerGate <= 0 {
+		if !(b.TransistorsPerGate > 0) {
 			e.addf("logic block %s: transistors per gate must be positive", b.Name)
 		}
-		if b.GateDensity <= 0 || b.GateDensity > 1 {
+		if !(b.GateDensity > 0 && b.GateDensity <= 1) {
 			e.addf("logic block %s: gate density %g outside (0,1]", b.Name, b.GateDensity)
 		}
-		if b.WiringDensity < 0 || b.WiringDensity > 1 {
+		if !(b.WiringDensity >= 0 && b.WiringDensity <= 1) {
 			e.addf("logic block %s: wiring density %g outside [0,1]", b.Name, b.WiringDensity)
 		}
 		switch {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -168,23 +169,27 @@ func TestRunRunsWorkersJobsAtOnce(t *testing.T) {
 }
 
 func TestWorkersClamp(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
 	cases := []struct {
 		workers, jobs, want int
 	}{
-		{0, 100, 0},  // 0 -> NumCPU (exact value machine-dependent; want>0 checked below)
-		{-5, 100, 0}, // negative -> NumCPU
-		{8, 3, 3},    // never more workers than jobs
+		{0, 100, min(procs, 100)},  // 0 -> GOMAXPROCS
+		{-5, 100, min(procs, 100)}, // negative -> GOMAXPROCS
+		{0, 1, 1},
+		{8, 3, 3}, // never more workers than jobs
 		{1, 10, 1},
 		{4, 10, 4},
 	}
 	for _, c := range cases {
-		got := Options{Workers: c.workers}.workers(c.jobs)
-		if c.want > 0 && got != c.want {
+		if got := (Options{Workers: c.workers}).workers(c.jobs); got != c.want {
 			t.Errorf("Options{%d}.workers(%d) = %d, want %d", c.workers, c.jobs, got, c.want)
 		}
-		if got < 1 || got > c.jobs {
-			t.Errorf("Options{%d}.workers(%d) = %d outside [1,%d]", c.workers, c.jobs, got, c.jobs)
-		}
+	}
+	// With one P the default is serial, so a single-CPU process never
+	// starts workers it cannot run in parallel.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if got := (Options{}).workers(100); got != 1 {
+		t.Errorf("under GOMAXPROCS(1), Options{0}.workers(100) = %d, want 1", got)
 	}
 }
 
@@ -222,31 +227,9 @@ func TestRunSerialMatchesParallel(t *testing.T) {
 	}
 }
 
-func TestPoolRunMatchesSerial(t *testing.T) {
-	pool := NewPool(4)
-	defer pool.Close()
-	jobs := make([]func() (float64, error), 57)
-	for i := range jobs {
-		i := i
-		jobs[i] = func() (float64, error) { return float64(i) * 0.5, nil }
-	}
-	serial, err1 := Run(jobs, Options{Workers: 1})
-	pooled, err2 := Run(jobs, Options{Pool: pool})
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	for i := range serial {
-		if serial[i] != pooled[i] {
-			t.Errorf("serial[%d]=%v pooled[%d]=%v", i, serial[i], i, pooled[i])
-		}
-	}
-}
-
-func TestPoolSharedAcrossConcurrentCalls(t *testing.T) {
-	// Many concurrent Run calls share one pool; every call still gets
-	// complete, ordered results and first-error semantics.
-	pool := NewPool(3)
-	defer pool.Close()
+// TestRunConcurrentCalls runs many batches at once: each call still
+// gets complete, ordered results and its own first error.
+func TestRunConcurrentCalls(t *testing.T) {
 	var wg sync.WaitGroup
 	const callers = 16
 	errCh := make(chan error, callers)
@@ -260,7 +243,7 @@ func TestPoolSharedAcrossConcurrentCalls(t *testing.T) {
 					return 0, errors.New("boom")
 				}
 				return c*100 + i, nil
-			}, Options{Pool: pool})
+			}, Options{Workers: 3})
 			if c == 7 {
 				if err == nil || err.Error() != "boom" {
 					errCh <- fmt.Errorf("caller 7: err = %v, want boom", err)
@@ -292,31 +275,32 @@ func TestPoolSharedAcrossConcurrentCalls(t *testing.T) {
 	}
 }
 
-func TestPoolWorkersOneStaysSerial(t *testing.T) {
-	// Workers == 1 must bypass the pool entirely: jobs run on the caller's
-	// goroutine even when a pool is supplied.
-	pool := NewPool(2)
-	defer pool.Close()
-	caller := make(chan struct{})
-	done := false
-	jobs := []func() (int, error){
-		func() (int, error) { done = true; close(caller); return 1, nil },
+// TestRunWorkersOneStaysSerial pins the serial path: with one worker the
+// jobs run one at a time in job order, so they may share a variable
+// without synchronization (make legality-race runs this under -race).
+func TestRunWorkersOneStaysSerial(t *testing.T) {
+	last := -1
+	jobs := make([]func() (int, error), 8)
+	for i := range jobs {
+		i := i
+		jobs[i] = func() (int, error) {
+			if last != i-1 {
+				return 0, fmt.Errorf("job %d ran after job %d", i, last)
+			}
+			last = i
+			return i, nil
+		}
 	}
-	out, err := Run(jobs, Options{Workers: 1, Pool: pool})
-	<-caller
-	if err != nil || out[0] != 1 || !done {
-		t.Fatalf("serial-with-pool run: out=%v err=%v done=%v", out, err, done)
+	out, err := Run(jobs, Options{Workers: 1})
+	if err != nil || last != len(jobs)-1 || out[len(jobs)-1] != len(jobs)-1 {
+		t.Fatalf("serial run: out=%v err=%v last=%d", out, err, last)
 	}
 }
 
-func TestReentrantRunOnPoolExecutesInline(t *testing.T) {
-	// A job that itself calls Run/Map on the same pool used to deadlock
-	// once every worker was occupied: the inner submission waited for a
-	// slot only the waiting workers could free. Re-entrant submissions are
-	// now detected and executed inline on the submitting worker.
-	pool := NewPool(2)
-	defer pool.Close()
-
+// TestRunNested runs batches whose jobs each run a batch of their own,
+// with more outer jobs than workers: the nested calls start their own
+// workers, so none waits for a worker an outer job holds.
+func TestRunNested(t *testing.T) {
 	run := func() error {
 		outer := make([]func() (int, error), 4)
 		for i := range outer {
@@ -326,14 +310,14 @@ func TestReentrantRunOnPoolExecutesInline(t *testing.T) {
 					func() (int, error) { return 10 * i, nil },
 					func() (int, error) { return 10*i + 1, nil },
 				}
-				vals, err := Run(inner, Options{Pool: pool})
+				vals, err := Run(inner, Options{Workers: 2})
 				if err != nil {
 					return 0, err
 				}
 				return vals[0] + vals[1], nil
 			}
 		}
-		out, err := Run(outer, Options{Pool: pool})
+		out, err := Run(outer, Options{Workers: 2})
 		if err != nil {
 			return err
 		}
@@ -353,6 +337,6 @@ func TestReentrantRunOnPoolExecutesInline(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("nested Run on the shared pool deadlocked")
+		t.Fatal("nested Run deadlocked")
 	}
 }

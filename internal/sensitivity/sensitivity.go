@@ -12,7 +12,6 @@ package sensitivity
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"drampower/internal/core"
@@ -200,8 +199,9 @@ const Variation = 0.20
 // returns the Figure 10 chart rows sorted by descending range, evaluating
 // the description's pattern; parameters excluded from the chart are
 // omitted (SweepCalibratedOpts returns every row). One job per parameter
-// runs on the worker pool (Workers <= 0 uses one worker per CPU, 1 runs
-// serially); the results are identical for any worker count.
+// runs on the batch engine (Workers <= 0 uses runtime.GOMAXPROCS(0)
+// workers, 1 runs serially); the results are identical for any worker
+// count.
 func SweepOpts(d *desc.Description, opts engine.Options) ([]Result, error) {
 	all, err := SweepCalibratedOpts(d, nil, opts)
 	if err != nil {
@@ -241,9 +241,6 @@ func ChartRows(all []Result) []Result {
 // scratch, see core.Variant), so any worker count produces the same
 // results.
 func SweepCalibratedOpts(d *desc.Description, ov *desc.Overlay, opts engine.Options) ([]Result, error) {
-	if sweepInline(opts) {
-		opts = engine.Options{Workers: 1}
-	}
 	base, err := core.BuildCalibrated(d, ov)
 	if err != nil {
 		return nil, err
@@ -293,24 +290,6 @@ func SweepCalibratedOpts(d *desc.Description, ov *desc.Overlay, opts engine.Opti
 		return results[i].RangePct > results[j].RangePct
 	})
 	return results, nil
-}
-
-// sweepInline reports whether the sweep should bypass parallel dispatch
-// and take the engine's serial fast path (no goroutines, no channel
-// traffic, jobs run on the caller). A sweep point is only two
-// cached-ledger builds — tens of microseconds — so fan-out pays solely
-// when there is real CPU parallelism to buy: with a single schedulable
-// CPU, a one-worker pool, or an explicit single worker, dispatch is pure
-// overhead and the inline path is strictly faster. Results are identical
-// either way (the engine orders results by job index).
-func sweepInline(opts engine.Options) bool {
-	if runtime.GOMAXPROCS(0) == 1 {
-		return true
-	}
-	if opts.Pool != nil {
-		return opts.Pool.Size() == 1
-	}
-	return opts.Workers == 1
 }
 
 // Top returns the n highest-impact results (Table III shows the top 10).

@@ -2,7 +2,6 @@ package sensitivity
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
 	"drampower/internal/core"
@@ -346,34 +345,6 @@ func TestSweepPatternInvariantAcrossKnobs(t *testing.T) {
 					t.Fatalf("%s x%g: pattern diverges from base at op %d", p.Name, f, i)
 				}
 			}
-		}
-	}
-}
-
-// TestSweepInlineFallback pins the inline-dispatch decision: with one
-// schedulable CPU (always true under GOMAXPROCS=1 runners), a one-worker
-// pool or an explicit single worker, the sweep must take the serial fast
-// path; otherwise parallel dispatch stands.
-func TestSweepInlineFallback(t *testing.T) {
-	pool1 := engine.NewPool(1)
-	defer pool1.Close()
-	pool4 := engine.NewPool(4)
-	defer pool4.Close()
-	single := runtime.GOMAXPROCS(0) == 1
-	cases := []struct {
-		name string
-		opts engine.Options
-		want bool
-	}{
-		{"serial", engine.Options{Workers: 1}, true},
-		{"pool-of-one", engine.Options{Pool: pool1}, true},
-		{"default", engine.Options{}, single},
-		{"eight-workers", engine.Options{Workers: 8}, single},
-		{"pool-of-four", engine.Options{Pool: pool4}, single},
-	}
-	for _, c := range cases {
-		if got := sweepInline(c.opts); got != c.want {
-			t.Errorf("sweepInline(%s) = %v, want %v", c.name, got, c.want)
 		}
 	}
 }

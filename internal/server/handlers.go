@@ -378,7 +378,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !checkCtx(w, r) {
 		return
 	}
-	all, err := sensitivity.SweepCalibratedOpts(d, ov, engine.Options{Pool: s.pool})
+	all, err := sensitivity.SweepCalibratedOpts(d, ov, engine.Options{Workers: s.opts.Workers})
 	if err != nil {
 		writeParseAwareError(w, err, http.StatusUnprocessableEntity)
 		return
@@ -433,7 +433,7 @@ func (s *Server) handleSchemes(w http.ResponseWriter, r *http.Request) {
 	if !checkCtx(w, r) {
 		return
 	}
-	rows, err := schemes.EvaluateOpts(d, engine.Options{Pool: s.pool})
+	rows, err := schemes.EvaluateOpts(d, engine.Options{Workers: s.opts.Workers})
 	if err != nil {
 		writeParseAwareError(w, err, http.StatusUnprocessableEntity)
 		return
@@ -657,7 +657,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	} else {
 		src = trace.NewSource(rd)
 	}
-	rep := trace.NewReplayer(m, trace.ReplayOptions{Channels: channels, Pool: s.pool})
+	rep := trace.NewReplayer(m, trace.ReplayOptions{Channels: channels, Workers: s.opts.Workers})
 	if err := rep.ReplaySource(src); err != nil {
 		writeParseAwareError(w, err, http.StatusBadRequest)
 		return
@@ -825,8 +825,8 @@ func (cs countingSink) Consume(ch int, batch []trace.Command) error {
 // than the trace length, and a response bit-identical to scheduling
 // first and replaying the materialized trace. With replay=off only the
 // scheduling half runs: the response keeps its shape but the replay-
-// derived energy fields are zero. Both halves run on the server's
-// shared worker pool.
+// derived energy fields are zero. Both halves run each round's channel
+// jobs on Options.Workers workers.
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	opts, ok := scheduleOptions(w, r.URL.Query())
 	if !ok {
@@ -845,7 +845,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	opts.Pool = s.pool
+	opts.Workers = s.opts.Workers
 	ctrl, err := ctl.NewController(m, opts)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
@@ -868,7 +868,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	var rep *trace.Replayer
 	sink := ctl.Discard
 	if replay {
-		rep = trace.NewReplayer(m, trace.ReplayOptions{Channels: ctrl.Channels(), Pool: s.pool})
+		rep = trace.NewReplayer(m, trace.ReplayOptions{Channels: ctrl.Channels(), Workers: s.opts.Workers})
 		sink = ctl.ReplaySink(rep)
 	}
 	stats, err := ctrl.ScheduleInto(src, countingSink{sink: sink, batches: s.scheduleBatches})

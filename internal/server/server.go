@@ -14,7 +14,7 @@
 //	GET  /healthz      liveness (always 200 while the process runs)
 //	GET  /readyz       readiness (503 before serving and while draining)
 //
-// Three mechanisms make it hold up under load:
+// Two mechanisms make it hold up under load:
 //
 //   - A model cache (cache.go): built models are immutable and shared,
 //     keyed by the SHA-256 of the canonical descriptor rendering, so
@@ -23,10 +23,12 @@
 //     at once; excess requests wait up to QueueWait for a slot and are
 //     then rejected with 429 + Retry-After instead of queueing without
 //     bound.
-//   - One shared engine.Pool: every batch evaluation (sweep, schemes,
-//     multi-channel replay) runs on the same fixed worker set, so CPU
-//     parallelism stays bounded no matter how many requests are in
-//     flight.
+//
+// Every batch evaluation (sweep, schemes, multi-channel replay and
+// scheduling) runs on at most Options.Workers workers of its own
+// (engine.Run), so the evaluation goroutines stay under MaxInflight ×
+// Workers plus one producer per streaming request, and GOMAXPROCS caps
+// the CPU they use.
 //
 // Responses are bit-identical to direct library calls: handlers feed the
 // exact library results through one encoder, and a cache hit returns the
@@ -43,7 +45,6 @@ import (
 	"time"
 
 	"drampower/internal/desc"
-	"drampower/internal/engine"
 	"drampower/internal/metrics"
 )
 
@@ -65,8 +66,9 @@ type Options struct {
 	MaxDescriptorBytes int64
 	// MaxTraceBytes bounds trace uploads; default 256 MiB.
 	MaxTraceBytes int64
-	// Workers sizes the shared evaluation pool; <= 0 selects one worker
-	// per CPU.
+	// Workers bounds the workers of each batch evaluation a request
+	// runs (sweep, schemes, replay, scheduling); <= 0 selects
+	// runtime.GOMAXPROCS(0).
 	Workers int
 	// AccessLog receives one structured JSON line per request; nil
 	// disables access logging.
@@ -107,13 +109,12 @@ func (o Options) withDefaults() Options {
 }
 
 // Server is the model-evaluation service. Create with New, mount via
-// Handler (or run with Serve), release the worker pool with Close.
+// Handler (or run with Serve).
 type Server struct {
 	opts  Options
 	mux   *http.ServeMux
 	cache *modelCache
 	docs  *docCache
-	pool  *engine.Pool
 	reg   *metrics.Registry
 
 	sem    chan struct{}
@@ -155,8 +156,8 @@ type Server struct {
 	scheduleReplays *metrics.Counter
 }
 
-// New builds a server. The caller owns the returned server's lifecycle:
-// Close releases the shared worker pool.
+// New builds a server. It starts no goroutines: each request runs its
+// batch evaluations on workers of its own.
 func New(opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
@@ -164,7 +165,6 @@ func New(opts Options) *Server {
 		mux:    http.NewServeMux(),
 		cache:  newModelCache(opts.CacheSize, opts.Registry),
 		docs:   newDocCache(opts.CacheSize * 2),
-		pool:   engine.NewPool(opts.Workers),
 		reg:    opts.Registry,
 		sem:    make(chan struct{}, opts.MaxInflight),
 		idBase: time.Now().Format("150405"),
@@ -233,9 +233,10 @@ func (s *Server) SetReady(ready bool) {
 	}
 }
 
-// Close releases the shared worker pool. Call after the HTTP server has
-// stopped; in-flight batch evaluations must have finished.
-func (s *Server) Close() { s.pool.Close() }
+// Close releases nothing, since a server holds no workers between
+// requests, and may be called any number of times. It stays so that a
+// caller can release a Server as it would any other service.
+func (s *Server) Close() {}
 
 // Serve runs the service on ln until ctx is cancelled, then drains
 // gracefully: /readyz flips to 503 (so load balancers stop sending

@@ -28,14 +28,9 @@ type ReplayOptions struct {
 	// Channels is the number of independent channels (devices) the trace
 	// addresses; <= 0 means 1.
 	Channels int
-	// Workers bounds the worker pool driving the channels (engine
-	// semantics: <= 0 selects one worker per CPU, 1 replays serially).
+	// Workers bounds the workers driving the channels (engine semantics:
+	// <= 0 selects runtime.GOMAXPROCS(0), 1 replays serially).
 	Workers int
-	// Pool, when set, drives the channels on a shared long-lived engine
-	// pool instead of per-round goroutines (see engine.Options.Pool);
-	// long-running servers use this so concurrent replays share one
-	// bounded worker set.
-	Pool *engine.Pool
 }
 
 // replayBatch is the number of commands buffered per scheduling round.
@@ -65,7 +60,7 @@ func NewReplayer(m *core.Model, opts ReplayOptions) *Replayer {
 		m:     m,
 		sims:  make([]*Simulator, ch),
 		banks: m.D.Spec.Banks(),
-		opts:  engine.Options{Workers: opts.Workers, Pool: opts.Pool},
+		opts:  engine.Options{Workers: opts.Workers},
 	}
 	for i := range r.sims {
 		r.sims[i] = New(m)
