@@ -78,8 +78,10 @@ serve-smoke:
 # not), the IDD loops the rulebook places on scaled timings (every loop
 # must replay clean and cost what the pattern evaluation reports) and the
 # scheduler (arbitrary access streams and options must schedule into
-# legal traces); go's fuzzer runs one target per invocation, hence one
-# line each. Override FUZZTIME for a longer hunt.
+# legal traces) and the k-way merge of channel streams (merging round by
+# round under a watermark must equal the whole-stream scan, command for
+# command); go's fuzzer runs one target per invocation, hence one line
+# each. Override FUZZTIME for a longer hunt.
 # Each FuzzScheduleReplay input runs four schedules and three replays,
 # a FuzzRulesTight input issues up to thousands of commands, and the
 # descriptor FuzzParse, FuzzDescriptorBuild and FuzzBinaryScanner start
@@ -94,6 +96,7 @@ fuzz-short:
 	$(GO) test -fuzz FuzzOverlay -fuzztime $(FUZZTIME) -run '^$$' ./internal/desc/
 	$(GO) test -fuzz FuzzTraceScanner -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace/
 	$(GO) test -fuzz FuzzBinaryScanner -fuzztime $(FUZZTIME) -fuzzminimizetime 100x -run '^$$' ./internal/trace/
+	$(GO) test -fuzz FuzzMerge -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace/
 	$(GO) test -fuzz FuzzRulesTight -fuzztime $(FUZZTIME) -fuzzminimizetime 100x -run '^$$' ./internal/timing/
 	$(GO) test -fuzz FuzzIDDLoops -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace/
 	$(GO) test -fuzz FuzzAccessScanner -fuzztime $(FUZZTIME) -run '^$$' ./internal/ctl/
@@ -103,13 +106,14 @@ fuzz-short:
 # count × low-power combination is scheduled and replayed — both
 # two-phase and through the fused streaming pipeline — asserting zero
 # timing violations, zero missed tREFI deadlines, and fused/two-phase
-# bit-identity, plus the scheduler golden (864 configurations pinned
+# bit-identity, the streaming merge against collecting every channel and
+# merging afterwards, plus the scheduler golden (864 configurations pinned
 # byte for byte), and the paper's IDD loops on every shipped device (each
 # replays clean and costs what the pattern evaluation reports). Part of
 # the regular test pass too; this target runs it uncached and on its own
 # so the refresh-scheduler and loop-placement contracts have a named
 # gate.
-LEGALITY_TESTS = TestScheduledTraceLegalitySweep|TestRefreshSurvivesPowerDown|TestFusedMatchesTwoPhase|TestScheduleParallelMatchesSerial|TestScheduleGolden
+LEGALITY_TESTS = TestScheduledTraceLegalitySweep|TestRefreshSurvivesPowerDown|TestFusedMatchesTwoPhase|TestScheduleParallelMatchesSerial|TestScheduleMatchesCollectThenOracle|TestScheduleGolden
 legality:
 	$(GO) test ./internal/ctl -run '$(LEGALITY_TESTS)' -count=1
 	$(GO) test ./internal/trace -run 'TestIDDLoopsReplayClean' -count=1

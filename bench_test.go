@@ -679,6 +679,41 @@ func BenchmarkSchedule4ChParallel(b *testing.B) {
 	benchSchedule(b, ctl.Options{Policy: ctl.PolicyOpen, Channels: 4, Workers: 0})
 }
 
+// BenchmarkScheduleLong8Ch schedules perfbench replay-dtb's set-up input
+// shape: 600k requests (50% row locality, one every 6 slots) over eight
+// channels, closed page, power-down after 8 idle slots, serially. At
+// about 2.1M commands the result is the only O(trace) buffer, and the
+// merge of the eight channels runs once per round while the round is in
+// cache; B/op shows the one buffer.
+func BenchmarkScheduleLong8Ch(b *testing.B) {
+	m, err := Build(Sample1GbDDR3())
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := ctl.Options{Policy: ctl.PolicyClosed, Channels: 8, PowerDownAfter: 8, Workers: 1}
+	reqs, err := ctl.GenerateAccesses(m, ctl.GenOptions{
+		N: 600_000, RowHit: 0.5, ReadShare: 0.7, Gap: 6, Seed: 1, Channels: opts.Channels,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var emitted int64
+	for i := 0; i < b.N; i++ {
+		cmds, stats, err := ctl.ScheduleRequests(m, reqs, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if int64(len(cmds)) != stats.Commands || stats.Requests != int64(len(reqs)) {
+			b.Fatalf("scheduled %d commands (%d counted) for %d requests", len(cmds), stats.Commands, stats.Requests)
+		}
+		emitted = stats.Commands
+	}
+	b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "req/s")
+	b.ReportMetric(float64(emitted)*float64(b.N)/b.Elapsed().Seconds(), "cmds/s")
+}
+
 // benchScheduleReplay measures schedule→replay end to end over a
 // four-channel closed-page stream (every request emits its full command
 // triple, so the replayer sees the heaviest command flow per request).

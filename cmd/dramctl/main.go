@@ -44,7 +44,9 @@ import (
 
 	"drampower"
 	"drampower/internal/cli"
+	"drampower/internal/ctl"
 	"drampower/internal/server"
+	"drampower/internal/trace"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
@@ -122,24 +124,24 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			defer in.Close()
 			start := time.Now()
 
-			// -emit materializes the merged trace (it is the output); the
-			// default replay path runs the fused schedule→replay pipeline
-			// instead, so peak memory is one batch per channel, not the
-			// whole command trace, and the energy report is still exactly
-			// what dramtrace would print for the emitted trace.
+			// -emit writes the merged trace round by round as it is
+			// scheduled; the default replay path runs the fused
+			// schedule→replay pipeline. Either way peak memory is a few
+			// rounds of commands, not the whole command trace, and the
+			// energy report is exactly what dramtrace would print for the
+			// emitted trace.
 			if *emit != "" {
-				cmds, _, err := drampower.ScheduleTrace(m, in, opts)
-				if err != nil {
-					return cli.InputErr(name, err)
-				}
+				var tw ctl.CommandWriter
 				switch *emit {
 				case "text":
-					return drampower.WriteTrace(stdout, cmds)
+					tw = trace.NewTextWriter(stdout)
 				case "binary":
-					return drampower.WriteBinaryTrace(stdout, cmds)
+					tw = trace.NewBinaryWriter(stdout)
 				default:
 					return fmt.Errorf("bad -emit %q (want text or binary)", *emit)
 				}
+				_, err := ctl.WriteSchedule(m, in, opts, tw)
+				return cli.InputErr(name, err)
 			}
 
 			stats, res, err := drampower.ScheduleAndReplay(m, in, opts,

@@ -34,6 +34,7 @@ func TestRun(t *testing.T) {
 		{"missing-desc", []string{"-f", "testdata/missing.dram"}, ""},
 		{"long-trc", []string{"-f", "testdata/trc10ms.dram"}, ""},
 		{"nan-toggle", []string{"-f", "testdata/nan-toggle.dram"}, ""},
+		{"inf-vdd", []string{"-f", "testdata/inf-vdd.dram"}, ""},
 		{"help", []string{"-h"}, ""},
 		{"flag-error", []string{"-bogus"}, ""},
 	} {

@@ -396,7 +396,9 @@ func NewTraceSource(r io.Reader) TraceSource { return trace.NewSource(r) }
 
 // InterleaveChannels merges per-channel traces into one multi-channel
 // trace with global bank indices (channel ch's bank b becomes bank
-// ch*banksPerChannel+b), ordered by slot.
+// ch*banksPerChannel+b), ordered by slot, ties in channel order. It is the
+// k-way merge the controller runs round by round (ScheduleTrace), run
+// over whole channel traces, each of which must be in slot order.
 func InterleaveChannels(channels [][]Command, banksPerChannel int) []Command {
 	return trace.Interleave(channels, banksPerChannel)
 }

@@ -517,11 +517,17 @@ func TestRejectsNonFiniteToggle(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsNaN sets each checked float field of the sample to
-// NaN, as a description built in Go can (the parser rejects NaN), and
-// expects a problem naming that field.
-func TestValidateRejectsNaN(t *testing.T) {
-	nan := math.NaN()
+// floatFieldCase sets one checked float field of a description and names
+// the problem Validate must report for it.
+type floatFieldCase struct {
+	set  func(d *Description, v float64)
+	want string
+}
+
+// checkedFloatFields lists every float field Validate checks, on the
+// sample.
+func checkedFloatFields(t *testing.T) []floatFieldCase {
+	t.Helper()
 	inside := -1
 	for i, s := range Sample1GbDDR3().Signals {
 		if s.Inside != nil {
@@ -533,57 +539,62 @@ func TestValidateRejectsNaN(t *testing.T) {
 		t.Fatal("the sample has no inside-form segment")
 	}
 	sig := func(i int) string { return "signal " + Sample1GbDDR3().Signals[i].Name + ": " }
-	for _, tc := range []struct {
-		set  func(d *Description)
-		want string
-	}{
-		{func(d *Description) { d.Floorplan.WordlinePitch = units.Length(nan) }, "floorplan: wordline pitch"},
-		{func(d *Description) { d.Floorplan.BitlinePitch = units.Length(nan) }, "floorplan: bitline pitch"},
-		{func(d *Description) { d.Floorplan.BLSAStripeWidth = units.Length(nan) }, "floorplan: BLSA stripe width"},
-		{func(d *Description) { d.Floorplan.LWDStripeWidth = units.Length(nan) }, "floorplan: LWD stripe width"},
-		{func(d *Description) { d.Floorplan.ActivationFraction = nan }, "floorplan: activation fraction"},
-		{func(d *Description) { d.Signals[inside].Fraction = nan }, sig(inside) + "fraction"},
-		{func(d *Description) { d.Signals[0].ActiveFrac = nan }, sig(0) + "active fraction"},
-		{func(d *Description) { d.Signals[0].Toggle = nan }, sig(0) + "toggle rate"},
-		{func(d *Description) { d.Technology.GateOxideLogic = units.Length(nan) }, "technology: gate oxide logic"},
-		{func(d *Description) { d.Technology.GateOxideHV = units.Length(nan) }, "technology: gate oxide HV"},
-		{func(d *Description) { d.Technology.GateOxideCell = units.Length(nan) }, "technology: gate oxide cell"},
-		{func(d *Description) { d.Technology.MinGateLengthLogic = units.Length(nan) }, "technology: min gate length logic"},
-		{func(d *Description) { d.Technology.MinGateLengthHV = units.Length(nan) }, "technology: min gate length HV"},
-		{func(d *Description) { d.Technology.CellAccessLength = units.Length(nan) }, "technology: cell access length"},
-		{func(d *Description) { d.Technology.CellAccessWidth = units.Length(nan) }, "technology: cell access width"},
-		{func(d *Description) { d.Technology.BitlineCap = units.Capacitance(nan) }, "technology: bitline capacitance"},
-		{func(d *Description) { d.Technology.CellCap = units.Capacitance(nan) }, "technology: cell capacitance"},
-		{func(d *Description) { d.Technology.WireCapMWL = units.CapacitancePerLength(nan) }, "technology: wire cap master wordline"},
-		{func(d *Description) { d.Technology.WireCapLWL = units.CapacitancePerLength(nan) }, "technology: wire cap local wordline"},
-		{func(d *Description) { d.Technology.WireCapSignal = units.CapacitancePerLength(nan) }, "technology: wire cap signal"},
-		{func(d *Description) { d.Technology.BitlineToWLShare = nan }, "technology: bitline-to-wordline share"},
-		{func(d *Description) { d.Spec.DataRate = units.DataRate(nan) }, "specification: data rate"},
-		{func(d *Description) { d.Spec.ControlClock = units.Frequency(nan) }, "specification: control clock"},
-		{func(d *Description) { d.Spec.DataClock = units.Frequency(nan) }, "specification: data clock"},
-		{func(d *Description) { d.Spec.RowCycle = units.Duration(nan) }, "specification: row cycle time"},
-		{func(d *Description) { d.Spec.RowToColumnDelay = units.Duration(nan) }, "specification: tRCD="},
-		{func(d *Description) { d.Spec.RefreshInterval = units.Duration(nan) }, "specification: tREFI="},
-		{func(d *Description) { d.Electrical.Vdd = units.Voltage(nan) }, "electrical: Vdd"},
-		{func(d *Description) { d.Electrical.Vint = units.Voltage(nan) }, "electrical: all domain voltages"},
-		{func(d *Description) { d.Electrical.Vbl = units.Voltage(nan) }, "electrical: all domain voltages"},
-		{func(d *Description) { d.Electrical.Vpp = units.Voltage(nan) }, "electrical: all domain voltages"},
-		{func(d *Description) { d.Electrical.EffInt = nan }, "electrical: Vint generator efficiency"},
-		{func(d *Description) { d.Electrical.EffBl = nan }, "electrical: Vbl generator efficiency"},
-		{func(d *Description) { d.Electrical.EffPp = nan }, "electrical: Vpp generator efficiency"},
-		{func(d *Description) { d.Electrical.ConstantCurrent = units.Current(nan) }, "electrical: negative constant current"},
-		{func(d *Description) { d.LogicBlocks[0].AvgNMOSWidth = units.Length(nan) }, "logic block clocktree: device widths"},
-		{func(d *Description) { d.LogicBlocks[0].AvgPMOSWidth = units.Length(nan) }, "logic block clocktree: device widths"},
-		{func(d *Description) { d.LogicBlocks[0].TransistorsPerGate = nan }, "logic block clocktree: transistors per gate"},
-		{func(d *Description) { d.LogicBlocks[0].GateDensity = nan }, "logic block clocktree: gate density"},
-		{func(d *Description) { d.LogicBlocks[0].WiringDensity = nan }, "logic block clocktree: wiring density"},
-		{func(d *Description) { d.LogicBlocks[0].Toggle = nan }, "logic block clocktree: toggle rate"},
-	} {
+	return []floatFieldCase{
+		{func(d *Description, v float64) { d.Floorplan.WordlinePitch = units.Length(v) }, "floorplan: wordline pitch"},
+		{func(d *Description, v float64) { d.Floorplan.BitlinePitch = units.Length(v) }, "floorplan: bitline pitch"},
+		{func(d *Description, v float64) { d.Floorplan.BLSAStripeWidth = units.Length(v) }, "floorplan: BLSA stripe width"},
+		{func(d *Description, v float64) { d.Floorplan.LWDStripeWidth = units.Length(v) }, "floorplan: LWD stripe width"},
+		{func(d *Description, v float64) { d.Floorplan.ActivationFraction = v }, "floorplan: activation fraction"},
+		{func(d *Description, v float64) { d.Signals[inside].Fraction = v }, sig(inside) + "fraction"},
+		{func(d *Description, v float64) { d.Signals[0].ActiveFrac = v }, sig(0) + "active fraction"},
+		{func(d *Description, v float64) { d.Signals[0].Toggle = v }, sig(0) + "toggle rate"},
+		{func(d *Description, v float64) { d.Technology.GateOxideLogic = units.Length(v) }, "technology: gate oxide logic"},
+		{func(d *Description, v float64) { d.Technology.GateOxideHV = units.Length(v) }, "technology: gate oxide HV"},
+		{func(d *Description, v float64) { d.Technology.GateOxideCell = units.Length(v) }, "technology: gate oxide cell"},
+		{func(d *Description, v float64) { d.Technology.MinGateLengthLogic = units.Length(v) }, "technology: min gate length logic"},
+		{func(d *Description, v float64) { d.Technology.MinGateLengthHV = units.Length(v) }, "technology: min gate length HV"},
+		{func(d *Description, v float64) { d.Technology.CellAccessLength = units.Length(v) }, "technology: cell access length"},
+		{func(d *Description, v float64) { d.Technology.CellAccessWidth = units.Length(v) }, "technology: cell access width"},
+		{func(d *Description, v float64) { d.Technology.BitlineCap = units.Capacitance(v) }, "technology: bitline capacitance"},
+		{func(d *Description, v float64) { d.Technology.CellCap = units.Capacitance(v) }, "technology: cell capacitance"},
+		{func(d *Description, v float64) { d.Technology.WireCapMWL = units.CapacitancePerLength(v) }, "technology: wire cap master wordline"},
+		{func(d *Description, v float64) { d.Technology.WireCapLWL = units.CapacitancePerLength(v) }, "technology: wire cap local wordline"},
+		{func(d *Description, v float64) { d.Technology.WireCapSignal = units.CapacitancePerLength(v) }, "technology: wire cap signal"},
+		{func(d *Description, v float64) { d.Technology.BitlineToWLShare = v }, "technology: bitline-to-wordline share"},
+		{func(d *Description, v float64) { d.Spec.DataRate = units.DataRate(v) }, "specification: data rate"},
+		{func(d *Description, v float64) { d.Spec.ControlClock = units.Frequency(v) }, "specification: control clock"},
+		{func(d *Description, v float64) { d.Spec.DataClock = units.Frequency(v) }, "specification: data clock"},
+		{func(d *Description, v float64) { d.Spec.RowCycle = units.Duration(v) }, "specification: row cycle time"},
+		{func(d *Description, v float64) { d.Spec.RowToColumnDelay = units.Duration(v) }, "specification: tRCD="},
+		{func(d *Description, v float64) { d.Spec.RefreshInterval = units.Duration(v) }, "specification: tREFI="},
+		{func(d *Description, v float64) { d.Spec.CASLatency = units.Duration(v) }, "specification: CL="},
+		{func(d *Description, v float64) { d.Electrical.Vdd = units.Voltage(v) }, "electrical: Vdd"},
+		{func(d *Description, v float64) { d.Electrical.Vint = units.Voltage(v) }, "electrical: all domain voltages"},
+		{func(d *Description, v float64) { d.Electrical.Vbl = units.Voltage(v) }, "electrical: all domain voltages"},
+		{func(d *Description, v float64) { d.Electrical.Vpp = units.Voltage(v) }, "electrical: all domain voltages"},
+		{func(d *Description, v float64) { d.Electrical.EffInt = v }, "electrical: Vint generator efficiency"},
+		{func(d *Description, v float64) { d.Electrical.EffBl = v }, "electrical: Vbl generator efficiency"},
+		{func(d *Description, v float64) { d.Electrical.EffPp = v }, "electrical: Vpp generator efficiency"},
+		{func(d *Description, v float64) { d.Electrical.ConstantCurrent = units.Current(v) }, "electrical: negative constant current"},
+		{func(d *Description, v float64) { d.LogicBlocks[0].AvgNMOSWidth = units.Length(v) }, "logic block clocktree: device widths"},
+		{func(d *Description, v float64) { d.LogicBlocks[0].AvgPMOSWidth = units.Length(v) }, "logic block clocktree: device widths"},
+		{func(d *Description, v float64) { d.LogicBlocks[0].TransistorsPerGate = v }, "logic block clocktree: transistors per gate"},
+		{func(d *Description, v float64) { d.LogicBlocks[0].GateDensity = v }, "logic block clocktree: gate density"},
+		{func(d *Description, v float64) { d.LogicBlocks[0].WiringDensity = v }, "logic block clocktree: wiring density"},
+		{func(d *Description, v float64) { d.LogicBlocks[0].Toggle = v }, "logic block clocktree: toggle rate"},
+	}
+}
+
+// rejectsEach sets each checked float field of the sample to v in turn
+// and expects a problem naming that field.
+func rejectsEach(t *testing.T, v float64) {
+	t.Helper()
+	for _, tc := range checkedFloatFields(t) {
 		d := Sample1GbDDR3()
-		tc.set(d)
+		tc.set(d, v)
 		var ve *ValidationError
 		if err := d.Validate(); !errors.As(err, &ve) {
-			t.Errorf("%s NaN: Validate = %v, want a *ValidationError", tc.want, err)
+			t.Errorf("%s %v: Validate = %v, want a *ValidationError", tc.want, v, err)
 			continue
 		}
 		found := false
@@ -591,9 +602,21 @@ func TestValidateRejectsNaN(t *testing.T) {
 			found = found || strings.HasPrefix(p, tc.want)
 		}
 		if !found {
-			t.Errorf("%s NaN: problems %q name no %q", tc.want, ve.Problems, tc.want)
+			t.Errorf("%s %v: problems %q name no %q", tc.want, v, ve.Problems, tc.want)
 		}
 	}
+}
+
+// TestValidateRejectsNaN sets each checked float field of the sample to
+// NaN, as a description built in Go can (the parser rejects NaN), and
+// expects a problem naming that field.
+func TestValidateRejectsNaN(t *testing.T) { rejectsEach(t, math.NaN()) }
+
+// TestValidateRejectsInf does the same with +Inf and -Inf, which a Go
+// caller can set and which passed every check of the form !(v > 0).
+func TestValidateRejectsInf(t *testing.T) {
+	rejectsEach(t, math.Inf(1))
+	rejectsEach(t, math.Inf(-1))
 }
 
 func TestValidateSpanNeedsBothEnds(t *testing.T) {

@@ -31,8 +31,8 @@ func (e *ValidationError) addf(format string, args ...any) {
 // Validate checks the description for internal consistency: required
 // parameters present, block references resolvable, voltages ordered
 // sensibly, pattern non-empty. It returns nil or a *ValidationError
-// listing every problem. Each float check is written so that a NaN fails
-// it (!(v > 0), not v <= 0).
+// listing every problem. Each float check is written so that a NaN or an
+// infinity fails it (!positive(v), not v <= 0).
 func (d *Description) Validate() error {
 	var e ValidationError // on the stack: a valid description allocates nothing
 
@@ -46,16 +46,16 @@ func (d *Description) Validate() error {
 	if fp.BlocksPerCSL <= 0 {
 		e.addf("floorplan: blocks per CSL must be positive, got %d", fp.BlocksPerCSL)
 	}
-	if !(fp.WordlinePitch > 0) {
+	if !positive(float64(fp.WordlinePitch)) {
 		e.addf("floorplan: wordline pitch must be positive, got %v", fp.WordlinePitch)
 	}
-	if !(fp.BitlinePitch > 0) {
+	if !positive(float64(fp.BitlinePitch)) {
 		e.addf("floorplan: bitline pitch must be positive, got %v", fp.BitlinePitch)
 	}
-	if !(fp.BLSAStripeWidth > 0) {
+	if !positive(float64(fp.BLSAStripeWidth)) {
 		e.addf("floorplan: BLSA stripe width must be positive, got %v", fp.BLSAStripeWidth)
 	}
-	if !(fp.LWDStripeWidth > 0) {
+	if !positive(float64(fp.LWDStripeWidth)) {
 		e.addf("floorplan: LWD stripe width must be positive, got %v", fp.LWDStripeWidth)
 	}
 	if !(fp.ActivationFraction >= 0 && fp.ActivationFraction <= 1) {
@@ -131,7 +131,7 @@ func (d *Description) Validate() error {
 
 	t := &d.Technology
 	checkPos := func(what string, v float64) {
-		if !(v > 0) {
+		if !positive(v) {
 			e.addf("technology: %s must be positive, got %g", what, v)
 		}
 	}
@@ -158,16 +158,16 @@ func (d *Description) Validate() error {
 	if s.IOWidth <= 0 {
 		e.addf("specification: IO width must be positive, got %d", s.IOWidth)
 	}
-	if !(s.DataRate > 0) {
+	if !positive(float64(s.DataRate)) {
 		e.addf("specification: data rate must be positive, got %v", s.DataRate)
 	}
-	if !(s.ControlClock > 0) {
+	if !positive(float64(s.ControlClock)) {
 		e.addf("specification: control clock must be positive, got %v", s.ControlClock)
 	}
-	if !(s.DataClock > 0) {
+	if !positive(float64(s.DataClock)) {
 		e.addf("specification: data clock must be positive, got %v", s.DataClock)
 	}
-	if !(s.RowCycle > 0) {
+	if !positive(float64(s.RowCycle)) {
 		e.addf("specification: row cycle time (tRC) must be positive, got %v", s.RowCycle)
 	}
 	if s.BankAddrBits < 0 || s.RowAddrBits <= 0 || s.ColAddrBits <= 0 {
@@ -193,6 +193,9 @@ func (d *Description) Validate() error {
 	// are placed one bit per slot.
 	for _, tp := range timingParams {
 		v := *tp.field(s)
+		if !(v >= 0 && v <= math.MaxFloat64) {
+			e.addf("specification: %s=%v must be finite and non-negative", tp.key, float64(v))
+		}
 		if n := s.Slots(v); tp.maxSlots > 0 && !(n <= tp.maxSlots) {
 			e.addf("specification: %s=%s exceeds the bound of %.0f control-clock slots (%.0f slots)",
 				tp.key, units.FormatSI(float64(v), "s"), tp.maxSlots, n)
@@ -204,10 +207,10 @@ func (d *Description) Validate() error {
 	}
 
 	el := &d.Electrical
-	if !(el.Vdd > 0) {
+	if !positive(float64(el.Vdd)) {
 		e.addf("electrical: Vdd must be positive, got %v", el.Vdd)
 	}
-	if !(el.Vint > 0 && el.Vbl > 0 && el.Vpp > 0) {
+	if !(positive(float64(el.Vint)) && positive(float64(el.Vbl)) && positive(float64(el.Vpp))) {
 		e.addf("electrical: all domain voltages must be positive (Vint=%v Vbl=%v Vpp=%v)",
 			el.Vint, el.Vbl, el.Vpp)
 	}
@@ -222,7 +225,7 @@ func (d *Description) Validate() error {
 			e.addf("electrical: %s generator efficiency %g outside (0,1]", eff.name, eff.v)
 		}
 	}
-	if !(el.ConstantCurrent >= 0) {
+	if !(el.ConstantCurrent >= 0 && el.ConstantCurrent <= math.MaxFloat64) {
 		e.addf("electrical: negative constant current %v", el.ConstantCurrent)
 	}
 
@@ -230,10 +233,10 @@ func (d *Description) Validate() error {
 		if b.Gates <= 0 {
 			e.addf("logic block %s: gate count must be positive, got %d", b.Name, b.Gates)
 		}
-		if !(b.AvgNMOSWidth > 0 && b.AvgPMOSWidth > 0) {
+		if !(positive(float64(b.AvgNMOSWidth)) && positive(float64(b.AvgPMOSWidth))) {
 			e.addf("logic block %s: device widths must be positive", b.Name)
 		}
-		if !(b.TransistorsPerGate > 0) {
+		if !positive(b.TransistorsPerGate) {
 			e.addf("logic block %s: transistors per gate must be positive", b.Name)
 		}
 		if !(b.GateDensity > 0 && b.GateDensity <= 1) {
@@ -259,6 +262,9 @@ func (d *Description) Validate() error {
 	}
 	return &ValidationError{Problems: e.Problems}
 }
+
+// positive reports whether v is positive and finite; a NaN is neither.
+func positive(v float64) bool { return v > 0 && v <= math.MaxFloat64 }
 
 // blockRefValid reports whether r lies inside the floorplan grid.
 func (d *Description) blockRefValid(r BlockRef) bool {

@@ -202,6 +202,28 @@ func TestEvaluateRejectsNonFiniteToggle(t *testing.T) {
 	}
 }
 
+// TestEvaluateRejectsOverflowingUnit: a value whose SI prefix scales it
+// past the largest float, such as Vdd 1e308kV, is a positioned 400, not
+// an infinite supply whose energies fail to encode as a 500.
+func TestEvaluateRejectsOverflowingUnit(t *testing.T) {
+	_, hs := newTestServer(t, Options{})
+	text := strings.Replace(desc.Format(desc.Sample1GbDDR3()), "\nVdd 1.5V\n", "\nVdd 1e308kV\n", 1)
+	if !strings.Contains(text, "1e308kV") {
+		t.Fatal("the sample has no Vdd 1.5V line")
+	}
+	resp, body := post(t, hs.URL+"/v1/evaluate", text)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", resp.StatusCode, body)
+	}
+	var e errorResponse
+	if err := json.Unmarshal(body, &e); err != nil {
+		t.Fatal(err)
+	}
+	if e.Line == 0 || !strings.Contains(e.Error, "Vdd") {
+		t.Errorf("error not positioned at Vdd: %+v", e)
+	}
+}
+
 func TestEvaluatePatternOverride(t *testing.T) {
 	_, hs := newTestServer(t, Options{})
 	resp, body := post(t, hs.URL+"/v1/evaluate?pattern=act+nop+rd+nop+pre+nop", "")

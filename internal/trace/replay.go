@@ -319,38 +319,6 @@ func Replay(m *core.Model, rd io.Reader, opts ReplayOptions) (Result, error) {
 	return r.Result(r.Now() + int64(m.BurstSlots())), nil
 }
 
-// Interleave merges per-channel traces into one multi-channel trace with
-// global bank indices, ordered by slot (ties resolve in channel order):
-// channel ch's bank b becomes global bank ch*banksPerChannel+b. It is the
-// inverse of the Replayer's sharding and is used to compose multi-channel
-// traces from the single-device workload generators.
-func Interleave(channels [][]Command, banksPerChannel int) []Command {
-	total := 0
-	for _, c := range channels {
-		total += len(c)
-	}
-	out := make([]Command, 0, total)
-	idx := make([]int, len(channels))
-	for len(out) < total {
-		best := -1
-		var bestSlot int64
-		for ch := range channels {
-			i := idx[ch]
-			if i >= len(channels[ch]) {
-				continue
-			}
-			if s := channels[ch][i].Slot; best < 0 || s < bestSlot {
-				best, bestSlot = ch, s
-			}
-		}
-		c := channels[best][idx[best]]
-		c.Bank += best * banksPerChannel
-		out = append(out, c)
-		idx[best]++
-	}
-	return out
-}
-
 // cmdSliceSource adapts an in-memory command slice to the Source
 // interface, so already-materialized traces (e.g. a scheduler's output)
 // replay without a serialize/re-parse round trip.

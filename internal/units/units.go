@@ -243,7 +243,11 @@ func parseWithUnit(s string, base ...string) (float64, error) {
 		if !ok {
 			return 0, fmt.Errorf("units: unknown SI prefix %q in %q", prefix, s)
 		}
-		return num * mult, nil
+		v := num * mult
+		if !finite(v) {
+			return 0, fmt.Errorf("units: %q is out of range", s)
+		}
+		return v, nil
 	}
 	return 0, fmt.Errorf("units: %q does not end in one of %v", s, base)
 }
@@ -329,7 +333,11 @@ func ParseCapacitancePerLength(s string) (CapacitancePerLength, error) {
 	if l == 0 {
 		return 0, fmt.Errorf("units: zero denominator in %q", s)
 	}
-	return CapacitancePerLength(float64(c) / float64(l)), nil
+	v := float64(c) / float64(l)
+	if !finite(v) {
+		return 0, fmt.Errorf("units: %q is out of range", s)
+	}
+	return CapacitancePerLength(v), nil
 }
 
 // ParseFraction parses "25%", "0.25" or "1:8"-style ratios into a plain

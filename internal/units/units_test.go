@@ -44,6 +44,35 @@ func TestParseLengthErrors(t *testing.T) {
 	}
 }
 
+// TestParseRejectsOverflow: a number that is finite but overflows once
+// its SI prefix scales it, or a per-length quotient that overflows, is an
+// error, not an infinity that every check of the form !(v > 0) passes.
+func TestParseRejectsOverflow(t *testing.T) {
+	for _, tc := range []struct {
+		in    string
+		parse func(string) (float64, error)
+	}{
+		{"1e308kV", func(s string) (float64, error) { v, err := ParseVoltage(s); return float64(v), err }},
+		{"-1e308kV", func(s string) (float64, error) { v, err := ParseVoltage(s); return float64(v), err }},
+		{"1e300THz", func(s string) (float64, error) { v, err := ParseFrequency(s); return float64(v), err }},
+		{"2e305ks", func(s string) (float64, error) { v, err := ParseDuration(s); return float64(v), err }},
+		{"1.7976931348623157e308kA", func(s string) (float64, error) { v, err := ParseCurrent(s); return float64(v), err }},
+		{"1e306Gbps", func(s string) (float64, error) { v, err := ParseDataRate(s); return float64(v), err }},
+		{"1e300F/am", func(s string) (float64, error) { v, err := ParseCapacitancePerLength(s); return float64(v), err }},
+	} {
+		if v, err := tc.parse(tc.in); err == nil {
+			t.Errorf("%q parsed to %v, want an out-of-range error", tc.in, v)
+		}
+	}
+	// The largest finite values still parse.
+	if v, err := ParseVoltage("1e308V"); err != nil || v != 1e308 {
+		t.Errorf("ParseVoltage(1e308V) = %v, %v", v, err)
+	}
+	if v, err := ParseVoltage("1e305kV"); err != nil || v != 1e308 {
+		t.Errorf("ParseVoltage(1e305kV) = %v, %v", v, err)
+	}
+}
+
 func TestParseCapacitance(t *testing.T) {
 	got, err := ParseCapacitance("80fF")
 	if err != nil {
