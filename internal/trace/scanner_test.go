@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -172,16 +173,25 @@ func TestScannerReaderErrorUnwraps(t *testing.T) {
 	}
 }
 
-// The scanner performs no per-line allocations: scanning thousands of
-// lines costs only the fixed scanner setup.
+// Neither the scanner nor the text writer performs per-line
+// allocations: scanning or writing thousands of lines costs only the
+// fixed setup.
 func TestScannerAllocationFree(t *testing.T) {
 	m := model(t)
+	cmds := RandomClosedPage(m, 3000, 0.5, 5)
 	var buf bytes.Buffer
-	if err := WriteTrace(&buf, RandomClosedPage(m, 3000, 0.5, 5)); err != nil {
+	if err := WriteTrace(&buf, cmds); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
 	lines := bytes.Count(data, []byte{'\n'})
+	if allocs := testing.AllocsPerRun(5, func() {
+		if err := WriteTrace(io.Discard, cmds); err != nil {
+			panic(err)
+		}
+	}); allocs > 8 {
+		t.Errorf("writing %d lines cost %.0f allocs, want <= 8 (setup only)", lines, allocs)
+	}
 	allocs := testing.AllocsPerRun(5, func() {
 		sc := NewScanner(bytes.NewReader(data))
 		n := 0
