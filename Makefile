@@ -75,13 +75,16 @@ serve-smoke:
 # loop and a short schedule clean, and build a knob and a scheme variant
 # in reused storage exactly as fresh), the timing rulebook (every command
 # placed at its earliest legal slot must issue, and one slot earlier must
-# not), the IDD loops the rulebook places on scaled timings (every loop
-# must replay clean and cost what the pattern evaluation reports) and the
-# scheduler (arbitrary access streams and options must schedule into
-# legal traces) and the k-way merge of channel streams (merging round by
-# round under a watermark must equal the whole-stream scan, command for
-# command); go's fuzzer runs one target per invocation, hence one line
-# each. Override FUZZTIME for a longer hunt.
+# not; a low-power window's exit placed by the rulebook must let the next
+# command issue, and one slot later must not), the IDD loops the rulebook
+# places on scaled timings (every loop must replay clean and cost what
+# the pattern evaluation reports), the scheduler (arbitrary access
+# streams and options must schedule into legal traces), the k-way merge
+# of channel streams (merging round by round under a watermark must
+# equal the whole-stream scan, command for command) and the server's
+# query strings (any query on any endpoint must answer below 500); go's
+# fuzzer runs one target per invocation, hence one line each. Override
+# FUZZTIME for a longer hunt.
 # Each FuzzScheduleReplay input runs four schedules and three replays,
 # a FuzzRulesTight input issues up to thousands of commands, and the
 # descriptor FuzzParse, FuzzDescriptorBuild and FuzzBinaryScanner start
@@ -101,6 +104,7 @@ fuzz-short:
 	$(GO) test -fuzz FuzzIDDLoops -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace/
 	$(GO) test -fuzz FuzzAccessScanner -fuzztime $(FUZZTIME) -run '^$$' ./internal/ctl/
 	$(GO) test -fuzz FuzzScheduleReplay -fuzztime $(FUZZTIME) -fuzzminimizetime 100x -run '^$$' ./internal/ctl/
+	$(GO) test -fuzz FuzzServerQuery -fuzztime $(FUZZTIME) -run '^$$' ./internal/server/
 
 # Retention legality sweep: every page policy × address map × channel
 # count × low-power combination is scheduled and replayed — both

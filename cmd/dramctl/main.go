@@ -131,13 +131,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			// energy report is exactly what dramtrace would print for the
 			// emitted trace.
 			if *emit != "" {
-				var tw ctl.CommandWriter
-				switch *emit {
-				case "text":
-					tw = trace.NewTextWriter(stdout)
-				case "binary":
-					tw = trace.NewBinaryWriter(stdout)
-				default:
+				tw, ok := trace.NewWriter(stdout, *emit)
+				if !ok {
 					return fmt.Errorf("bad -emit %q (want text or binary)", *emit)
 				}
 				_, err := ctl.WriteSchedule(m, in, opts, tw)

@@ -29,6 +29,7 @@ func TestRun(t *testing.T) {
 		{"sample", nil, ""},
 		{"ddr2-pattern", []string{"-f", "../../testdata/ddr2_1gb_x16_75nm.dram", "-pattern", "act nop rd nop pre nop"}, ""},
 		{"calib", []string{"-calib", "../../testdata/measured.calib"}, ""},
+		{"huge-calib", []string{"-calib", "testdata/huge-act.calib"}, ""},
 		{"bad-pattern", []string{"-pattern", "act jump"}, ""},
 		{"bad-desc", []string{"-f", "testdata/bad.dram"}, ""},
 		{"missing-desc", []string{"-f", "testdata/missing.dram"}, ""},

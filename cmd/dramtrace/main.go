@@ -40,7 +40,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -50,6 +49,7 @@ import (
 
 	"drampower"
 	"drampower/internal/cli"
+	"drampower/internal/ctl"
 	"drampower/internal/server"
 	"drampower/internal/trace"
 )
@@ -111,7 +111,13 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			}
 
 			if *gen != "" {
-				return generate(stdout, m, *gen, *channels, *n, *readShare, *rowhit, *seed, *idle, *format == "binary")
+				// -format binary selects the dtb encoding; text and json
+				// both generate a text trace.
+				var tw trace.Writer = trace.NewTextWriter(stdout)
+				if *format == "binary" {
+					tw = trace.NewBinaryWriter(stdout)
+				}
+				return generate(tw, m, *gen, *channels, *n, *readShare, *rowhit, *seed, *idle)
 			}
 
 			in, name, err := cli.Input(fs, stdin)
@@ -142,44 +148,29 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 // in the requested encoding. No model is involved: conversion re-encodes
 // the command stream verbatim, without timing checks.
 func convertTrace(w io.Writer, in io.Reader, out string) error {
-	src := drampower.NewTraceSource(in)
-	switch out {
-	case "text":
-		bw := bufio.NewWriter(w)
-		var line []byte
-		for src.Scan() {
-			line = trace.AppendCommand(line[:0], src.Command())
-			if _, err := bw.Write(line); err != nil {
-				return err
-			}
-		}
-		if err := src.Err(); err != nil {
-			return err
-		}
-		return bw.Flush()
-	case "binary":
-		bw := drampower.NewBinaryTraceWriter(w)
-		for src.Scan() {
-			if err := bw.WriteCommand(src.Command()); err != nil {
-				return err
-			}
-		}
-		if err := src.Err(); err != nil {
-			return err
-		}
-		return bw.Flush()
-	default:
+	tw, ok := trace.NewWriter(w, out)
+	if !ok {
 		return fmt.Errorf("bad -convert %q (want text or binary)", out)
 	}
+	src := drampower.NewTraceSource(in)
+	for src.Scan() {
+		if err := tw.WriteCommand(src.Command()); err != nil {
+			return err
+		}
+	}
+	if err := src.Err(); err != nil {
+		return err
+	}
+	return tw.Flush()
 }
 
-// generate writes a synthetic trace to w: per-channel workloads from the
+// generate writes a synthetic trace to tw: per-channel workloads from the
 // generators in internal/trace, optionally parked in power-down during
-// idle gaps (-idle), interleaved into one global-bank trace, in the text
-// or (with -format binary) the dtb binary encoding. The mixed kind
-// instead drives the controller front-end: a random access stream with
-// -rowhit row locality, scheduled open-page into a legal trace.
-func generate(w io.Writer, m *drampower.Model, kind string, channels, n int, readShare, rowhit float64, seed, idle int64, binary bool) error {
+// idle gaps (-idle), interleaved into one global-bank trace. The mixed
+// kind instead drives the controller front-end: a random access stream
+// with -rowhit row locality, scheduled open-page and written round by
+// round as it is scheduled.
+func generate(tw trace.Writer, m *drampower.Model, kind string, channels, n int, readShare, rowhit float64, seed, idle int64) error {
 	if kind == "mixed" {
 		if idle > 0 {
 			return fmt.Errorf("-idle does not apply to -gen mixed (schedule with dramctl -pd-timeout instead)")
@@ -197,14 +188,12 @@ func generate(w io.Writer, m *drampower.Model, kind string, channels, n int, rea
 		if err != nil {
 			return err
 		}
-		cmds, _, err := drampower.ScheduleAccesses(m, accesses, drampower.ControllerOptions{Channels: channels})
+		c, err := drampower.NewController(m, drampower.ControllerOptions{Channels: channels})
 		if err != nil {
 			return err
 		}
-		if binary {
-			return drampower.WriteBinaryTrace(w, cmds)
-		}
-		return drampower.WriteTrace(w, cmds)
+		_, err = c.WriteSchedule(ctl.NewSliceSource(accesses), tw)
+		return err
 	}
 	perChannel := (n + channels - 1) / channels
 	chans := make([][]drampower.Command, channels)
@@ -227,11 +216,7 @@ func generate(w io.Writer, m *drampower.Model, kind string, channels, n int, rea
 			chans[ch] = trace.WithPowerDown(m, chans[ch], idle)
 		}
 	}
-	cmds := drampower.InterleaveChannels(chans, m.D.Spec.Banks())
-	if binary {
-		return drampower.WriteBinaryTrace(w, cmds)
-	}
-	return drampower.WriteTrace(w, cmds)
+	return trace.WriteAll(tw, drampower.InterleaveChannels(chans, m.D.Spec.Banks()))
 }
 
 // countingReader counts the trace bytes consumed, for throughput

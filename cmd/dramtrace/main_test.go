@@ -49,6 +49,8 @@ func TestRun(t *testing.T) {
 		{"convert", []string{"-convert", "text", "testdata/closed.trace"}, ""},
 		{"bad-trace", []string{"testdata/bad.trace"}, ""},
 		{"bad-trace-stdin", nil, "testdata/bad.trace"},
+		{"ref-in-trp", []string{"testdata/ref-in-trp.trace"}, ""},
+		{"ref-after-trp", []string{"testdata/ref-after-trp.trace"}, ""},
 		{"missing-trace", []string{"testdata/missing.trace"}, ""},
 		{"bad-format", []string{"-format", "xml", "testdata/closed.trace"}, ""},
 		{"binary-without-gen", []string{"-format", "binary", "testdata/closed.trace"}, ""},

@@ -119,54 +119,51 @@ func (m *Model) applyOverlay(ov *desc.Overlay) error {
 	return nil
 }
 
+// The calibration ceilings: a calibrated value above its class's ceiling,
+// far beyond any DRAM, is rejected, so that no energy or power the model
+// reports overflows to infinity.
+const (
+	maxCalibratedCurrent = 1e3  // A
+	maxCalibratedPower   = 1e3  // W
+	maxCalibratedEnergy  = 1e-3 // J per operation
+)
+
 func (m *Model) applyOverlayEntry(e desc.OverlayEntry, vdd float64) error {
-	setCurrent := func(dst *units.Current) {
-		if e.Scale {
-			*dst = units.Current(float64(*dst) * e.Value)
-		} else {
-			*dst = units.Current(e.Value)
-		}
+	// dst is the resolved parameter the key pins, viewed as its float64
+	// (every units quantity is one), and set the value an override stores
+	// there.
+	var dst *float64
+	set, ceiling, unit := e.Value, maxCalibratedPower, "W"
+	current := func(p *units.Current) {
+		dst, ceiling, unit = (*float64)(p), maxCalibratedCurrent, "A"
 	}
-	// setPowerFromCurrent handles the current-valued aliases of the
-	// background powers: an override is a current, so the stored power is
-	// I × Vdd; a scaling is dimensionless and applies directly.
-	setPowerFromCurrent := func(dst *units.Power) {
-		if e.Scale {
-			*dst = units.Power(float64(*dst) * e.Value)
-		} else {
-			*dst = units.Power(e.Value * vdd)
-		}
-	}
-	setPower := func(dst *units.Power) {
-		if e.Scale {
-			*dst = units.Power(float64(*dst) * e.Value)
-		} else {
-			*dst = units.Power(e.Value)
-		}
-	}
+	// The current-valued aliases of the background powers: an override
+	// is a current, so the stored power is I × Vdd; a scaling is
+	// dimensionless and applies directly.
+	powerFromCurrent := func(p *units.Power) { dst, set = (*float64)(p), e.Value*vdd }
 	switch e.Key {
 	case "idd0":
-		setCurrent(&m.params.IDD0)
+		current(&m.params.IDD0)
 	case "idd4r":
-		setCurrent(&m.params.IDD4R)
+		current(&m.params.IDD4R)
 	case "idd4w":
-		setCurrent(&m.params.IDD4W)
+		current(&m.params.IDD4W)
 	case "idd5":
-		setCurrent(&m.params.IDD5)
+		current(&m.params.IDD5)
 	case "idd7":
-		setCurrent(&m.params.IDD7)
+		current(&m.params.IDD7)
 	case "idd2n", "idd3n":
-		setPowerFromCurrent(&m.params.StandbyPower)
+		powerFromCurrent(&m.params.StandbyPower)
 	case "idd2p":
-		setPowerFromCurrent(&m.params.PowerDownPower)
+		powerFromCurrent(&m.params.PowerDownPower)
 	case "idd6":
-		setPowerFromCurrent(&m.params.SelfRefreshPower)
+		powerFromCurrent(&m.params.SelfRefreshPower)
 	case "standby":
-		setPower(&m.params.StandbyPower)
+		dst = (*float64)(&m.params.StandbyPower)
 	case "powerdown":
-		setPower(&m.params.PowerDownPower)
+		dst = (*float64)(&m.params.PowerDownPower)
 	case "selfrefresh":
-		setPower(&m.params.SelfRefreshPower)
+		dst = (*float64)(&m.params.SelfRefreshPower)
 	default:
 		// op.<op>.energy — the overlay parser only emits keys from
 		// desc.OverlayKeys, so anything else here is a programming error.
@@ -178,12 +175,16 @@ func (m *Model) applyOverlayEntry(e desc.OverlayEntry, vdd float64) error {
 		if err != nil {
 			return fmt.Errorf("core: calibration key %q: %v", e.Key, err)
 		}
-		if e.Scale {
-			m.params.OpEnergy[op] = units.Energy(float64(m.params.OpEnergy[op]) * e.Value)
-		} else {
-			m.params.OpEnergy[op] = units.Energy(e.Value)
-		}
+		dst, ceiling, unit = (*float64)(&m.params.OpEnergy[op]), maxCalibratedEnergy, "J"
 	}
+	v := set
+	if e.Scale {
+		v = *dst * e.Value
+	}
+	if !(v <= ceiling) {
+		return fmt.Errorf("core: calibration %s: %g %s exceeds the %g %s ceiling", e.Key, v, unit, ceiling, unit)
+	}
+	*dst = v
 	return nil
 }
 

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math"
 	"testing"
 
+	"drampower/internal/circuits"
 	"drampower/internal/desc"
 	"drampower/internal/units"
 )
@@ -156,6 +158,75 @@ func TestOverlayCurrentAliases(t *testing.T) {
 	}
 	if got := float64(m.IDD2P()); got != float64(p.PowerDownPower)/vdd {
 		t.Errorf("IDD2P = %v inconsistent with powerdown %v", got, p.PowerDownPower)
+	}
+}
+
+// TestOverlayCeiling: a calibrated value above its class's ceiling, set
+// or scaled, is an error naming the key and the value; the ceiling itself
+// is accepted.
+func TestOverlayCeiling(t *testing.T) {
+	for _, tc := range []struct{ src, err string }{
+		{"op.act.energy = 1e300\n", "core: calibration op.act.energy: 1e+300 J exceeds the 0.001 J ceiling"},
+		{"op.act.energy = 1mJ\nop.act.energy *= 1.5\n", "core: calibration op.act.energy: 0.0015 J exceeds the 0.001 J ceiling"},
+		{"idd0 = 1e307A\n", "core: calibration idd0: 1e+307 A exceeds the 1000 A ceiling"},
+		{"idd7 = 10A\nidd7 *= 1e308\n", "core: calibration idd7: +Inf A exceeds the 1000 A ceiling"},
+		{"standby = 2kW\n", "core: calibration standby: 2000 W exceeds the 1000 W ceiling"},
+		{"idd2n = 1kA\n", "core: calibration idd2n: 1500 W exceeds the 1000 W ceiling"},
+	} {
+		ov, err := desc.ParseOverlayString(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := BuildCalibrated(desc.Sample1GbDDR3(), ov); err == nil || err.Error() != tc.err {
+			t.Errorf("%q: got %v, want %s", tc.src, err, tc.err)
+		}
+	}
+	p := mustBuildCalibrated(t, "idd0 = 1kA\nstandby = 1kW\nop.act.energy = 1mJ\n").Params()
+	if p.IDD0 != 1e3 || p.StandbyPower != 1e3 || p.OpEnergy[desc.OpActivate] != 1e-3 {
+		t.Errorf("values at the ceiling not applied: %+v", p)
+	}
+}
+
+// TestBreakdownInfiniteScale: a derived activate energy so small that
+// the calibration ratio overflows to +Inf (a subnormal, which a user
+// descriptor can derive) leaves the groups and domains activate items
+// never touch at their uncalibrated values, bit for bit, instead of
+// turning them into NaN through 0 × Inf.
+func TestBreakdownInfiniteScale(t *testing.T) {
+	base := build(t)
+	m := mustBuildCalibrated(t, "op.act.energy = 1mJ\n")
+	m.derived.OpEnergy[desc.OpActivate] = 5e-324
+	if s := float64(m.params.OpEnergy[desc.OpActivate]) / float64(m.derived.OpEnergy[desc.OpActivate]); !math.IsInf(s, 1) {
+		t.Fatalf("activate scale = %v, want +Inf", s)
+	}
+	groups := map[circuits.Group]bool{}
+	domains := map[desc.Domain]bool{}
+	for _, it := range base.Charges(desc.OpActivate).Items {
+		groups[it.Group], domains[it.Domain] = true, true
+	}
+	same := func(a, b units.Power) bool {
+		return math.Float64bits(float64(a)) == math.Float64bits(float64(b))
+	}
+	want, got := base.EvaluatePattern(base.PatternIDD7(0.5)), m.EvaluatePattern(m.PatternIDD7(0.5))
+	n := 0
+	for g, p := range want.ByGroup {
+		if !groups[g] {
+			n++
+			if !same(got.ByGroup[g], p) {
+				t.Errorf("group %v = %v, want %v", g, got.ByGroup[g], p)
+			}
+		}
+	}
+	for dom, p := range want.ByDomain {
+		if !domains[dom] {
+			n++
+			if !same(got.ByDomain[dom], p) {
+				t.Errorf("domain %v = %v, want %v", dom, got.ByDomain[dom], p)
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("activate touches every group and domain; the test checks nothing")
 	}
 }
 

@@ -180,11 +180,11 @@ func FuzzEvaluatePattern(f *testing.F) {
 	})
 }
 
-// TestBreakdownSkipsUntouchedGroups calibrates the activate energy so
-// high that its scale ratio overflows: the groups activate items never
-// touch keep their uncalibrated values, bit for bit.
+// TestBreakdownSkipsUntouchedGroups calibrates the activate energy to
+// its ceiling, about a million times its derived value: the groups
+// activate items never touch keep their uncalibrated values, bit for bit.
 func TestBreakdownSkipsUntouchedGroups(t *testing.T) {
-	ov, err := desc.ParseOverlayString("op.act.energy = 1e300\n")
+	ov, err := desc.ParseOverlayString("op.act.energy = 1mJ\n")
 	if err != nil {
 		t.Fatal(err)
 	}

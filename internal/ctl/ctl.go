@@ -474,21 +474,15 @@ func (c *Controller) quietSlot(ch *chanState) int64 {
 
 // issueRef emits one all-bank refresh at the earliest legal slot at or
 // after want: open rows are precharged first (fixed bank-index order, so
-// placement is deterministic), then the refresh waits out tRP on those
-// precharges and whatever the rulebook's refresh rules demand. The tRP
-// wait is stricter than the Simulator (which only demands all banks
-// closed) — the real device cannot refresh a row mid-precharge. Callers
-// pass the obligation's due slot as want, so credit never runs ahead of
-// the epoch clock.
+// placement is deterministic), then the refresh lands where the rulebook
+// allows it, which is tRP after the last precharge at the earliest.
+// Callers pass the obligation's due slot as want, so credit never runs
+// ahead of the epoch clock.
 func (c *Controller) issueRef(ch *chanState, want int64) int64 {
-	if ch.OpenBanks() > 0 {
-		var pre int64 // the last precharge (slots are never negative)
-		for bi := range ch.Banks() {
-			if _, open := ch.Row(bi); open {
-				pre = max(pre, c.precharge(ch, bi, 0))
-			}
+	for bi := range ch.Banks() {
+		if _, open := ch.Row(bi); open {
+			c.precharge(ch, bi, 0)
 		}
-		want = max(want, pre+c.t.RP)
 	}
 	due := ch.Due()
 	slot := c.emit(ch, max(want, ch.RefreshAt()), desc.OpRefresh, 0, 0)
@@ -535,8 +529,8 @@ func (c *Controller) fillGap(ch *chanState, start int64) {
 	if lowPower && c.opts.SelfRefreshAfter > 0 {
 		for {
 			enter := max(c.quietSlot(ch)+c.opts.SelfRefreshAfter, ch.now+1)
-			exit := start - c.t.XS
-			if exit < enter+c.t.CKE {
+			exit, ok := ch.LowPowerExit(enter, start, true)
+			if !ok {
 				break // no room for self-refresh; try power-down below
 			}
 			if c.t.REFI > 0 && ch.Deadline(c.maxPost) < enter {
@@ -553,25 +547,25 @@ func (c *Controller) fillGap(ch *chanState, start int64) {
 
 	// Refreshes that belong to this gap, with power-down windows
 	// segmented between them: a window never spans a refresh — it ends
-	// tXP before the ref lands, so the ref is legal the slot the exit
-	// window closes. An obligation is served in this gap when it can
-	// complete before the request's first command (at its due slot, not
-	// postponed: the refresh costs the same now or later, and serving it
-	// now keeps the observed interval at tREFI) or when its postponement
-	// deadline falls inside the gap (then it issues even if the request
-	// slips by tRFC). Anything else is postponed to a later gap or to
-	// forceRefresh's catch-up burst.
+	// in time for the ref at refAt, the slot the rulebook lands it at
+	// (issueRef's slot when every bank is closed). An obligation is
+	// served in this gap when it can complete before the request's first
+	// command (at its due slot, not postponed: the refresh costs the same
+	// now or later, and serving it now keeps the observed interval at
+	// tREFI) or when its postponement deadline falls inside the gap (then
+	// it issues even if the request slips by tRFC). Anything else is
+	// postponed to a later gap or to forceRefresh's catch-up burst.
 	for c.t.REFI > 0 {
 		due, deadline := ch.Due(), ch.Deadline(c.maxPost)
 		quiet := c.quietSlot(ch)
-		refAt := max(due, quiet) // where issueRef would land it
+		refAt := max(due, quiet, ch.RefreshAt())
 		fits := refAt+c.t.RFC <= start
 		must := deadline <= start
 		if !fits && !must {
 			break // next obligation is a later gap's (or catch-up's) problem
 		}
 		if lowPower && c.opts.PowerDownAfter > 0 {
-			c.powerDown(ch, max(quiet+c.opts.PowerDownAfter, ch.now+1), refAt-c.t.XP)
+			c.powerDown(ch, max(quiet+c.opts.PowerDownAfter, ch.now+1), refAt)
 		}
 		c.issueRef(ch, due)
 		if must && !fits {
@@ -582,14 +576,15 @@ func (c *Controller) fillGap(ch *chanState, start int64) {
 	// A power-down window over whatever remains of the gap (or all of it
 	// when no refresh came due).
 	if lowPower && c.opts.PowerDownAfter > 0 {
-		c.powerDown(ch, max(c.quietSlot(ch)+c.opts.PowerDownAfter, ch.now+1), start-c.t.XP)
+		c.powerDown(ch, max(c.quietSlot(ch)+c.opts.PowerDownAfter, ch.now+1), start)
 	}
 }
 
-// powerDown emits a pde at enter and its pdx at exit when the window
-// leaves tCKEmin of residency.
-func (c *Controller) powerDown(ch *chanState, enter, exit int64) {
-	if exit < enter+c.t.CKE {
+// powerDown emits a pde at enter and its pdx in time for the command at
+// next, when the rulebook finds the window fits.
+func (c *Controller) powerDown(ch *chanState, enter, next int64) {
+	exit, ok := ch.LowPowerExit(enter, next, false)
+	if !ok {
 		return
 	}
 	ch.EnterLowPower(c.emit(ch, enter, trace.OpPowerDownEnter, 0, 0))
@@ -819,21 +814,13 @@ func (c *Controller) Schedule(src Source) ([]trace.Command, Stats, error) {
 	return s.commands(), stats, nil
 }
 
-// CommandWriter encodes the trace WriteSchedule produces, such as a
-// trace.TextWriter or a trace.BinaryWriter. WriteCommand appends one
-// command; Flush drains the buffer and reports the first error.
-type CommandWriter interface {
-	WriteCommand(trace.Command) error
-	Flush() error
-}
-
 // WriteSchedule consumes the access stream like Schedule and writes the
 // same merged trace to w, each round's released commands as soon as they
 // are merged, so emitting a schedule needs O(round) memory while every
 // channel keeps receiving requests (see Schedule for a channel that
 // receives none). It flushes w before returning. On an error the
 // commands merged before it have been written.
-func (c *Controller) WriteSchedule(src Source, w CommandWriter) (Stats, error) {
+func (c *Controller) WriteSchedule(src Source, w trace.Writer) (Stats, error) {
 	s := newMergeSink(c, w)
 	stats, err := c.ScheduleInto(src, s)
 	if ferr := w.Flush(); err == nil {
@@ -854,7 +841,7 @@ func Schedule(m *core.Model, rd io.Reader, opts Options) ([]trace.Command, Stats
 
 // WriteSchedule builds a controller, schedules an access trace read from
 // rd (text or .dab, sniffed) and writes the merged command trace to w.
-func WriteSchedule(m *core.Model, rd io.Reader, opts Options, w CommandWriter) (Stats, error) {
+func WriteSchedule(m *core.Model, rd io.Reader, opts Options, w trace.Writer) (Stats, error) {
 	c, err := NewController(m, opts)
 	if err != nil {
 		return Stats{}, err

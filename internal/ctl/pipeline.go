@@ -62,7 +62,7 @@ type mergeSink struct {
 	mg   *trace.Merger     // nil with one channel
 	out  []trace.Command   // the trace's current chunk, or the round to write
 	full [][]trace.Command // the trace's earlier chunks, in order
-	w    CommandWriter     // nil when collecting the trace
+	w    trace.Writer      // nil when collecting the trace
 }
 
 // mergeChunk caps, in commands, the capacity a new chunk starts with
@@ -72,7 +72,7 @@ type mergeSink struct {
 const mergeChunk = 1 << 16
 
 // newMergeSink returns a mergeSink for the controller's channels.
-func newMergeSink(c *Controller, w CommandWriter) *mergeSink {
+func newMergeSink(c *Controller, w trace.Writer) *mergeSink {
 	s := &mergeSink{w: w}
 	if n := len(c.chans); n > 1 {
 		s.mg = trace.NewMerger(n, c.BanksPerChannel())

@@ -242,6 +242,26 @@ func TestTraceCalibration(t *testing.T) {
 	}
 }
 
+// TestCalibrationCeiling: a calibration that sets or scales any key to
+// a huge but finite value is a 4xx naming the key on every endpoint that
+// takes one, not a model whose reports overflow to infinity and fail to
+// encode as a 500.
+func TestCalibrationCeiling(t *testing.T) {
+	_, hs := newTestServer(t, Options{})
+	for _, key := range desc.OverlayKeys() {
+		for _, entry := range []string{key + " = 1e300", key + " *= 1e308"} {
+			for _, path := range []string{"/v1/evaluate", "/v1/sweep", "/v1/trace"} {
+				resp, body := post(t, hs.URL+path+"?calibration="+url.QueryEscape(entry), "")
+				if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+					t.Errorf("%s %q: status %d, want 4xx: %s", path, entry, resp.StatusCode, body)
+				} else if !strings.Contains(string(body), key+":") {
+					t.Errorf("%s %q: the error does not name the key: %s", path, entry, body)
+				}
+			}
+		}
+	}
+}
+
 // TestCalibratedBuildsCounter checks the dramserved_calibrated_builds_total
 // metric counts only overlay-applying builds, once per cache miss.
 func TestCalibratedBuildsCounter(t *testing.T) {

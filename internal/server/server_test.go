@@ -510,6 +510,33 @@ func TestTraceParseErrorPositioned(t *testing.T) {
 	}
 }
 
+// TestTraceRefreshInsideTRP: a refresh before tRP has elapsed after the
+// last precharge (11 slots on the sample) is a 400 naming the rule; once
+// tRP has elapsed the same trace replays.
+func TestTraceRefreshInsideTRP(t *testing.T) {
+	_, hs := newTestServer(t, Options{})
+	for _, tc := range []struct {
+		ref    string
+		status int
+		why    string
+	}{
+		{"29 ref\n", http.StatusBadRequest, "trace: @29 ref b0 r0: tRP: precharge at 28 not complete"},
+		{"39 ref\n", http.StatusOK, ""},
+	} {
+		resp, body := post(t, hs.URL+"/v1/trace", "0 act 0 1\n28 pre 0\n"+tc.ref)
+		if resp.StatusCode != tc.status {
+			t.Fatalf("%q: status %d, want %d: %s", tc.ref, resp.StatusCode, tc.status, body)
+		}
+		var e errorResponse
+		if err := json.Unmarshal(body, &e); err != nil {
+			t.Fatal(err)
+		}
+		if e.Error != tc.why {
+			t.Errorf("%q: error %q, want %q", tc.ref, e.Error, tc.why)
+		}
+	}
+}
+
 func TestSweepAndSchemesEndpoints(t *testing.T) {
 	_, hs := newTestServer(t, Options{})
 	resp, body := post(t, hs.URL+"/v1/sweep?top=5", "")

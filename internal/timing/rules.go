@@ -31,9 +31,10 @@ type bankRules struct {
 }
 
 // Rules holds one channel's timing state. Its queries (the *At methods)
-// return a command kind's earliest legal slot and its commits record an
-// issued command. Commits do not check: the caller commits only commands
-// the state rules and the queries allow. Reset initializes a Rules.
+// return a command kind's earliest legal slot, LowPowerExit sizes a
+// low-power window, and its commits record an issued command. Commits do
+// not check: the caller commits only commands the state rules and the
+// queries allow. Reset initializes a Rules.
 type Rules struct {
 	t     Timing
 	banks []bankRules
@@ -44,6 +45,7 @@ type Rules struct {
 
 	busUntil  int64 // the data bus is free from this slot
 	burstBank int   // bank whose burst holds the bus (-1 before any)
+	preUntil  int64 // every precharge completes by this slot
 	refUntil  int64 // the last refresh completes at this slot
 	lpEnter   int64 // slot of the last pde or sre
 	exitUntil int64 // end of the low-power exit window
@@ -65,7 +67,8 @@ func (r *Rules) Reset(t Timing, banks int) {
 	}
 	*r = Rules{}
 	r.t, r.banks, r.burstBank = t, b[:banks], -1
-	r.busUntil, r.refUntil, r.lpEnter, r.exitUntil = farPast, farPast, farPast, farPast
+	r.busUntil, r.preUntil, r.refUntil = farPast, farPast, farPast
+	r.lpEnter, r.exitUntil = farPast, farPast
 	for i := range r.banks {
 		r.banks[i] = bankRules{act: farPast, pre: farPast}
 	}
@@ -117,9 +120,12 @@ func (r *Rules) preBounds(bank int) (exit, ras, burst int64) {
 	return r.exitUntil, r.banks[bank].act + r.t.RAS, burst
 }
 
-// refBounds lists the refresh rules: the exit window and the previous
-// refresh cycle.
-func (r *Rules) refBounds() (exit, rfc int64) { return r.exitUntil, r.refUntil }
+// refBounds lists the refresh rules: the exit window, tRP after the last
+// precharge (a refresh needs every bank precharged, not merely closed)
+// and the previous refresh cycle.
+func (r *Rules) refBounds() (exit, rp, rfc int64) {
+	return r.exitUntil, r.preUntil, r.refUntil
+}
 
 // lowPowerBounds lists the pde/sre rules: the exit window, the refresh
 // cycle and the data bus.
@@ -147,8 +153,8 @@ func (r *Rules) PrechargeAt(bank int) int64 {
 
 // RefreshAt returns the earliest slot a refresh is legal at.
 func (r *Rules) RefreshAt() int64 {
-	exit, rfc := r.refBounds()
-	return max(exit, rfc)
+	exit, rp, rfc := r.refBounds()
+	return max(exit, rp, rfc)
 }
 
 // LowPowerAt returns the earliest slot a power-down or self-refresh
@@ -161,6 +167,19 @@ func (r *Rules) LowPowerAt() int64 {
 // ExitAt returns the earliest slot a pdx or srx is legal at: tCKEmin
 // after the entry, its one rule.
 func (r *Rules) ExitAt() int64 { return r.lpEnter + r.t.CKE }
+
+// LowPowerExit sizes a power-down (or, with selfRefresh, a self-refresh)
+// window entered at enter and ended in time for a command at next: the
+// latest exit whose tXP (tXS) window closes by next, and whether that
+// exit keeps tCKEmin after the entry, which is whether the window fits.
+func (r *Rules) LowPowerExit(enter, next int64, selfRefresh bool) (exit int64, ok bool) {
+	lead := r.t.XP
+	if selfRefresh {
+		lead = r.t.XS
+	}
+	exit = next - lead
+	return exit, exit >= enter+r.t.CKE
+}
 
 // Activate records an activate of row in bank at slot.
 func (r *Rules) Activate(bank, row int, slot int64) {
@@ -181,6 +200,7 @@ func (r *Rules) Precharge(bank int, slot int64) {
 	b := &r.banks[bank]
 	b.open, b.pre = false, slot
 	r.open--
+	r.preUntil = max(r.preUntil, slot+r.t.RP)
 }
 
 // Refresh records a refresh at slot, serving the next obligation.
@@ -277,10 +297,15 @@ func (r *Rules) Why(k Kind, bank int, at int64) string {
 			return fmt.Sprintf("burst on bank %d drains until slot %d", bank, burst)
 		}
 	case Refresh:
-		if exit, _ := r.refBounds(); at < exit {
+		exit, rp, _ := r.refBounds()
+		switch {
+		case at < exit:
 			return r.exitWhy()
+		case at < rp:
+			return fmt.Sprintf("tRP: precharge at %d not complete", rp-r.t.RP)
+		default:
+			return "tRFC: previous refresh in progress"
 		}
-		return "tRFC: previous refresh in progress"
 	case LowPowerEntry:
 		exit, rfc, bus := r.lowPowerBounds()
 		switch {

@@ -347,13 +347,7 @@ func (bw *BinaryWriter) Flush() error {
 // produces the identical Command stream (pinned by the round-trip
 // property test and FuzzBinaryScanner).
 func WriteBinaryTrace(w io.Writer, cmds []Command) error {
-	bw := NewBinaryWriter(w)
-	for i := range cmds {
-		if err := bw.WriteCommand(cmds[i]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return WriteAll(NewBinaryWriter(w), cmds)
 }
 
 // Source is a stream of commands: the common face of the text Scanner and

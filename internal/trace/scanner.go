@@ -156,6 +156,36 @@ func parseOpBytes(b []byte) (desc.Op, bool) {
 	return 0, false
 }
 
+// Writer encodes a command stream in one trace encoding: a TextWriter or
+// a BinaryWriter. WriteCommand appends one command; Flush drains the
+// buffer and reports the first error of the stream.
+type Writer interface {
+	WriteCommand(Command) error
+	Flush() error
+}
+
+// NewWriter returns the Writer of the named encoding, "text" or
+// "binary", emitting to w, and false for any other name.
+func NewWriter(w io.Writer, encoding string) (Writer, bool) {
+	switch encoding {
+	case "text":
+		return NewTextWriter(w), true
+	case "binary":
+		return NewBinaryWriter(w), true
+	}
+	return nil, false
+}
+
+// WriteAll writes cmds to tw and flushes it.
+func WriteAll(tw Writer, cmds []Command) error {
+	for i := range cmds {
+		if err := tw.WriteCommand(cmds[i]); err != nil {
+			return err
+		}
+	}
+	return tw.Flush()
+}
+
 // TextWriter encodes commands in the trace text format, one line per
 // command, buffered. Call Flush when done; the writer does not own or
 // close the underlying writer.
@@ -180,15 +210,7 @@ func (tw *TextWriter) Flush() error { return tw.w.Flush() }
 
 // WriteTrace renders commands in the trace text format, one line per
 // command, buffered. The output round-trips through NewScanner.
-func WriteTrace(w io.Writer, cmds []Command) error {
-	tw := NewTextWriter(w)
-	for i := range cmds {
-		if err := tw.WriteCommand(cmds[i]); err != nil {
-			return err
-		}
-	}
-	return tw.Flush()
-}
+func WriteTrace(w io.Writer, cmds []Command) error { return WriteAll(NewTextWriter(w), cmds) }
 
 // AppendCommand appends the trace-format line for c, including the
 // trailing newline, to dst and returns the extended slice.

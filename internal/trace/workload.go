@@ -104,36 +104,34 @@ func RandomClosedPage(m *core.Model, accesses int, readShare float64, seed int64
 }
 
 // RefreshOnly generates the standby-with-refresh trace over the given
-// number of refresh intervals. The spacing is the rulebook's tREFI,
-// floored at tRFC: a spec whose refresh cycle is as long as (or longer
-// than) its refresh interval would otherwise emit the next ref while the
-// previous one is still in progress, which the simulator rejects.
+// number of refresh intervals: refresh i at slot i·tREFI, or where the
+// rulebook first allows it when the previous refresh is still in
+// progress there (a spec whose refresh cycle is as long as its refresh
+// interval, or longer).
 func RefreshOnly(m *core.Model, intervals int) []Command {
-	t := timing.For(m.D.Spec)
-	perInterval := max(t.REFI, t.RFC)
+	var r timing.Rules
+	r.Reset(timing.For(m.D.Spec), m.D.Spec.Banks())
 	var cmds []Command
 	for i := 0; i < intervals; i++ {
-		cmds = append(cmds, Command{Slot: int64(i) * perInterval, Op: desc.OpRefresh})
+		slot := max(int64(i)*r.Timing().REFI, r.RefreshAt())
+		r.Refresh(slot)
+		cmds = append(cmds, Command{Slot: slot, Op: desc.OpRefresh})
 	}
 	return cmds
 }
 
 // WithPowerDown inserts power-down entry/exit pairs into the idle gaps of
 // a sorted single-channel trace: whenever the gap before the next command
-// is at least minIdle slots and leaves room for a legal pde ... pdx window
-// (tCKEmin residency plus the tXP exit-to-valid delay before the next
-// command), the device is put into precharge power-down for the gap. A
-// candidate entry that is illegal at that slot (bank open, refresh or
-// burst still in flight) is skipped, so the returned trace is always
+// is at least minIdle slots and the rulebook of a scratch simulator finds
+// a window that fits in it (entered once the device is quiet, kept for
+// tCKEmin and left tXP before the next command), the device is put into
+// precharge power-down for the gap. A candidate entry that is illegal at
+// that slot (a bank open) is skipped, so the returned trace is always
 // timing-legal; legality is enforced by actually issuing every command —
-// original and inserted — on a scratch simulator. minIdle < 1 defaults to
-// the smallest insertable window.
+// original and inserted — on the scratch simulator. With minIdle < 1
+// every gap that fits a window gets one.
 func WithPowerDown(m *core.Model, cmds []Command, minIdle int64) []Command {
 	s := New(m)
-	t := timing.For(m.D.Spec)
-	if minIdle < 1 {
-		minIdle = t.CKE + t.XP + 1
-	}
 	out := make([]Command, 0, len(cmds)+len(cmds)/2)
 	emit := func(c Command) bool {
 		if err := s.Issue(c); err != nil {
@@ -145,17 +143,9 @@ func WithPowerDown(m *core.Model, cmds []Command, minIdle int64) []Command {
 	for i, c := range cmds {
 		if i > 0 {
 			prev := cmds[i-1]
-			// Earliest slot the device is quiet after the previous
-			// command: past its refresh cycle or data burst, if any.
-			enter := prev.Slot + 1
-			switch prev.Op {
-			case desc.OpRefresh:
-				enter = prev.Slot + t.RFC
-			case desc.OpRead, desc.OpWrite:
-				enter = prev.Slot + t.Burst
-			}
-			exit := c.Slot - t.XP // pdx here makes c legal again
-			if c.Slot-prev.Slot >= minIdle && exit-enter >= t.CKE {
+			enter := max(prev.Slot+1, s.r.LowPowerAt())
+			exit, ok := s.r.LowPowerExit(enter, c.Slot, false)
+			if ok && c.Slot-prev.Slot >= minIdle {
 				if emit(Command{Slot: enter, Op: OpPowerDownEnter}) {
 					emit(Command{Slot: exit, Op: OpPowerDownExit})
 				}

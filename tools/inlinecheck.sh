@@ -82,8 +82,11 @@ internal/ctl/ctl.go Controller.activate timing.(*Rules).Activate
 internal/ctl/ctl.go Controller.issueRef timing.(*Rules).RefreshAt
 internal/ctl/ctl.go Controller.issueRef timing.(*Rules).Refresh
 internal/ctl/ctl.go Controller.quietSlot timing.(*Rules).LowPowerAt
+internal/ctl/ctl.go Controller.powerDown timing.(*Rules).LowPowerExit
 internal/ctl/ctl.go Controller.powerDown timing.(*Rules).EnterLowPower
 internal/ctl/ctl.go Controller.powerDown timing.(*Rules).ExitPowerDown
+internal/ctl/ctl.go Controller.fillGap timing.(*Rules).LowPowerExit
+internal/ctl/ctl.go Controller.fillGap timing.(*Rules).RefreshAt
 internal/ctl/ctl.go Controller.fillGap timing.(*Rules).ExitSelfRefresh
 EOF
 exit $status
